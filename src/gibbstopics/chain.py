@@ -1,0 +1,30 @@
+"""The Gibbs chain shared by training and inference: niters sweeps from an
+initialised state, with the five artifacts written at every save point."""
+
+from __future__ import annotations
+
+from gibbstopics import persistence
+from gibbstopics.core import CountState, Hyperparams, estimate_phi
+
+
+def run_chain(corpus, state: CountState, hp: Hyperparams, sweep, estimate_theta,
+              quiet: bool = False) -> CountState:
+    """Call sweep() hp.niters times, saving every hp.sstep iterations (when
+    sstep > 0) and always at the end; estimate_theta() gives the current
+    document-topic matrix."""
+    base = persistence.output_base(corpus.source_path, hp.name)
+
+    def save(iteration=None):
+        persistence.save_outputs(base, estimate_theta(), estimate_phi(state, hp), corpus.vocab,
+                                 state.z, hp, corpus.source_path, iteration=iteration)
+
+    for it in range(1, hp.niters + 1):
+        sweep()
+        if hp.sstep > 0 and it % hp.sstep == 0 and it < hp.niters:
+            save(it)
+            if not quiet:
+                print(f"{hp.model} iteration {it}/{hp.niters}: saved {base}.* ({it})")
+    save()
+    if not quiet:
+        print(f"{hp.model} done: {hp.niters} iterations, outputs at {base}.*")
+    return state

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from gibbstopics.core import DEFAULTS, Hyperparams, ToolError, make_rng
+from gibbstopics.core import Hyperparams, ToolError, make_rng
 from gibbstopics.corpus import load_corpus, load_labels
 from gibbstopics.dmm import train_dmm
 from gibbstopics.evaluation import evaluate_files
@@ -35,14 +35,9 @@ MODES = ("LDA", "DMM", "LDAinf", "DMMinf", "Eval")
 @dataclass
 class CliCommand:
     mode: str
-    hp: Hyperparams | None = None   # train modes
+    hp: Hyperparams | None = None   # train and inf modes
     corpus: str | None = None       # train and inf modes
     paras: str | None = None        # inf modes
-    niters: int | None = None       # inf modes
-    twords: int | None = None
-    name: str | None = None
-    sstep: int | None = None
-    seed: int | None = None
     label: str | None = None        # Eval mode
     dir: str | None = None
     prob: str | None = None
@@ -95,50 +90,25 @@ def parse_args(argv) -> CliCommand:
             forbid(flag)
         return CliCommand(mode=mode, label=args.label, dir=args.dir, prob=args.prob)
 
+    require("corpus")
+    forbid("label"), forbid("dir"), forbid("prob")
     if mode in ("LDAinf", "DMMinf"):
         require("paras")
-        require("corpus")
         # K, alpha and beta come from the paras file; only the sampling run
         # itself is configurable here.
         for flag in ("ntopics", "alpha", "beta"):
             forbid(flag)
-        forbid("label"), forbid("dir"), forbid("prob")
-        cmd = CliCommand(
-            mode=mode,
-            corpus=args.corpus,
-            paras=args.paras,
-            niters=args.niters if args.niters is not None else DEFAULTS["niters"],
-            twords=args.twords if args.twords is not None else DEFAULTS["twords"],
-            name=args.name if args.name is not None else DEFAULTS["name"],
-            sstep=args.sstep if args.sstep is not None else DEFAULTS["sstep"],
-            seed=args.seed,
-        )
-        if cmd.niters < 1:
-            parser.error(f"-niters must be >= 1, got {cmd.niters}")
-        if cmd.twords < 0:
-            parser.error(f"-twords must be >= 0, got {cmd.twords}")
-        if cmd.sstep < 0:
-            parser.error(f"-sstep must be >= 0, got {cmd.sstep}")
-        return cmd
-
-    require("corpus")
-    forbid("paras"), forbid("label"), forbid("dir"), forbid("prob")
-    hp = Hyperparams(
-        model=mode,
-        ntopics=args.ntopics if args.ntopics is not None else DEFAULTS["ntopics"],
-        alpha=args.alpha if args.alpha is not None else DEFAULTS["alpha"],
-        beta=args.beta if args.beta is not None else DEFAULTS["beta"],
-        niters=args.niters if args.niters is not None else DEFAULTS["niters"],
-        twords=args.twords if args.twords is not None else DEFAULTS["twords"],
-        name=args.name if args.name is not None else DEFAULTS["name"],
-        sstep=args.sstep if args.sstep is not None else DEFAULTS["sstep"],
-        seed=args.seed,
-    )
+    else:
+        forbid("paras")
+    # Flags left unset take the Hyperparams defaults.
+    given = {f.name: getattr(args, f.name) for f in fields(Hyperparams)
+             if getattr(args, f.name) is not None}
+    hp = Hyperparams(**given)
     try:
         hp.validate()
     except ToolError as exc:
         parser.error(str(exc))
-    return CliCommand(mode=mode, hp=hp, corpus=args.corpus)
+    return CliCommand(mode=mode, hp=hp, corpus=args.corpus, paras=args.paras)
 
 
 def dispatch(cmd: CliCommand) -> int:
@@ -157,8 +127,9 @@ def dispatch(cmd: CliCommand) -> int:
                     f"paras file {cmd.paras} is from a {model.hp.model} model, "
                     f"but -model {cmd.mode} was requested"
                 )
-            rng, seed = make_rng(cmd.seed)
-            infer(model, cmd.corpus, cmd.niters, cmd.twords, cmd.name, cmd.sstep, rng, seed)
+            hp = cmd.hp
+            rng, seed = make_rng(hp.seed)
+            infer(model, cmd.corpus, hp.niters, hp.twords, hp.name, hp.sstep, rng, seed)
         else:
             labels = load_labels(cmd.label, _count_lines(cmd.label))
             summary = evaluate_files(cmd.dir, cmd.prob, labels)

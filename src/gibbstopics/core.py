@@ -3,22 +3,12 @@ the theta/phi estimators used by both samplers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
 MODEL_KINDS = ("LDA", "DMM", "LDAinf", "DMMinf")
-
-DEFAULTS = {
-    "ntopics": 20,
-    "alpha": 0.1,
-    "beta": 0.01,
-    "niters": 2000,
-    "twords": 20,
-    "name": "model",
-    "sstep": 0,
-}
-
 
 class ToolError(Exception):
     """Fatal, user-facing error: bad input, corrupt state or failed IO."""
@@ -27,13 +17,13 @@ class ToolError(Exception):
 @dataclass
 class Hyperparams:
     model: str = "LDA"
-    ntopics: int = DEFAULTS["ntopics"]
-    alpha: float = DEFAULTS["alpha"]
-    beta: float = DEFAULTS["beta"]
-    niters: int = DEFAULTS["niters"]
-    twords: int = DEFAULTS["twords"]
-    name: str = DEFAULTS["name"]
-    sstep: int = DEFAULTS["sstep"]
+    ntopics: int = 20
+    alpha: float = 0.1
+    beta: float = 0.01
+    niters: int = 2000
+    twords: int = 20
+    name: str = "model"
+    sstep: int = 0
     seed: int | None = None
 
     def validate(self):
@@ -51,6 +41,9 @@ class Hyperparams:
             raise ToolError(f"twords must be >= 0, got {self.twords}")
         if self.sstep < 0:
             raise ToolError(f"sstep must be >= 0, got {self.sstep}")
+        # Outputs are <corpus dir>/<name>.*, so a path would escape that directory.
+        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name:
+            raise ToolError(f"name must be a plain file name, got {self.name!r}")
         return self
 
 
@@ -58,14 +51,14 @@ class Hyperparams:
 class CountState:
     """Gibbs count tables and current assignments.
 
-    ndk: D x K tokens of document d assigned to topic k
+    ndk: D x K tokens of document d assigned to topic k (LDA only)
     nkw: K x V tokens of word w assigned to topic k
     nk:  length-K topic token totals
     z:   per-document token assignments (LDA) or one topic per document (DMM)
     mk:  length-K document counts per topic (DMM only)
     """
 
-    ndk: np.ndarray
+    ndk: np.ndarray | None
     nkw: np.ndarray
     nk: np.ndarray
     z: list
@@ -122,37 +115,39 @@ def top_words(phi_row, vocab, t: int) -> list[tuple[str, float]]:
     return [(vocab.words[i], float(row[i])) for i in order]
 
 
+def _topic_word_counts(topics, docs, ntopics: int, n_vocab: int) -> np.ndarray:
+    """K x V counts of the (topic, word) pairs of all tokens, given one topic
+    per token in document order."""
+    cells = topics * n_vocab
+    cells += np.concatenate(docs)
+    return np.bincount(cells, minlength=ntopics * n_vocab).reshape(ntopics, n_vocab)
+
+
 def recount_lda(docs, z, ntopics: int, n_vocab: int) -> CountState:
-    """Rebuild all LDA count tables from scratch from the assignments."""
+    """Build all LDA count tables from the per-token assignments."""
+    z = [np.asarray(zd, dtype=np.int64) for zd in z]
+    topics = np.concatenate(z)
     n_docs = len(docs)
-    ndk = np.zeros((n_docs, ntopics), dtype=np.int64)
-    nkw = np.zeros((ntopics, n_vocab), dtype=np.int64)
-    nk = np.zeros(ntopics, dtype=np.int64)
-    for d, (doc, zd) in enumerate(zip(docs, z)):
-        ndk[d] = np.bincount(zd, minlength=ntopics)
-        np.add.at(nkw, (zd, doc), 1)
-    nk = nkw.sum(axis=1)
-    return CountState(ndk=ndk, nkw=nkw, nk=nk, z=[np.array(zd) for zd in z])
+    doc_of = np.repeat(np.arange(n_docs), [len(doc) for doc in docs])
+    ndk = np.bincount(doc_of * ntopics + topics, minlength=n_docs * ntopics)
+    ndk = ndk.reshape(n_docs, ntopics)
+    nkw = _topic_word_counts(topics, docs, ntopics, n_vocab)
+    return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=z)
 
 
 def recount_dmm(docs, z, ntopics: int, n_vocab: int) -> CountState:
-    """Rebuild all DMM count tables from scratch from the per-document topics."""
-    n_docs = len(docs)
+    """Build all DMM count tables from the per-document topics."""
     z = np.asarray(z, dtype=np.int64)
-    ndk = np.zeros((n_docs, ntopics), dtype=np.int64)
-    nkw = np.zeros((ntopics, n_vocab), dtype=np.int64)
-    mk = np.bincount(z, minlength=ntopics).astype(np.int64)
-    for d, doc in enumerate(docs):
-        ndk[d, z[d]] = len(doc)
-        np.add.at(nkw[z[d]], doc, 1)
-    nk = nkw.sum(axis=1)
-    return CountState(ndk=ndk, nkw=nkw, nk=nk, z=z, mk=mk)
+    topics = np.repeat(z, [len(doc) for doc in docs])
+    nkw = _topic_word_counts(topics, docs, ntopics, n_vocab)
+    return CountState(ndk=None, nkw=nkw, nk=nkw.sum(axis=1), z=z,
+                      mk=np.bincount(z, minlength=ntopics))
 
 
 def check_state(state: CountState, docs, kind: str):
     """Assert the count-conservation invariants by recounting from z.
 
-    Raises ToolError on any mismatch; used in validation mode and tests.
+    Raises ToolError on any mismatch; used by tests.
     """
     ntopics = state.nk.size
     n_vocab = state.nkw.shape[1]
@@ -164,8 +159,8 @@ def check_state(state: CountState, docs, kind: str):
             raise ToolError("count invariant violated: sum(mk) != D")
     else:
         ref = recount_lda(docs, state.z, ntopics, n_vocab)
-    if not np.array_equal(ref.ndk, state.ndk):
-        raise ToolError("count invariant violated: ndk does not match assignments")
+        if not np.array_equal(ref.ndk, state.ndk):
+            raise ToolError("count invariant violated: ndk does not match assignments")
     if not np.array_equal(ref.nkw, state.nkw):
         raise ToolError("count invariant violated: nkw does not match assignments")
     if not np.array_equal(ref.nk, state.nk):

@@ -22,7 +22,7 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class Corpus:
-    docs: tuple  # one int array of word ids per document
+    docs: tuple  # one int array of word ids per document (empty only after OOV folding)
     vocab: Vocabulary
     source_path: str
 

@@ -14,15 +14,16 @@ documents.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from gibbstopics import persistence
+from gibbstopics.chain import run_chain
 from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
-    check_state,
-    estimate_phi,
+    recount_dmm,
     sample_categorical,
 )
 
@@ -34,18 +35,8 @@ def doc_word_counts(docs):
 
 def init_dmm(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
     """Assign each document one uniformly random topic and build the tables."""
-    ntopics = hp.ntopics
-    n_docs = len(corpus.docs)
-    n_vocab = corpus.vocab.size
-    z = rng.integers(0, ntopics, size=n_docs)
-    ndk = np.zeros((n_docs, ntopics), dtype=np.int64)
-    nkw = np.zeros((ntopics, n_vocab), dtype=np.int64)
-    mk = np.bincount(z, minlength=ntopics).astype(np.int64)
-    for d, doc in enumerate(corpus.docs):
-        ndk[d, z[d]] = len(doc)
-        np.add.at(nkw[z[d]], np.asarray(doc), 1)
-    nk = nkw.sum(axis=1)
-    return CountState(ndk=ndk, nkw=nkw, nk=nk, z=z, mk=mk)
+    z = rng.integers(0, hp.ntopics, size=len(corpus.docs))
+    return recount_dmm(corpus.docs, z, hp.ntopics, corpus.vocab.size)
 
 
 def dmm_conditional(state: CountState, hp: Hyperparams, uwords, ucounts,
@@ -69,18 +60,16 @@ def dmm_conditional(state: CountState, hp: Hyperparams, uwords, ucounts,
     return logw
 
 
-def _remove_doc(state, d, k, uwords, ucounts, n):
+def _remove_doc(state, k, uwords, ucounts, n):
     state.mk[k] -= 1
     state.nkw[k, uwords] -= ucounts
     state.nk[k] -= n
-    state.ndk[d, k] = 0
 
 
-def _add_doc(state, d, k, uwords, ucounts, n):
+def _add_doc(state, k, uwords, ucounts, n):
     state.mk[k] += 1
     state.nkw[k, uwords] += ucounts
     state.nk[k] += n
-    state.ndk[d, k] = n
 
 
 def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator,
@@ -94,12 +83,12 @@ def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     for d, (uwords, ucounts) in enumerate(counts):
         n = int(ucounts.sum()) if len(ucounts) else 0
         k_old = int(state.z[d])
-        _remove_doc(state, d, k_old, uwords, ucounts, n)
+        _remove_doc(state, k_old, uwords, ucounts, n)
         logw = dmm_conditional(state, hp, uwords, ucounts, n_vocab, n_docs)
         weights = np.exp(logw - logw.max())
         k_new = sample_categorical(weights, rng)
         state.z[d] = k_new
-        _add_doc(state, d, k_new, uwords, ucounts, n)
+        _add_doc(state, k_new, uwords, ucounts, n)
     return state
 
 
@@ -115,38 +104,20 @@ def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams,
     for d, (uwords, ucounts) in enumerate(counts):
         n = int(ucounts.sum()) if len(ucounts) else 0
         k = int(state.z[d])
-        _remove_doc(state, d, k, uwords, ucounts, n)
+        _remove_doc(state, k, uwords, ucounts, n)
         logw = dmm_conditional(state, hp, uwords, ucounts, n_vocab, n_docs)
-        _add_doc(state, d, k, uwords, ucounts, n)
+        _add_doc(state, k, uwords, ucounts, n)
         weights = np.exp(logw - logw.max())
         theta[d] = weights / weights.sum()
     return theta
 
 
 def train_dmm(corpus, hp: Hyperparams, rng: np.random.Generator,
-              validate: bool = False, quiet: bool = False) -> CountState:
+              quiet: bool = False) -> CountState:
     """Run init plus niters sweeps with the same save schedule as LDA training;
     .topicAssignments holds one topic per document."""
     hp.validate()
-    base = persistence.output_base(corpus.source_path, hp.name)
     counts = doc_word_counts(corpus.docs)
     state = init_dmm(corpus, hp, rng)
-    for it in range(1, hp.niters + 1):
-        dmm_sweep(corpus, state, hp, rng, counts=counts)
-        if validate:
-            check_state(state, corpus.docs, "DMM")
-        if hp.sstep > 0 and it % hp.sstep == 0 and it < hp.niters:
-            _save(base, corpus, state, hp, counts, iteration=it)
-            if not quiet:
-                print(f"DMM iteration {it}/{hp.niters}: saved {base}.* ({it})")
-    _save(base, corpus, state, hp, counts)
-    if not quiet:
-        print(f"DMM done: {hp.niters} iterations, outputs at {base}.*")
-    return state
-
-
-def _save(base, corpus, state, hp, counts, iteration=None):
-    theta = estimate_theta_dmm(state, corpus, hp, counts=counts)
-    phi = estimate_phi(state, hp)
-    persistence.save_outputs(base, theta, phi, corpus.vocab, state.z, hp,
-                             corpus.source_path, iteration=iteration)
+    return run_chain(corpus, state, hp, partial(dmm_sweep, corpus, state, hp, rng, counts=counts),
+                     partial(estimate_theta_dmm, state, corpus, hp, counts=counts), quiet=quiet)

@@ -7,21 +7,24 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from gibbstopics import persistence
+from gibbstopics.chain import run_chain
 from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
-    estimate_phi,
     estimate_theta_lda,
+    recount_dmm,
+    recount_lda,
 )
-from gibbstopics.corpus import Vocabulary, load_corpus
-from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm
-from gibbstopics.lda import lda_sweep
+from gibbstopics.corpus import Corpus, Vocabulary, load_corpus
+from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
+from gibbstopics.lda import init_lda, lda_sweep
 
 
 @dataclass
@@ -30,15 +33,6 @@ class PretrainedModel:
     vocab: Vocabulary     # training vocabulary
     nkw: np.ndarray       # frozen K x V topic-word counts
     nk: np.ndarray        # frozen length-K topic totals
-
-
-@dataclass
-class _FoldedCorpus:
-    """Unseen documents mapped through the training vocabulary; documents may
-    be empty after OOV dropping, unlike a training Corpus."""
-    docs: tuple
-    vocab: Vocabulary
-    source_path: str
 
 
 def load_pretrained(paras_path) -> PretrainedModel:
@@ -69,21 +63,20 @@ def load_pretrained(paras_path) -> PretrainedModel:
             f"assignment count {len(z)} != document count {corpus.n_docs} in {assign_path}"
         )
 
-    nkw = np.zeros((hp.ntopics, corpus.vocab.size), dtype=np.int64)
     if rec.model == "LDA":
         for d, (doc, zd) in enumerate(zip(corpus.docs, z)):
             if len(zd) != len(doc):
                 raise ToolError(f"assignment length mismatch at document {d + 1} in {assign_path}")
-            np.add.at(nkw, (zd, doc), 1)
-    else:
-        for doc, k in zip(corpus.docs, z):
-            if not 0 <= k < hp.ntopics:
-                raise ToolError(f"topic id {k} out of range in {assign_path}")
-            np.add.at(nkw[k], np.asarray(doc), 1)
-    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, nk=nkw.sum(axis=1))
+    topics = np.hstack(z)
+    bad = topics[(topics < 0) | (topics >= hp.ntopics)]
+    if bad.size:
+        raise ToolError(f"topic id {bad[0]} out of range in {assign_path}")
+    recount = recount_lda if rec.model == "LDA" else recount_dmm
+    state = recount(corpus.docs, z, hp.ntopics, corpus.vocab.size)
+    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=state.nkw, nk=state.nk)
 
 
-def fold_corpus(model: PretrainedModel, new_corpus_path) -> _FoldedCorpus:
+def fold_corpus(model: PretrainedModel, new_corpus_path) -> Corpus:
     """Map the unseen corpus through the training vocabulary, dropping OOV
     tokens (documents may become empty)."""
     raw = load_corpus(new_corpus_path)
@@ -92,8 +85,8 @@ def fold_corpus(model: PretrainedModel, new_corpus_path) -> _FoldedCorpus:
     for doc in raw.docs:
         kept = [index[raw.vocab.words[w]] for w in doc if raw.vocab.words[w] in index]
         docs.append(np.array(kept, dtype=np.int64))
-    folded = _FoldedCorpus(docs=tuple(docs), vocab=model.vocab, source_path=raw.source_path)
-    if sum(len(d) for d in folded.docs) == 0:
+    folded = Corpus(docs=tuple(docs), vocab=model.vocab, source_path=raw.source_path)
+    if folded.n_tokens == 0:
         print(f"warning: every token of {new_corpus_path} is out of vocabulary", file=sys.stderr)
     return folded
 
@@ -104,66 +97,21 @@ def infer(model: PretrainedModel, new_corpus_path, niters: int, twords: int,
     """Sample topic assignments for the unseen corpus with the training counts
     frozen, writing the usual five artifacts next to the unseen corpus."""
     kind = "LDAinf" if model.hp.model == "LDA" else "DMMinf"
-    hp = Hyperparams(
-        model=kind,
-        ntopics=model.hp.ntopics,
-        alpha=model.hp.alpha,
-        beta=model.hp.beta,
-        niters=niters,
-        twords=twords,
-        name=name,
-        sstep=sstep,
-        seed=seed,
-    ).validate()
+    hp = replace(model.hp, model=kind, niters=niters, twords=twords, name=name,
+                 sstep=sstep, seed=seed).validate()
     folded = fold_corpus(model, new_corpus_path)
-    base = persistence.output_base(folded.source_path, name)
-
-    # Seeding the tables with the frozen counts makes the training sweeps
-    # reusable verbatim: the topic-word factor sees training + new counts,
-    # while ndk/mk cover only the new documents.
-    state = _init_state(model, folded, hp, rng)
-    counts = doc_word_counts(folded.docs) if kind == "DMMinf" else None
-    for it in range(1, niters + 1):
-        if kind == "LDAinf":
-            lda_sweep(folded, state, hp, rng)
-        else:
-            dmm_sweep(folded, state, hp, rng, counts=counts)
-        if sstep > 0 and it % sstep == 0 and it < niters:
-            _save(base, folded, state, hp, kind, counts, iteration=it)
-            if not quiet:
-                print(f"{kind} iteration {it}/{niters}: saved {base}.* ({it})")
-    _save(base, folded, state, hp, kind, counts)
-    if not quiet:
-        print(f"{kind} done: {niters} iterations, outputs at {base}.*")
-    return state
-
-
-def _init_state(model, folded, hp, rng) -> CountState:
-    ntopics = hp.ntopics
-    n_docs = len(folded.docs)
-    ndk = np.zeros((n_docs, ntopics), dtype=np.int64)
-    nkw = model.nkw.copy()
-    if hp.model == "LDAinf":
-        z = []
-        for d, doc in enumerate(folded.docs):
-            zd = rng.integers(0, ntopics, size=len(doc))
-            ndk[d] = np.bincount(zd, minlength=ntopics)
-            np.add.at(nkw, (zd, doc), 1)
-            z.append(zd)
-        return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=z)
-    z = rng.integers(0, ntopics, size=n_docs)
-    mk = np.bincount(z, minlength=ntopics).astype(np.int64)
-    for d, doc in enumerate(folded.docs):
-        ndk[d, z[d]] = len(doc)
-        np.add.at(nkw[z[d]], np.asarray(doc), 1)
-    return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=z, mk=mk)
-
-
-def _save(base, folded, state, hp, kind, counts, iteration=None):
     if kind == "LDAinf":
-        theta = estimate_theta_lda(state, hp)
+        state = init_lda(folded, hp, rng)
+        sweep = partial(lda_sweep, folded, state, hp, rng)
+        theta = partial(estimate_theta_lda, state, hp)
     else:
-        theta = estimate_theta_dmm(state, folded, hp, counts=counts)
-    phi = estimate_phi(state, hp)
-    persistence.save_outputs(base, theta, phi, folded.vocab, state.z, hp,
-                             folded.source_path, iteration=iteration)
+        counts = doc_word_counts(folded.docs)
+        state = init_dmm(folded, hp, rng)
+        sweep = partial(dmm_sweep, folded, state, hp, rng, counts=counts)
+        theta = partial(estimate_theta_dmm, state, folded, hp, counts=counts)
+    # Adding the frozen counts makes the training sweeps reusable verbatim:
+    # the topic-word factor sees training + new counts, while ndk/mk cover
+    # only the new documents.
+    state.nkw += model.nkw
+    state.nk += model.nk
+    return run_chain(folded, state, hp, sweep, theta, quiet=quiet)

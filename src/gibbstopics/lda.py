@@ -8,35 +8,25 @@ already removed from the tables:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from gibbstopics import persistence
+from gibbstopics.chain import run_chain
 from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
-    check_state,
-    estimate_phi,
     estimate_theta_lda,
+    recount_lda,
     sample_categorical,
 )
 
 
 def init_lda(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
     """Assign every token a uniformly random topic and build the count tables."""
-    ntopics = hp.ntopics
-    n_docs = len(corpus.docs)
-    n_vocab = corpus.vocab.size
-    ndk = np.zeros((n_docs, ntopics), dtype=np.int64)
-    nkw = np.zeros((ntopics, n_vocab), dtype=np.int64)
-    z = []
-    for d, doc in enumerate(corpus.docs):
-        zd = rng.integers(0, ntopics, size=len(doc))
-        ndk[d] = np.bincount(zd, minlength=ntopics)
-        np.add.at(nkw, (zd, doc), 1)
-        z.append(zd)
-    nk = nkw.sum(axis=1)
-    return CountState(ndk=ndk, nkw=nkw, nk=nk, z=z)
+    z = [rng.integers(0, hp.ntopics, size=len(doc)) for doc in corpus.docs]
+    return recount_lda(corpus.docs, z, hp.ntopics, corpus.vocab.size)
 
 
 def lda_conditional(state: CountState, hp: Hyperparams, d: int, word: int, n_vocab: int) -> np.ndarray:
@@ -73,28 +63,10 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
 
 
 def train_lda(corpus, hp: Hyperparams, rng: np.random.Generator,
-              validate: bool = False, quiet: bool = False) -> CountState:
+              quiet: bool = False) -> CountState:
     """Run init plus niters sweeps, persisting the five artifacts at each save
     point (every sstep iterations when sstep > 0) and always at the end."""
     hp.validate()
-    base = persistence.output_base(corpus.source_path, hp.name)
     state = init_lda(corpus, hp, rng)
-    for it in range(1, hp.niters + 1):
-        lda_sweep(corpus, state, hp, rng)
-        if validate:
-            check_state(state, corpus.docs, "LDA")
-        if hp.sstep > 0 and it % hp.sstep == 0 and it < hp.niters:
-            _save(base, corpus, state, hp, iteration=it)
-            if not quiet:
-                print(f"LDA iteration {it}/{hp.niters}: saved {base}.* ({it})")
-    _save(base, corpus, state, hp)
-    if not quiet:
-        print(f"LDA done: {hp.niters} iterations, outputs at {base}.*")
-    return state
-
-
-def _save(base, corpus, state, hp, iteration=None):
-    theta = estimate_theta_lda(state, hp)
-    phi = estimate_phi(state, hp)
-    persistence.save_outputs(base, theta, phi, corpus.vocab, state.z, hp,
-                             corpus.source_path, iteration=iteration)
+    return run_chain(corpus, state, hp, partial(lda_sweep, corpus, state, hp, rng),
+                     partial(estimate_theta_lda, state, hp), quiet=quiet)

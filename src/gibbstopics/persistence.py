@@ -1,15 +1,19 @@
 """Model artifact IO: .theta, .phi, .topWords, .topicAssignments and .paras.
 
-All files are UTF-8 with Unix newlines and written atomically (temp file +
-rename) so interrupted runs never leave truncated artifacts. Outputs land in
-the directory of the input corpus, named <name>.<suffix> with save-point
+All files are UTF-8 with Unix newlines and written atomically (a unique temp
+file in the same directory, fsync, rename), so an interrupted run never leaves
+a truncated artifact and concurrent runs never share a temp file. Outputs land
+in the directory of the input corpus, named <name>.<suffix> with save-point
 variants <name>.<suffix>.<iteration>.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
-from dataclasses import dataclass
+import secrets
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,44 +49,37 @@ class ParasRecord:
     seed: int
 
     def to_hyperparams(self) -> Hyperparams:
-        return Hyperparams(
-            model=self.model,
-            ntopics=self.ntopics,
-            alpha=self.alpha,
-            beta=self.beta,
-            niters=self.niters,
-            twords=self.twords,
-            name=self.name,
-            sstep=self.sstep,
-            seed=self.seed,
-        ).validate()
+        values = {f.name: getattr(self, f.name) for f in fields(Hyperparams)}
+        return Hyperparams(**values).validate()
 
 
 def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
+    # A fresh random name per write keeps concurrent runs off each other's temp
+    # file; O_EXCL refuses an existing one. Unlike mkstemp's fixed 0600, the
+    # file gets the umask's mode, as the artifacts always had.
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    created = False
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+        with open(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
+            f.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
+        created = False
     except OSError as exc:
         raise ToolError(f"cannot write {path}: {exc}") from exc
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
+    finally:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def write_matrix(matrix, path: str):
-    lines = [" ".join(_fmt(v) for v in row) for row in matrix]
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_theta(theta, path: str):
-    write_matrix(theta, path)
-
-
-def write_phi(phi, path: str):
-    write_matrix(phi, path)
+    buf = io.StringIO()
+    np.savetxt(buf, matrix, fmt="%.6g")
+    _atomic_write(path, buf.getvalue())
 
 
 def read_matrix(path: str) -> list[np.ndarray]:
@@ -196,8 +193,8 @@ def output_base(corpus_path: str, name: str) -> str:
 def save_outputs(base, theta, phi, vocab, z, hp, corpus_path, iteration=None):
     """Write the five artifacts; iteration, when given, suffixes each name."""
     sfx = f".{iteration}" if iteration is not None else ""
-    write_theta(theta, f"{base}.theta{sfx}")
-    write_phi(phi, f"{base}.phi{sfx}")
+    write_matrix(theta, f"{base}.theta{sfx}")
+    write_matrix(phi, f"{base}.phi{sfx}")
     write_top_words(phi, vocab, hp.twords, f"{base}.topWords{sfx}")
     write_assignments(z, f"{base}.topicAssignments{sfx}", hp.model)
     write_paras(hp, corpus_path, f"{base}.paras{sfx}")

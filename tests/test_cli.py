@@ -49,6 +49,7 @@ class TestParse:
     @pytest.mark.parametrize("flag,value", [
         ("-alpha", "0"), ("-alpha", "-0.1"), ("-beta", "0"), ("-ntopics", "0"),
         ("-niters", "0"), ("-twords", "-1"), ("-sstep", "-2"),
+        ("-name", ""), ("-name", "."), ("-name", ".."), ("-name", "../x"), ("-name", "a/b"),
     ])
     def test_out_of_range_values(self, flag, value):
         with pytest.raises(SystemExit):

@@ -53,6 +53,14 @@ def test_load_pretrained_assignment_mismatch(tmp_path):
         load_pretrained(paras)
 
 
+@pytest.mark.parametrize("topic", [-1, 2])
+def test_load_pretrained_lda_topic_out_of_range(tmp_path, topic):
+    _, paras = train_small_lda(tmp_path, ["a b", "b c"], ntopics=2)
+    (tmp_path / "m.topicAssignments").write_text(f"{topic} 0\n1 0\n")
+    with pytest.raises(ToolError, match="m.topicAssignments"):
+        load_pretrained(paras)
+
+
 def test_oov_tokens_dropped(tmp_path):
     _, paras = train_small_lda(tmp_path, ["a b a", "c b"])
     model = load_pretrained(paras)

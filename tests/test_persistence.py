@@ -8,9 +8,8 @@ from gibbstopics.persistence import (
     read_matrix,
     read_paras,
     write_assignments,
+    write_matrix,
     write_paras,
-    write_phi,
-    write_theta,
     write_top_words,
 )
 
@@ -21,13 +20,13 @@ def make_vocab(words):
 
 def test_theta_format(tmp_path):
     path = str(tmp_path / "m.theta")
-    write_theta([[0.5, 0.5]], path)
+    write_matrix([[0.5, 0.5]], path)
     assert open(path).read() == "0.5 0.5\n"
 
 
 def test_matrix_shape(tmp_path):
     path = str(tmp_path / "m.theta")
-    write_theta(np.full((3, 2), 0.5), path)
+    write_matrix(np.full((3, 2), 0.5), path)
     lines = open(path).read().splitlines()
     assert len(lines) == 3
     assert all(len(line.split()) == 2 for line in lines)
@@ -36,7 +35,7 @@ def test_matrix_shape(tmp_path):
 def test_matrix_round_trip(tmp_path):
     path = str(tmp_path / "m.phi")
     matrix = np.array([[0.123456789, 0.876543211], [0.25, 0.75]])
-    write_phi(matrix, path)
+    write_matrix(matrix, path)
     back = read_matrix(path)
     assert np.allclose(np.vstack(back), matrix, atol=1e-6)
 
@@ -138,10 +137,27 @@ def test_paras_alpha_exact(tmp_path):
 
 def test_write_failure_names_path(tmp_path):
     with pytest.raises(ToolError, match="no_such_dir"):
-        write_theta([[1.0]], str(tmp_path / "no_such_dir" / "m.theta"))
+        write_matrix([[1.0]], str(tmp_path / "no_such_dir" / "m.theta"))
 
 
 def test_no_temp_file_left_behind(tmp_path):
     path = str(tmp_path / "m.theta")
-    write_theta([[1.0]], path)
+    write_matrix([[1.0]], path)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.theta"]
+
+
+def test_temp_file_unique_per_write(tmp_path):
+    # a directory at <path>.tmp stands in for another run's temp file
+    (tmp_path / "m.theta.tmp").mkdir()
+    path = str(tmp_path / "m.theta")
+    write_matrix([[1.0]], path)
+    assert open(path).read() == "1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.theta", "m.theta.tmp"]
+
+
+def test_failed_write_removes_temp_file(tmp_path):
+    # renaming the temp file over a directory fails after it was written
+    (tmp_path / "m.theta").mkdir()
+    with pytest.raises(ToolError, match="m.theta"):
+        write_matrix([[1.0]], str(tmp_path / "m.theta"))
     assert [p.name for p in tmp_path.iterdir()] == ["m.theta"]
