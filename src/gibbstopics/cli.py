@@ -7,7 +7,8 @@ Training:
 
 Inference on an unseen corpus:
     gibbstopics -model LDAinf -paras test/testLDA.paras -corpus test/unseen.txt
-        [-niters 100] [-twords 20] [-name modelinf] [-sstep 0] [-seed N]
+        [-niters 2000] [-twords 20] [-name model] [-sstep 0] [-seed N]
+    (-name must differ from the trained model's when both share a folder)
 
 Clustering evaluation:
     gibbstopics -model Eval -label test/corpus.LABEL -dir test -prob theta

@@ -31,10 +31,10 @@ class Hyperparams:
             raise ToolError(f"unknown model kind {self.model!r}")
         if self.ntopics < 1:
             raise ToolError(f"ntopics must be >= 1, got {self.ntopics}")
-        if not self.alpha > 0:
-            raise ToolError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ToolError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.alpha < np.inf:
+            raise ToolError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.beta < np.inf:
+            raise ToolError(f"beta must be finite and > 0, got {self.beta}")
         if self.niters < 1:
             raise ToolError(f"niters must be >= 1, got {self.niters}")
         if self.twords < 0:
@@ -74,7 +74,7 @@ def make_rng(seed: int | None = None) -> tuple[np.random.Generator, int]:
 
 
 def sample_categorical(weights, rng: np.random.Generator) -> int:
-    """Draw an index proportionally to the given nonnegative weights.
+    """Draw an index proportionally to the given weights, after checking them.
 
     Consumes exactly one uniform variate, so a fixed seed gives an identical
     draw sequence across runs.
@@ -84,12 +84,16 @@ def sample_categorical(weights, rng: np.random.Generator) -> int:
         raise ToolError("sample_categorical: empty weight vector")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ToolError("sample_categorical: non-finite or negative weights (sampler state corrupt)")
-    total = w.sum()
-    if total <= 0:
+    if w.sum() <= 0:
         raise ToolError("sample_categorical: all weights zero (sampler state corrupt)")
-    u = rng.random() * total
-    idx = int(np.searchsorted(np.cumsum(w), u, side="right"))
-    return min(idx, w.size - 1)
+    return draw(w, rng.random())
+
+
+def draw(weights: np.ndarray, u: float) -> int:
+    """Map a uniform u in [0, 1) to an index drawn proportionally to the
+    weights, which the caller has checked: finite, nonnegative, not all zero."""
+    idx = int(weights.cumsum().searchsorted(u * weights.sum(), "right"))
+    return min(idx, weights.size - 1)
 
 
 def estimate_theta_lda(state: CountState, hp: Hyperparams) -> np.ndarray:

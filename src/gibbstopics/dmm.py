@@ -23,8 +23,8 @@ from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
+    draw,
     recount_dmm,
-    sample_categorical,
 )
 
 
@@ -42,53 +42,57 @@ def init_dmm(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
 def dmm_conditional(state: CountState, hp: Hyperparams, uwords, ucounts,
                     n_vocab: int, n_docs: int) -> np.ndarray:
     """Length-K log-weights for one document, whose counts must already be
-    removed from mk, nkw and nk."""
+    removed from mk, nkw and nk.
+
+    The log prior and the rising-factorial log terms form one K x (1 + 2N)
+    matrix, summed left to right (cumsum, not numpy's pairwise sum) in the
+    order of the formula's factors."""
+    words = uwords.repeat(ucounts)
+    n = words.size
+    j = np.arange(n) - (ucounts.cumsum() - ucounts).repeat(ucounts)  # 0..c_w-1 per word
     with np.errstate(divide="raise", invalid="raise"):
         try:
-            logw = np.log(state.mk + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha)
-            for w, c in zip(uwords, ucounts):
-                col = state.nkw[:, w] + hp.beta
-                for j in range(c):
-                    logw = logw + np.log(col + j)
-            base = state.nk + n_vocab * hp.beta
-            for i in range(int(ucounts.sum()) if len(ucounts) else 0):
-                logw = logw - np.log(base + i)
+            terms = np.concatenate((
+                (np.log(state.mk + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha))[:, None],
+                np.log(state.nkw[:, words] + hp.beta + j),
+                -np.log(state.nk[:, None] + n_vocab * hp.beta + np.arange(n)),
+            ), axis=1)
+            logw = terms.cumsum(axis=1)[:, -1]
         except FloatingPointError as exc:
             raise ToolError("dmm_conditional: non-finite log-weight, count bookkeeping corrupt") from exc
-    if not np.all(np.isfinite(logw)):
+    if not np.isfinite(logw).all():
         raise ToolError("dmm_conditional: non-finite log-weight, count bookkeeping corrupt")
     return logw
 
 
-def _remove_doc(state, k, uwords, ucounts, n):
-    state.mk[k] -= 1
-    state.nkw[k, uwords] -= ucounts
-    state.nk[k] -= n
+def _shift_doc(state, k, uwords, ucounts, sign):
+    state.mk[k] += sign
+    state.nkw[k, uwords] += sign * ucounts
+    state.nk[k] += sign * ucounts.sum()
 
 
-def _add_doc(state, k, uwords, ucounts, n):
-    state.mk[k] += 1
-    state.nkw[k, uwords] += ucounts
-    state.nk[k] += n
+def _leave_one_out(state: CountState, hp: Hyperparams, counts):
+    """For each document d in turn, remove its counts from topic z[d] and yield
+    (d, its conditional's weights scaled to max 1); once the caller is done
+    with d, add the counts back under z[d], which the caller may have set."""
+    n_vocab = state.nkw.shape[1]
+    for d, (uwords, ucounts) in enumerate(counts):
+        _shift_doc(state, state.z[d], uwords, ucounts, -1)
+        logw = dmm_conditional(state, hp, uwords, ucounts, n_vocab, len(counts))
+        yield d, np.exp(logw - logw.max())
+        _shift_doc(state, state.z[d], uwords, ucounts, 1)
 
 
 def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator,
               counts=None):
     """One full pass: each document's counts removed, topic resampled from the
-    log-space conditional, counts restored under the new topic."""
+    log-space conditional, counts restored under the new topic. The sweep's
+    uniforms are drawn up front, one per document."""
     if counts is None:
         counts = doc_word_counts(corpus.docs)
-    n_vocab = state.nkw.shape[1]
-    n_docs = len(corpus.docs)
-    for d, (uwords, ucounts) in enumerate(counts):
-        n = int(ucounts.sum()) if len(ucounts) else 0
-        k_old = int(state.z[d])
-        _remove_doc(state, k_old, uwords, ucounts, n)
-        logw = dmm_conditional(state, hp, uwords, ucounts, n_vocab, n_docs)
-        weights = np.exp(logw - logw.max())
-        k_new = sample_categorical(weights, rng)
-        state.z[d] = k_new
-        _add_doc(state, k_new, uwords, ucounts, n)
+    uniforms = rng.random(len(counts)).tolist()
+    for d, weights in _leave_one_out(state, hp, counts):
+        state.z[d] = draw(weights, uniforms[d])
     return state
 
 
@@ -98,16 +102,8 @@ def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams,
     final state (the sampler's own predictive distribution over topics)."""
     if counts is None:
         counts = doc_word_counts(corpus.docs)
-    n_vocab = state.nkw.shape[1]
-    n_docs = len(corpus.docs)
-    theta = np.empty((n_docs, hp.ntopics), dtype=np.float64)
-    for d, (uwords, ucounts) in enumerate(counts):
-        n = int(ucounts.sum()) if len(ucounts) else 0
-        k = int(state.z[d])
-        _remove_doc(state, k, uwords, ucounts, n)
-        logw = dmm_conditional(state, hp, uwords, ucounts, n_vocab, n_docs)
-        _add_doc(state, k, uwords, ucounts, n)
-        weights = np.exp(logw - logw.max())
+    theta = np.empty((len(counts), hp.ntopics), dtype=np.float64)
+    for d, weights in _leave_one_out(state, hp, counts):
         theta[d] = weights / weights.sum()
     return theta
 

@@ -33,6 +33,7 @@ class PretrainedModel:
     vocab: Vocabulary     # training vocabulary
     nkw: np.ndarray       # frozen K x V topic-word counts
     nk: np.ndarray        # frozen length-K topic totals
+    paras_path: str       # the .paras file the model was loaded from
 
 
 def load_pretrained(paras_path) -> PretrainedModel:
@@ -73,7 +74,8 @@ def load_pretrained(paras_path) -> PretrainedModel:
         raise ToolError(f"topic id {bad[0]} out of range in {assign_path}")
     recount = recount_lda if rec.model == "LDA" else recount_dmm
     state = recount(corpus.docs, z, hp.ntopics, corpus.vocab.size)
-    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=state.nkw, nk=state.nk)
+    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=state.nkw, nk=state.nk,
+                           paras_path=paras_path)
 
 
 def fold_corpus(model: PretrainedModel, new_corpus_path) -> Corpus:
@@ -95,10 +97,15 @@ def infer(model: PretrainedModel, new_corpus_path, niters: int, twords: int,
           name: str, sstep: int, rng: np.random.Generator, seed: int,
           quiet: bool = False) -> CountState:
     """Sample topic assignments for the unseen corpus with the training counts
-    frozen, writing the usual five artifacts next to the unseen corpus."""
+    frozen, writing the usual five artifacts next to the unseen corpus. A name
+    whose outputs would replace the model's own files is refused up front."""
     kind = "LDAinf" if model.hp.model == "LDA" else "DMMinf"
     hp = replace(model.hp, model=kind, niters=niters, twords=twords, name=name,
                  sstep=sstep, seed=seed).validate()
+    trained = persistence.output_base(model.paras_path, model.hp.name)
+    if os.path.realpath(persistence.output_base(new_corpus_path, name)) == os.path.realpath(trained):
+        raise ToolError(f"-name {name} would overwrite the model of {model.paras_path} "
+                        f"({trained}.*); choose another -name")
     folded = fold_corpus(model, new_corpus_path)
     if kind == "LDAinf":
         state = init_lda(folded, hp, rng)

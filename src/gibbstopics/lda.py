@@ -17,9 +17,9 @@ from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
+    draw,
     estimate_theta_lda,
     recount_lda,
-    sample_categorical,
 )
 
 
@@ -33,32 +33,31 @@ def lda_conditional(state: CountState, hp: Hyperparams, d: int, word: int, n_voc
     """Unnormalized topic weights for one token, whose current assignment must
     already be decremented from all tables."""
     weights = (state.ndk[d] + hp.alpha) * (state.nkw[:, word] + hp.beta) / (state.nk + n_vocab * hp.beta)
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+    if not 0 < weights.min() <= weights.max() < np.inf:  # also false on NaN
         raise ToolError("lda_conditional: nonpositive weight, count bookkeeping corrupt")
     return weights
 
 
 def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
     """One full pass: every token visited in (document, position) order,
-    decremented, resampled from its conditional and re-incremented."""
-    nkw = state.nkw
-    nk = state.nk
+    decremented, resampled from its conditional and re-incremented. The
+    sweep's uniforms are drawn up front, one per token in visiting order."""
+    nkw, nk = state.nkw, state.nk
     n_vocab = nkw.shape[1]
+    uniforms = iter(rng.random(corpus.n_tokens).tolist())
     for d, doc in enumerate(corpus.docs):
         zd = state.z[d]
         ndk_d = state.ndk[d]
-        for i in range(len(doc)):
-            w = doc[i]
-            k_old = zd[i]
-            ndk_d[k_old] -= 1
-            nkw[k_old, w] -= 1
-            nk[k_old] -= 1
-            weights = lda_conditional(state, hp, d, w, n_vocab)
-            k_new = sample_categorical(weights, rng)
-            zd[i] = k_new
-            ndk_d[k_new] += 1
-            nkw[k_new, w] += 1
-            nk[k_new] += 1
+        for i, w in enumerate(doc.tolist()):
+            k = zd[i]
+            ndk_d[k] -= 1
+            nkw[k, w] -= 1
+            nk[k] -= 1
+            k = draw(lda_conditional(state, hp, d, w, n_vocab), next(uniforms))
+            zd[i] = k
+            ndk_d[k] += 1
+            nkw[k, w] += 1
+            nk[k] += 1
     return state
 
 

@@ -46,7 +46,7 @@ class ParasRecord:
     twords: int
     name: str
     sstep: int
-    seed: int
+    seed: int | None
 
     def to_hyperparams(self) -> Hyperparams:
         values = {f.name: getattr(self, f.name) for f in fields(Hyperparams)}
@@ -180,7 +180,7 @@ def read_paras(path: str) -> ParasRecord:
             twords=int(raw["twords"]),
             name=raw["name"],
             sstep=int(raw["sstep"]),
-            seed=int(raw["seed"]),
+            seed=None if raw["seed"] == "None" else int(raw["seed"]),
         )
     except ValueError as exc:
         raise ToolError(f"bad value in paras file {path}: {exc}") from exc

@@ -48,6 +48,7 @@ class TestParse:
 
     @pytest.mark.parametrize("flag,value", [
         ("-alpha", "0"), ("-alpha", "-0.1"), ("-beta", "0"), ("-ntopics", "0"),
+        ("-alpha", "inf"), ("-beta", "inf"),
         ("-niters", "0"), ("-twords", "-1"), ("-sstep", "-2"),
         ("-name", ""), ("-name", "."), ("-name", ".."), ("-name", "../x"), ("-name", "a/b"),
     ])
@@ -116,6 +117,20 @@ class TestDispatch:
                      "-seed", "2"]) == 0
         for suffix in ("theta", "phi", "topWords", "topicAssignments", "paras"):
             assert (tmp_path / f"tLDAinf.{suffix}").is_file()
+
+    def test_inference_refuses_to_overwrite_its_model(self, tmp_path, capsys):
+        # both runs default to -name model and write next to their corpus
+        corpus = write_corpus(tmp_path)
+        main(["-model", "LDA", "-corpus", str(corpus), "-ntopics", "2", "-niters", "5", "-seed", "1"])
+        trained = {p.name: p.read_bytes() for p in tmp_path.glob("model.*")}
+        assert len(trained) == 5
+        unseen = tmp_path / "unseen.txt"
+        unseen.write_text("a b\nc c\n")
+        assert main(["-model", "LDAinf", "-paras", str(tmp_path / "model.paras"),
+                     "-corpus", str(unseen), "-niters", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "model.paras" in err and "-name" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("model.*")} == trained
 
     def test_inf_model_kind_mismatch(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

@@ -155,6 +155,8 @@ class TestHyperparams:
         {"twords": -1},
         {"sstep": -1},
         {"model": "bogus"},
+        {"alpha": float("inf")},
+        {"beta": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ToolError):

@@ -27,6 +27,21 @@ def linear_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
     return out
 
 
+def loop_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
+    """The log conditional accumulated one factor at a time, in the formula's
+    order: prior, then each (word, repeat) factor, then each length factor.
+    dmm_conditional must reproduce it bit for bit."""
+    logw = np.log(state.mk + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha)
+    for w, c in zip(uwords, ucounts):
+        col = state.nkw[:, w] + hp.beta
+        for j in range(c):
+            logw = logw + np.log(col + j)
+    base = state.nk + n_vocab * hp.beta
+    for i in range(int(sum(ucounts))):
+        logw = logw - np.log(base + i)
+    return logw
+
+
 def removed_state(mk, nkw):
     nkw = np.asarray(nkw, dtype=np.int64)
     return CountState(
@@ -98,6 +113,20 @@ def test_log_space_matches_linear_space(rng):
         assert np.allclose(np.exp(logw), expected, rtol=1e-9)
 
 
+@pytest.mark.parametrize("max_len", [0, 3, 40])
+def test_conditional_bit_identical_to_loop_form(rng, max_len):
+    # max_len 0 gives empty (all-OOV) documents; small vocabularies force
+    # repeated words
+    hp = Hyperparams(model="DMM", ntopics=6, alpha=0.3, beta=0.05)
+    for _ in range(30):
+        nkw = rng.integers(0, 50, size=(6, 5)).astype(np.int64)
+        state = removed_state(rng.integers(0, 20, size=6), nkw)
+        doc = rng.integers(0, 5, size=rng.integers(0, max_len + 1))
+        uwords, ucounts = np.unique(doc.astype(np.int64), return_counts=True)
+        logw = dmm_conditional(state, hp, uwords, ucounts, 5, 31)
+        assert np.array_equal(logw, loop_conditional(state, hp, uwords, ucounts, 5, 31))
+
+
 def test_conditional_detects_corrupt_counts():
     hp = Hyperparams(model="DMM", ntopics=2, alpha=0.1, beta=0.1)
     state = removed_state([1, -2], [[0, 0], [0, 0]])
@@ -124,6 +153,18 @@ def test_sweep_preserves_invariants():
         dmm_sweep(corpus, state, hp, rng)
         check_state(state, corpus.docs, "DMM")
         assert state.mk.sum() == corpus.n_docs
+
+
+def test_sweep_draws_one_uniform_per_document():
+    corpus = make_corpus([[0, 1, 1], [], [2, 0], [1]], 3)
+    hp = Hyperparams(model="DMM", ntopics=3, beta=0.1)
+    rng, _ = make_rng(8)
+    state = init_dmm(corpus, hp, rng)
+    ref = np.random.Generator(np.random.PCG64())
+    ref.bit_generator.state = rng.bit_generator.state
+    dmm_sweep(corpus, state, hp, rng)
+    ref.random(corpus.n_docs)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_theta_single_topic():

@@ -95,6 +95,18 @@ def test_sweep_preserves_invariants():
     assert state.nk.sum() == corpus.n_tokens
 
 
+def test_sweep_draws_one_uniform_per_token():
+    corpus = make_corpus([[0, 1, 2], [], [2, 2], [1]], 3)
+    hp = Hyperparams(ntopics=3)
+    rng, _ = make_rng(8)
+    state = init_lda(corpus, hp, rng)
+    ref = np.random.Generator(np.random.PCG64())
+    ref.bit_generator.state = rng.bit_generator.state
+    lda_sweep(corpus, state, hp, rng)
+    ref.random(corpus.n_tokens)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_train_writes_one_output_set(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\nc a\n")

@@ -89,10 +89,12 @@ def test_assignments_line_count(tmp_path):
     assert len(open(path).read().splitlines()) == 3
 
 
-def test_paras_round_trip(tmp_path):
+@pytest.mark.parametrize("seed", [42, None])
+def test_paras_round_trip(tmp_path, seed):
+    # a library-trained model may carry seed=None
     path = str(tmp_path / "m.paras")
     hp = Hyperparams(model="DMM", ntopics=7, alpha=0.1, beta=0.1, niters=50,
-                     twords=5, name="exp", sstep=10, seed=42)
+                     twords=5, name="exp", sstep=10, seed=seed)
     write_paras(hp, "data/corpus.txt", path)
     rec = read_paras(path)
     assert rec.model == "DMM"
@@ -104,7 +106,7 @@ def test_paras_round_trip(tmp_path):
     assert rec.twords == 5
     assert rec.name == "exp"
     assert rec.sstep == 10
-    assert rec.seed == 42
+    assert rec.seed == seed
     assert rec.to_hyperparams() == hp
 
 
