@@ -132,7 +132,7 @@ def dispatch(cmd: CliCommand) -> int:
             rng, seed = make_rng(hp.seed)
             infer(model, cmd.corpus, hp.niters, hp.twords, hp.name, hp.sstep, rng, seed)
         else:
-            labels = load_labels(cmd.label, _count_lines(cmd.label))
+            labels = load_labels(cmd.label)
             summary = evaluate_files(cmd.dir, cmd.prob, labels)
             for r in summary.results:
                 print(f"{r.file}\tpurity={r.purity:.5f}\tnmi={r.nmi:.5f}")
@@ -143,14 +143,6 @@ def dispatch(cmd: CliCommand) -> int:
     except ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _count_lines(path) -> int:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return len(f.read().splitlines())
-    except OSError as exc:
-        raise ToolError(f"cannot read label file {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:

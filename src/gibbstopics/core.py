@@ -41,8 +41,12 @@ class Hyperparams:
             raise ToolError(f"twords must be >= 0, got {self.twords}")
         if self.sstep < 0:
             raise ToolError(f"sstep must be >= 0, got {self.sstep}")
-        # Outputs are <corpus dir>/<name>.*, so a path would escape that directory.
-        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name:
+        if self.seed is not None and self.seed < 0:
+            raise ToolError(f"seed must be >= 0, got {self.seed}")
+        # Outputs are <corpus dir>/<name>.*, so a path would escape that directory;
+        # .paras holds the name on one line.
+        if (self.name in ("", ".", "..") or os.path.basename(self.name) != self.name
+                or "\0" in self.name or self.name.splitlines() != [self.name]):
             raise ToolError(f"name must be a plain file name, got {self.name!r}")
         return self
 

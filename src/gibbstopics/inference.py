@@ -41,30 +41,25 @@ def load_pretrained(paras_path) -> PretrainedModel:
     training run against its corpus."""
     paras_path = str(paras_path)
     rec = persistence.read_paras(paras_path)
-    if rec.model not in ("LDA", "DMM"):
-        raise ToolError(f"paras file {paras_path} is from model {rec.model}, expected LDA or DMM")
-    hp = rec.to_hyperparams()
+    if rec.hp.model not in ("LDA", "DMM"):
+        raise ToolError(f"paras file {paras_path} is from model {rec.hp.model}, expected LDA or DMM")
+    hp = rec.hp.validate()
 
     paras_dir = os.path.dirname(os.path.abspath(paras_path))
-    corpus_path = None
-    for candidate in (rec.corpus_abs, rec.corpus, os.path.join(paras_dir, rec.corpus)):
-        if os.path.isfile(candidate):
-            corpus_path = candidate
-            break
+    candidates = (rec.corpus_abs, rec.corpus, os.path.join(paras_dir, rec.corpus))
+    corpus_path = next((c for c in candidates if os.path.isfile(c)), None)
     if corpus_path is None:
         raise ToolError(f"training corpus {rec.corpus} referenced by {paras_path} not found")
     corpus = load_corpus(corpus_path)
 
-    assign_path = os.path.join(paras_dir, rec.name + ".topicAssignments")
-    if not os.path.isfile(assign_path):
-        raise ToolError(f"assignments file {assign_path} not found")
-    z = persistence.read_assignments(assign_path, rec.model)
+    assign_path = os.path.join(paras_dir, hp.name + ".topicAssignments")
+    z = persistence.read_assignments(assign_path, hp.model)
     if len(z) != corpus.n_docs:
         raise ToolError(
             f"assignment count {len(z)} != document count {corpus.n_docs} in {assign_path}"
         )
 
-    if rec.model == "LDA":
+    if hp.model == "LDA":
         for d, (doc, zd) in enumerate(zip(corpus.docs, z)):
             if len(zd) != len(doc):
                 raise ToolError(f"assignment length mismatch at document {d + 1} in {assign_path}")
@@ -72,7 +67,7 @@ def load_pretrained(paras_path) -> PretrainedModel:
     bad = topics[(topics < 0) | (topics >= hp.ntopics)]
     if bad.size:
         raise ToolError(f"topic id {bad[0]} out of range in {assign_path}")
-    recount = recount_lda if rec.model == "LDA" else recount_dmm
+    recount = recount_lda if hp.model == "LDA" else recount_dmm
     state = recount(corpus.docs, z, hp.ntopics, corpus.vocab.size)
     return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=state.nkw, nk=state.nk,
                            paras_path=paras_path)
@@ -82,12 +77,10 @@ def fold_corpus(model: PretrainedModel, new_corpus_path) -> Corpus:
     """Map the unseen corpus through the training vocabulary, dropping OOV
     tokens (documents may become empty)."""
     raw = load_corpus(new_corpus_path)
-    index = model.vocab.index
-    docs = []
-    for doc in raw.docs:
-        kept = [index[raw.vocab.words[w]] for w in doc if raw.vocab.words[w] in index]
-        docs.append(np.array(kept, dtype=np.int64))
-    folded = Corpus(docs=tuple(docs), vocab=model.vocab, source_path=raw.source_path)
+    # training id of each unseen-corpus word id, -1 when out of vocabulary
+    to_train = np.array([model.vocab.index.get(w, -1) for w in raw.vocab.words], dtype=np.int64)
+    docs = tuple(ids[ids >= 0] for ids in (to_train[doc] for doc in raw.docs))
+    folded = Corpus(docs=docs, vocab=model.vocab, source_path=raw.source_path)
     if folded.n_tokens == 0:
         print(f"warning: every token of {new_corpus_path} is out of vocabulary", file=sys.stderr)
     return folded

@@ -13,44 +13,40 @@ import contextlib
 import io
 import os
 import secrets
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from gibbstopics.core import Hyperparams, ToolError, top_words
 
-PARAS_KEYS = (
-    "model",
-    "corpus",
-    "corpus_abs",
-    "ntopics",
-    "alpha",
-    "beta",
-    "niters",
-    "twords",
-    "name",
-    "sstep",
-    "seed",
-)
+# The .paras keys: the model kind, the training corpus as given and as an
+# absolute path, then the other Hyperparams fields in declaration order.
+PARAS_KEYS = ("model", "corpus", "corpus_abs") + tuple(
+    f.name for f in fields(Hyperparams) if f.name != "model")
+# Parsers of the Hyperparams fields, keyed by their annotation strings.
+_PARSE = {"str": str, "int": int, "float": float,
+          "int | None": lambda v: None if v == "None" else int(v)}
 
 
 @dataclass
 class ParasRecord:
-    model: str
+    hp: Hyperparams   # as read, not yet validated
     corpus: str
     corpus_abs: str
-    ntopics: int
-    alpha: float
-    beta: float
-    niters: int
-    twords: int
-    name: str
-    sstep: int
-    seed: int | None
 
-    def to_hyperparams(self) -> Hyperparams:
-        values = {f.name: getattr(self, f.name) for f in fields(Hyperparams)}
-        return Hyperparams(**values).validate()
+
+def read_lines(path, what: str) -> list[str]:
+    """The lines of a UTF-8 input file. Every input format is read here, so an
+    unreadable or undecodable file is a ToolError naming it."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        return data.decode("utf-8").splitlines()
+    except OSError as exc:
+        raise ToolError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ToolError(f"invalid UTF-8 at line {line} in {what} {path}") from exc
 
 
 def _atomic_write(path: str, text: str):
@@ -82,21 +78,27 @@ def write_matrix(matrix, path: str):
     _atomic_write(path, buf.getvalue())
 
 
-def read_matrix(path: str) -> list[np.ndarray]:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise ToolError(f"cannot read {path}: {exc}") from exc
+def read_matrix(path: str) -> np.ndarray:
+    """Read a .theta or .phi file: rectangular, finite, non-negative rows that
+    each sum to 1 within 1e-4, the precision of the 6-digit format."""
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, "matrix file"), start=1):
         try:
             rows.append(np.array([float(v) for v in line.split()], dtype=np.float64))
         except ValueError as exc:
             raise ToolError(f"bad numeric row at line {lineno} in {path}") from exc
     if not rows:
         raise ToolError(f"{path} contains no rows")
-    return rows
+    ragged = [i for i, row in enumerate(rows, start=1) if len(row) != len(rows[0])]
+    if ragged:
+        raise ToolError(f"line {ragged[0]} in {path} has {len(rows[ragged[0] - 1])} values, "
+                        f"line 1 has {len(rows[0])}")
+    matrix = np.vstack(rows)
+    bad = ~np.isfinite(matrix).all(1) | (matrix < 0).any(1) | (abs(matrix.sum(1) - 1) > 1e-4)
+    if bad.any():
+        raise ToolError(f"row at line {np.argmax(bad) + 1} in {path} is not a distribution "
+                        "(finite, non-negative values summing to 1 within 1e-4)")
+    return matrix
 
 
 def write_top_words(phi, vocab, twords: int, path: str):
@@ -117,44 +119,24 @@ def write_assignments(z, path: str, kind: str):
 
 
 def read_assignments(path: str, kind: str) -> list:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise ToolError(f"cannot read assignments file {path}: {exc}") from exc
+    lines = read_lines(path, "assignments file")
     try:
         if kind in ("DMM", "DMMinf"):
             return [int(line) for line in lines]
         return [np.array([int(t) for t in line.split()], dtype=np.int64) for line in lines]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ToolError(f"bad topic assignment in {path}") from exc
 
 
 def write_paras(hp: Hyperparams, corpus_path: str, path: str):
-    values = {
-        "model": hp.model,
-        "corpus": corpus_path,
-        "corpus_abs": os.path.abspath(corpus_path),
-        "ntopics": hp.ntopics,
-        "alpha": repr(float(hp.alpha)),
-        "beta": repr(float(hp.beta)),
-        "niters": hp.niters,
-        "twords": hp.twords,
-        "name": hp.name,
-        "sstep": hp.sstep,
-        "seed": hp.seed,
-    }
-    _atomic_write(path, "\n".join(f"{key}={values[key]}" for key in PARAS_KEYS) + "\n")
+    values = {**asdict(hp), "corpus": corpus_path, "corpus_abs": os.path.abspath(corpus_path),
+              "alpha": float(hp.alpha), "beta": float(hp.beta)}
+    _atomic_write(path, "".join(f"{key}={values[key]}\n" for key in PARAS_KEYS))
 
 
 def read_paras(path: str) -> ParasRecord:
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise ToolError(f"cannot read paras file {path}: {exc}") from exc
     raw: dict[str, str] = {}
-    for line in lines:
+    for line in read_lines(path, "paras file"):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -169,21 +151,10 @@ def read_paras(path: str) -> ParasRecord:
         if key not in raw:
             raise ToolError(f"missing key {key} in {path}")
     try:
-        return ParasRecord(
-            model=raw["model"],
-            corpus=raw["corpus"],
-            corpus_abs=raw["corpus_abs"],
-            ntopics=int(raw["ntopics"]),
-            alpha=float(raw["alpha"]),
-            beta=float(raw["beta"]),
-            niters=int(raw["niters"]),
-            twords=int(raw["twords"]),
-            name=raw["name"],
-            sstep=int(raw["sstep"]),
-            seed=None if raw["seed"] == "None" else int(raw["seed"]),
-        )
+        hp = Hyperparams(**{f.name: _PARSE[f.type](raw[f.name]) for f in fields(Hyperparams)})
     except ValueError as exc:
         raise ToolError(f"bad value in paras file {path}: {exc}") from exc
+    return ParasRecord(hp, raw["corpus"], raw["corpus_abs"])
 
 
 def output_base(corpus_path: str, name: str) -> str:

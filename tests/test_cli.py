@@ -51,6 +51,7 @@ class TestParse:
         ("-alpha", "inf"), ("-beta", "inf"),
         ("-niters", "0"), ("-twords", "-1"), ("-sstep", "-2"),
         ("-name", ""), ("-name", "."), ("-name", ".."), ("-name", "../x"), ("-name", "a/b"),
+        ("-seed", "-1"),
     ])
     def test_out_of_range_values(self, flag, value):
         with pytest.raises(SystemExit):
@@ -105,6 +106,17 @@ class TestDispatch:
         assert main(["-model", "LDA", "-corpus", str(missing)]) == 1
         err = capsys.readouterr().err
         assert "nope.txt" in err
+
+    def test_invalid_utf8_diagnostic(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        corpus.write_bytes(b"a b\nc \xff b\n")
+        assert main(["-model", "LDA", "-corpus", str(corpus)]) == 1
+        assert f"error: invalid UTF-8 at line 2 in corpus file {corpus}" in capsys.readouterr().err
+        label = tmp_path / "corpus.LABEL"
+        label.write_bytes(b"X\n\xff\n")
+        assert main(["-model", "Eval", "-label", str(label), "-dir", str(tmp_path),
+                     "-prob", "theta"]) == 1
+        assert f"error: invalid UTF-8 at line 2 in label file {label}" in capsys.readouterr().err
 
     def test_inference_via_cli(self, tmp_path):
         corpus = write_corpus(tmp_path)

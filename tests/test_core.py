@@ -157,6 +157,8 @@ class TestHyperparams:
         {"model": "bogus"},
         {"alpha": float("inf")},
         {"beta": float("inf")},
+        {"seed": -1},
+        {"name": "a\nb"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ToolError):

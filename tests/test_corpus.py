@@ -68,27 +68,21 @@ def test_tokens_taken_verbatim(tmp_path):
 
 def test_load_labels(tmp_path):
     path = write(tmp_path, "pos\nneg\npos\n", name="corpus.LABEL")
-    labels = load_labels(path, 3)
+    labels = load_labels(path)
     assert labels.labels == ("pos", "neg", "pos")
 
 
 def test_labels_trimmed(tmp_path):
     path = write(tmp_path, "  A \nB\t\n", name="l")
-    assert load_labels(path, 2).labels == ("A", "B")
-
-
-def test_label_count_mismatch(tmp_path):
-    path = write(tmp_path, "A\nB\n", name="l")
-    with pytest.raises(ToolError, match=r"label count 2 != document count 3"):
-        load_labels(path, 3)
+    assert load_labels(path).labels == ("A", "B")
 
 
 def test_uniform_labels_allowed(tmp_path):
     path = write(tmp_path, "A\nA\n", name="l")
-    assert load_labels(path, 2).labels == ("A", "A")
+    assert load_labels(path).labels == ("A", "A")
 
 
 def test_blank_label_is_fatal(tmp_path):
     path = write(tmp_path, "A\n\nB\n", name="l")
     with pytest.raises(ToolError, match="blank label at line 2"):
-        load_labels(path, 3)
+        load_labels(path)

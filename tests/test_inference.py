@@ -68,6 +68,8 @@ def test_oov_tokens_dropped(tmp_path):
     unseen.write_text("a zzz b\nqqq qqq\n")
     folded = fold_corpus(model, unseen)
     assert [len(d) for d in folded.docs] == [2, 0]
+    assert [d.tolist() for d in folded.docs] == [[0, 1], []]  # training ids
+    assert all(d.dtype == np.int64 for d in folded.docs)
 
 
 def test_all_oov_document_gets_uniform_theta(tmp_path):

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from gibbstopics.core import Hyperparams, ToolError
-from gibbstopics.corpus import Vocabulary
+from gibbstopics.corpus import Vocabulary, load_corpus, load_labels
 from gibbstopics.persistence import (
     read_assignments,
     read_matrix,
@@ -44,9 +46,18 @@ def test_read_matrix_errors(tmp_path):
     with pytest.raises(ToolError):
         read_matrix(str(tmp_path / "missing"))
     bad = tmp_path / "bad"
-    bad.write_text("0.5 oops\n")
-    with pytest.raises(ToolError, match="line 1"):
-        read_matrix(str(bad))
+    for text, line in [("0.5 oops\n", 1),
+                       ("0.5 0.5\nnan 0.5\n", 2),
+                       ("0.5 0.5\n0.2 0.3 0.5\n0.5 0.5\n", 2),
+                       ("0.5 0.5\n0.5 0.5\n-1 2\n", 3),
+                       ("0.5 0.5\n0.5 0.4998\n", 2),
+                       ("0.5 0.5\n\n", 2)]:
+        bad.write_text(text)
+        with pytest.raises(ToolError, match=f"line {line} in .*bad"):
+            read_matrix(str(bad))
+    # rounding to 6 significant digits stays within the 1e-4 tolerance
+    bad.write_text("0.333333 0.333333 0.333333\n0.49995 0.50004 0\n")
+    assert read_matrix(str(bad)).shape == (2, 3)
 
 
 def test_top_words_block(tmp_path):
@@ -82,6 +93,14 @@ def test_assignments_dmm(tmp_path):
     assert read_assignments(path, "DMM") == [1, 0]
 
 
+def test_read_assignments_errors(tmp_path):
+    path = tmp_path / "m.topicAssignments"
+    for text in ("0 x\n", "0 99999999999999999999\n"):  # not an int, past int64
+        path.write_text(text)
+        with pytest.raises(ToolError, match="bad topic assignment"):
+            read_assignments(str(path), "LDA")
+
+
 def test_assignments_line_count(tmp_path):
     path = str(tmp_path / "m.topicAssignments")
     z = [np.array([0]), np.array([1, 1]), np.array([0, 1, 0])]
@@ -97,17 +116,9 @@ def test_paras_round_trip(tmp_path, seed):
                      twords=5, name="exp", sstep=10, seed=seed)
     write_paras(hp, "data/corpus.txt", path)
     rec = read_paras(path)
-    assert rec.model == "DMM"
     assert rec.corpus == "data/corpus.txt"
-    assert rec.ntopics == 7
-    assert rec.alpha == 0.1
-    assert rec.beta == 0.1
-    assert rec.niters == 50
-    assert rec.twords == 5
-    assert rec.name == "exp"
-    assert rec.sstep == 10
-    assert rec.seed == seed
-    assert rec.to_hyperparams() == hp
+    assert rec.corpus_abs == os.path.abspath("data/corpus.txt")
+    assert rec.hp == hp
 
 
 def test_paras_missing_key(tmp_path):
@@ -134,7 +145,7 @@ def test_paras_unknown_and_duplicate_key(tmp_path):
 def test_paras_alpha_exact(tmp_path):
     path = str(tmp_path / "m.paras")
     write_paras(Hyperparams(model="LDA", alpha=0.1, seed=0), "c.txt", path)
-    assert read_paras(path).alpha == 0.1
+    assert read_paras(path).hp.alpha == 0.1
 
 
 def test_write_failure_names_path(tmp_path):
@@ -163,3 +174,18 @@ def test_failed_write_removes_temp_file(tmp_path):
     with pytest.raises(ToolError, match="m.theta"):
         write_matrix([[1.0]], str(tmp_path / "m.theta"))
     assert [p.name for p in tmp_path.iterdir()] == ["m.theta"]
+
+
+# a valid first line, then an invalid UTF-8 byte on line 2
+@pytest.mark.parametrize("read,data,what", [
+    (load_corpus, b"a b\nc \xff d\n", "corpus file"),
+    (load_labels, b"X\n\xffY\n", "label file"),
+    (read_matrix, b"0.5 0.5\n0.5 \xff\n", "matrix file"),
+    (lambda path: read_assignments(path, "LDA"), b"0 1\n1 \xff\n", "assignments file"),
+    (read_paras, b"model=LDA\nname=\xff\n", "paras file"),
+])
+def test_invalid_utf8_names_file_and_line(tmp_path, read, data, what):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ToolError, match=f"invalid UTF-8 at line 2 in {what} {path}"):
+        read(str(path))
