@@ -3,8 +3,10 @@ initialised state, with the five artifacts written at every save point."""
 
 from __future__ import annotations
 
+import os
+
 from gibbstopics import persistence
-from gibbstopics.core import CountState, Hyperparams, estimate_phi
+from gibbstopics.core import CountState, Hyperparams, ToolError, estimate_phi
 
 
 def run_chain(corpus, state: CountState, hp: Hyperparams, sweep, estimate_theta,
@@ -12,6 +14,10 @@ def run_chain(corpus, state: CountState, hp: Hyperparams, sweep, estimate_theta,
     """Call sweep() hp.niters times, saving every hp.sstep iterations (when
     sstep > 0) and always at the end; estimate_theta() gives the current
     document-topic matrix."""
+    # .paras stores the corpus path, as given and absolute, one line each.
+    for path in (corpus.source_path, os.path.abspath(corpus.source_path)):
+        if path.splitlines() != [path]:
+            raise ToolError(f"corpus path {path!r} holds a line break, which .paras cannot store")
     base = persistence.output_base(corpus.source_path, hp.name)
 
     def save(iteration=None):

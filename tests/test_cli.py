@@ -144,6 +144,22 @@ class TestDispatch:
         assert "model.paras" in err and "-name" in err
         assert {p.name: p.read_bytes() for p in tmp_path.glob("model.*")} == trained
 
+    @pytest.mark.parametrize("model", ["LDA", "DMM", "LDAinf", "DMMinf"])
+    def test_corpus_path_with_line_break_refused(self, tmp_path, capsys, model):
+        # .paras stores the corpus path on one line, so it could not be replayed
+        args = ["-model", model, "-niters", "1", "-name", "out"]
+        if model.endswith("inf"):
+            assert main(["-model", model[:3], "-corpus", str(write_corpus(tmp_path)),
+                         "-ntopics", "2", "-niters", "1", "-seed", "1"]) == 0
+            args += ["-paras", str(tmp_path / "model.paras")]
+        before = set(tmp_path.iterdir())
+        corpus = tmp_path / "c\nx.txt"
+        corpus.write_text("a b\nc a\n")
+        capsys.readouterr()
+        assert main([*args, "-corpus", str(corpus)]) == 1
+        assert f"corpus path {str(corpus)!r} holds a line break" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before | {corpus}
+
     def test_inf_model_kind_mismatch(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         main(["-model", "DMM", "-corpus", str(corpus), "-name", "tDMM",

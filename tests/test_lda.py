@@ -1,10 +1,37 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, make_rng
+from gibbstopics import lda
+from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, draw, make_rng
 from gibbstopics.lda import init_lda, lda_conditional, lda_sweep, train_lda
 
 from conftest import make_corpus
+
+
+def loop_sweep(corpus, state, hp, rng):
+    """Reference sweep: lda_sweep as a per-token NumPy loop over
+    lda_conditional and core.draw."""
+    nkw, nk = state.nkw, state.nk
+    n_vocab = nkw.shape[1]
+    uniforms = iter(rng.random(corpus.n_tokens).tolist())
+    for d, doc in enumerate(corpus.docs):
+        zd = state.z[d]
+        ndk_d = state.ndk[d]
+        for i, w in enumerate(doc.tolist()):
+            k = zd[i]
+            ndk_d[k] -= 1
+            nkw[k, w] -= 1
+            nk[k] -= 1
+            k = draw(lda_conditional(state, hp, d, w, n_vocab), next(uniforms))
+            zd[i] = k
+            ndk_d[k] += 1
+            nkw[k, w] += 1
+            nk[k] += 1
+    return state
 
 
 def test_init_single_topic():
@@ -143,3 +170,163 @@ def test_train_deterministic_given_seed(tmp_path):
         train_lda(corpus, hp, make_rng(11)[0], quiet=True)
         contents.append((tmp_path / "run.theta").read_bytes())
     assert contents[0] == contents[1]
+
+
+# K = 1..7 sums sequentially, 8..128 in eight accumulators (with and without
+# a tail), 129 and 300 split pairwise first.
+@pytest.mark.parametrize("ntopics", [1, 7, 8, 9, 16, 127, 128, 129, 300])
+@pytest.mark.parametrize("alpha,beta", [(0.1, 0.01), (2.5, 1.5)])
+def test_sweep_bit_identical_to_loop_form(ntopics, alpha, beta):
+    gen = np.random.Generator(np.random.PCG64(ntopics))
+    n_vocab = 40
+    docs = [gen.integers(0, n_vocab, size=gen.integers(0, 12)) for _ in range(30)]
+    docs[3] = docs[17] = []
+    corpus = make_corpus(docs, n_vocab)
+    hp = Hyperparams(ntopics=ntopics, alpha=alpha, beta=beta)
+    states, rngs = [], []
+    for sweep in (lda_sweep, loop_sweep):
+        rng, _ = make_rng(ntopics + 1)
+        state = init_lda(corpus, hp, rng)
+        for _ in range(3):
+            sweep(corpus, state, hp, rng)
+        states.append(state)
+        rngs.append(rng)
+    fast, ref = states
+    assert all(np.array_equal(a, b) for a, b in zip(fast.z, ref.z))
+    for table in ("ndk", "nkw", "nk"):
+        assert np.array_equal(getattr(fast, table), getattr(ref, table))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+class _FixedUniform:
+    """Stands in for the generator: every uniform of the sweep is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def _boundary_uniform(weights):
+    """(u, k): a uniform with u * weights.sum() exactly on a cumulative-sum
+    boundary, where a sequentially accumulated total draws below topic k."""
+    c = weights.cumsum()
+    for j in range(weights.size - 1):
+        for u in (c[j] / weights.sum(), np.nextafter(c[j] / weights.sum(), 0)):
+            if u * weights.sum() == c[j] and u * c[-1] < c[j]:
+                return float(u), j + 1
+    return None
+
+
+def test_sweep_total_is_numpy_pairwise_sum():
+    # Random draws almost never tell the two totals apart, so aim one at the
+    # last bit: the kernel must draw what core.draw draws.
+    gen = np.random.Generator(np.random.PCG64(0))
+    ntopics, hp = 300, Hyperparams(ntopics=300, alpha=0.1, beta=0.01)
+    corpus = make_corpus([[0]], 2)
+    for _ in range(100):
+        nkw = gen.integers(1, 50, size=(ntopics, 2))
+        ndk = gen.integers(1, 5, size=(1, ntopics))
+        removed = CountState(ndk=ndk.copy(), nkw=nkw.copy(), nk=nkw.sum(axis=1), z=[])
+        removed.ndk[0, 0] -= 1
+        removed.nkw[0, 0] -= 1
+        removed.nk[0] -= 1
+        weights = lda_conditional(removed, hp, 0, 0, 2)
+        found = _boundary_uniform(weights)
+        if found:
+            break
+    u, expected = found
+    assert draw(weights, u) == expected
+    state = CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=[np.zeros(1, dtype=np.int64)])
+    lda_sweep(corpus, state, hp, _FixedUniform(u))
+    assert state.z[0][0] == expected
+
+
+@pytest.mark.parametrize("case", ["topic K", "word V", "float64 nkw", "short ndk"])
+def test_sweep_rejects_out_of_bounds_input(case):
+    docs = [[0, 1, 2], [2, 1]]
+    hp = Hyperparams(ntopics=3)
+    rng, _ = make_rng(9)
+    state = init_lda(make_corpus(docs, 3), hp, rng)
+    if case == "topic K":
+        state.z[0][0] = 3
+    elif case == "word V":
+        docs[1][0] = 3
+    elif case == "float64 nkw":
+        state.nkw = state.nkw.astype(np.float64)
+    else:
+        state.ndk = state.ndk[:-1].copy()
+    nkw, rng_state = state.nkw.copy(), rng.bit_generator.state
+    with pytest.raises(ToolError, match="lda_sweep"):
+        lda_sweep(make_corpus(docs, 3), state, hp, rng)
+    assert np.array_equal(state.nkw, nkw)
+    assert rng.bit_generator.state == rng_state
+
+
+def test_sweep_detects_corrupt_counts():
+    corpus = make_corpus([[0, 1], [1]], 2)
+    hp = Hyperparams(ntopics=2)
+    rng, _ = make_rng(6)
+    state = init_lda(corpus, hp, rng)
+    state.ndk[0] -= 5  # weights (n_dk + alpha) go negative
+    with pytest.raises(ToolError, match="nonpositive weight"):
+        lda_sweep(corpus, state, hp, rng)
+
+
+@pytest.fixture
+def empty_kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache, with the loaded library forgotten before and after."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    lda._kernel.cache_clear()
+    yield tmp_path / "xdg" / "gibbstopics"
+    lda._kernel.cache_clear()
+
+
+def _train(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("a b\nc a\n")
+    from gibbstopics.corpus import load_corpus
+    hp = Hyperparams(model="LDA", ntopics=2, niters=1, name="run")
+    train_lda(load_corpus(path), hp, make_rng(5)[0], quiet=True)
+
+
+def test_build_without_compiler_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    with pytest.raises(ToolError, match="cc -O2 -fPIC -shared -ffp-contract=off.*No such file"):
+        _train(tmp_path)
+    assert not list(empty_kernel_cache.glob("*.tmp"))
+    assert not (tmp_path / "run.theta").exists()
+
+
+def test_failed_build_names_first_error_line(empty_kernel_cache, monkeypatch, tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\necho 'cc: fatal: out of cheese' >&2\necho more >&2\nexit 1\n")
+    (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    with pytest.raises(ToolError) as info:
+        _train(tmp_path)
+    assert str(info.value).endswith("`cc -O2 -fPIC -shared -ffp-contract=off`: cc: fatal: out of cheese")
+    assert list(empty_kernel_cache.iterdir()) == []
+
+
+def test_second_load_reuses_cached_library(empty_kernel_cache, tmp_path):
+    lda._kernel()
+    (lib,) = empty_kernel_cache.glob("ldasweep-*.so")
+    os.utime(lib, ns=(10**18, 10**18))
+    lda._kernel.cache_clear()
+    _train(tmp_path)
+    assert list(empty_kernel_cache.iterdir()) == [lib]
+    assert lib.stat().st_mtime_ns == 10**18
+
+
+def test_import_and_corpus_load_build_nothing(tmp_path):
+    code = ("import sys, gibbstopics; gibbstopics.load_corpus(sys.argv[1]); "
+            "assert 'subprocess' not in sys.modules")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\n")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code, str(corpus)], check=True, env=env)
+    assert not (tmp_path / "xdg").exists()
