@@ -9,10 +9,9 @@ from gibbstopics.core import (
     estimate_phi,
     estimate_theta_lda,
     make_rng,
-    sample_categorical,
     top_words,
 )
-from gibbstopics.corpus import Corpus, LabelSet, Vocabulary, load_corpus, load_labels
+from gibbstopics.corpus import Corpus, Vocabulary, load_corpus, load_labels
 from gibbstopics.dmm import dmm_conditional, dmm_sweep, estimate_theta_dmm, init_dmm, train_dmm
 from gibbstopics.evaluation import argmax_cluster, evaluate_files, nmi, purity
 from gibbstopics.inference import PretrainedModel, infer, load_pretrained
@@ -22,7 +21,6 @@ __all__ = [
     "Corpus",
     "CountState",
     "Hyperparams",
-    "LabelSet",
     "PretrainedModel",
     "ToolError",
     "Vocabulary",
@@ -44,7 +42,6 @@ __all__ = [
     "make_rng",
     "nmi",
     "purity",
-    "sample_categorical",
     "top_words",
     "train_dmm",
     "train_lda",

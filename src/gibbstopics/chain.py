@@ -7,6 +7,7 @@ import os
 
 from gibbstopics import persistence
 from gibbstopics.core import CountState, Hyperparams, ToolError, estimate_phi
+from gibbstopics.corpus import split_docs
 
 
 def run_chain(corpus, state: CountState, hp: Hyperparams, sweep, estimate_theta,
@@ -21,8 +22,10 @@ def run_chain(corpus, state: CountState, hp: Hyperparams, sweep, estimate_theta,
     base = persistence.output_base(corpus.source_path, hp.name)
 
     def save(iteration=None):
-        persistence.save_outputs(base, estimate_theta(), estimate_phi(state, hp), corpus.vocab,
-                                 state.z, hp, corpus.source_path, iteration=iteration)
+        # .topicAssignments has one line per document: LDA's flat z is split.
+        z = state.z if hp.model in ("DMM", "DMMinf") else split_docs(state.z, corpus.offsets)
+        persistence.save_outputs(base, estimate_theta(), estimate_phi(state, hp), corpus, z, hp,
+                                 iteration=iteration)
 
     for it in range(1, hp.niters + 1):
         sweep()

@@ -58,14 +58,14 @@ class CountState:
     ndk: D x K tokens of document d assigned to topic k (LDA only)
     nkw: K x V tokens of word w assigned to topic k
     nk:  length-K topic token totals
-    z:   per-document token assignments (LDA) or one topic per document (DMM)
+    z:   int64 topics, one per token of corpus.words (LDA) or per document (DMM)
     mk:  length-K document counts per topic (DMM only)
     """
 
     ndk: np.ndarray | None
     nkw: np.ndarray
     nk: np.ndarray
-    z: list
+    z: np.ndarray
     mk: np.ndarray | None = None
 
 
@@ -75,22 +75,6 @@ def make_rng(seed: int | None = None) -> tuple[np.random.Generator, int]:
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     return np.random.Generator(np.random.PCG64(seed)), seed
-
-
-def sample_categorical(weights, rng: np.random.Generator) -> int:
-    """Draw an index proportionally to the given weights, after checking them.
-
-    Consumes exactly one uniform variate, so a fixed seed gives an identical
-    draw sequence across runs.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size == 0:
-        raise ToolError("sample_categorical: empty weight vector")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ToolError("sample_categorical: non-finite or negative weights (sampler state corrupt)")
-    if w.sum() <= 0:
-        raise ToolError("sample_categorical: all weights zero (sampler state corrupt)")
-    return draw(w, rng.random())
 
 
 def draw(weights: np.ndarray, u: float) -> int:
@@ -123,56 +107,51 @@ def top_words(phi_row, vocab, t: int) -> list[tuple[str, float]]:
     return [(vocab.words[i], float(row[i])) for i in order]
 
 
-def _topic_word_counts(topics, docs, ntopics: int, n_vocab: int) -> np.ndarray:
+def _topic_word_counts(topics, corpus, ntopics: int) -> np.ndarray:
     """K x V counts of the (topic, word) pairs of all tokens, given one topic
-    per token in document order."""
+    per token of corpus.words."""
+    n_vocab = corpus.vocab.size
     cells = topics * n_vocab
-    cells += np.concatenate(docs)
+    cells += corpus.words
     return np.bincount(cells, minlength=ntopics * n_vocab).reshape(ntopics, n_vocab)
 
 
-def recount_lda(docs, z, ntopics: int, n_vocab: int) -> CountState:
-    """Build all LDA count tables from the per-token assignments."""
-    z = [np.asarray(zd, dtype=np.int64) for zd in z]
-    topics = np.concatenate(z)
-    n_docs = len(docs)
-    doc_of = np.repeat(np.arange(n_docs), [len(doc) for doc in docs])
-    ndk = np.bincount(doc_of * ntopics + topics, minlength=n_docs * ntopics)
-    ndk = ndk.reshape(n_docs, ntopics)
-    nkw = _topic_word_counts(topics, docs, ntopics, n_vocab)
-    return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=z)
+def recount_lda(corpus, z, ntopics: int) -> CountState:
+    """Build all LDA count tables from the topic of every token."""
+    z = np.asarray(z, dtype=np.int64)
+    doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
+    ndk = np.bincount(doc_of * ntopics + z, minlength=corpus.n_docs * ntopics)
+    nkw = _topic_word_counts(z, corpus, ntopics)
+    return CountState(ndk=ndk.reshape(corpus.n_docs, ntopics), nkw=nkw, nk=nkw.sum(axis=1), z=z)
 
 
-def recount_dmm(docs, z, ntopics: int, n_vocab: int) -> CountState:
+def recount_dmm(corpus, z, ntopics: int) -> CountState:
     """Build all DMM count tables from the per-document topics."""
     z = np.asarray(z, dtype=np.int64)
-    topics = np.repeat(z, [len(doc) for doc in docs])
-    nkw = _topic_word_counts(topics, docs, ntopics, n_vocab)
+    nkw = _topic_word_counts(z.repeat(np.diff(corpus.offsets)), corpus, ntopics)
     return CountState(ndk=None, nkw=nkw, nk=nkw.sum(axis=1), z=z,
                       mk=np.bincount(z, minlength=ntopics))
 
 
-def check_state(state: CountState, docs, kind: str):
+def check_state(state: CountState, corpus, kind: str):
     """Assert the count-conservation invariants by recounting from z.
 
     Raises ToolError on any mismatch; used by tests.
     """
     ntopics = state.nk.size
-    n_vocab = state.nkw.shape[1]
     if kind in ("DMM", "DMMinf"):
-        ref = recount_dmm(docs, state.z, ntopics, n_vocab)
+        ref = recount_dmm(corpus, state.z, ntopics)
         if state.mk is None or not np.array_equal(ref.mk, state.mk):
             raise ToolError("count invariant violated: mk does not match assignments")
-        if int(state.mk.sum()) != len(docs):
+        if int(state.mk.sum()) != corpus.n_docs:
             raise ToolError("count invariant violated: sum(mk) != D")
     else:
-        ref = recount_lda(docs, state.z, ntopics, n_vocab)
+        ref = recount_lda(corpus, state.z, ntopics)
         if not np.array_equal(ref.ndk, state.ndk):
             raise ToolError("count invariant violated: ndk does not match assignments")
     if not np.array_equal(ref.nkw, state.nkw):
         raise ToolError("count invariant violated: nkw does not match assignments")
     if not np.array_equal(ref.nk, state.nk):
         raise ToolError("count invariant violated: nk does not match assignments")
-    total = sum(len(doc) for doc in docs)
-    if int(state.nk.sum()) != total:
+    if int(state.nk.sum()) != corpus.n_tokens:
         raise ToolError("count invariant violated: sum(nk) != total tokens")

@@ -4,6 +4,7 @@ vocabulary ids assigned in first-occurrence order."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,22 +24,29 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class Corpus:
-    docs: tuple  # one int array of word ids per document (empty only after OOV folding)
+    words: np.ndarray    # int64 word id of every token, document after document
+    offsets: np.ndarray  # int64, D+1 from 0: document d is words[offsets[d]:offsets[d+1]]
     vocab: Vocabulary
     source_path: str
 
+    @cached_property
+    def docs(self) -> tuple:
+        """One view into words per document (empty only after OOV folding)."""
+        return split_docs(self.words, self.offsets)
+
     @property
     def n_docs(self) -> int:
-        return len(self.docs)
+        return self.offsets.size - 1
 
     @property
     def n_tokens(self) -> int:
-        return sum(len(doc) for doc in self.docs)
+        return self.words.size
 
 
-@dataclass(frozen=True)
-class LabelSet:
-    labels: tuple
+def split_docs(flat: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Per-document views of an array holding one value per token."""
+    bounds = offsets.tolist()
+    return tuple(flat[start:end] for start, end in zip(bounds[:-1], bounds[1:]))
 
 
 def load_corpus(path) -> Corpus:
@@ -51,17 +59,19 @@ def load_corpus(path) -> Corpus:
         raise ToolError(f"corpus file {path} is empty")
 
     index: dict[str, int] = {}
-    docs = []
+    ids: list[int] = []
+    offsets = [0]
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
             raise ToolError(f"blank document at line {lineno} in {path}")
-        docs.append(np.array([index.setdefault(tok, len(index)) for tok in tokens], dtype=np.int64))
-    return Corpus(docs=tuple(docs), vocab=Vocabulary(words=tuple(index), index=index),
-                  source_path=path)
+        ids += [index.setdefault(tok, len(index)) for tok in tokens]
+        offsets.append(len(ids))
+    return Corpus(words=np.array(ids, dtype=np.int64), offsets=np.array(offsets, dtype=np.int64),
+                  vocab=Vocabulary(words=tuple(index), index=index), source_path=path)
 
 
-def load_labels(path) -> LabelSet:
+def load_labels(path) -> tuple:
     """Load one gold label per line, aligned by line number with the corpus."""
     path = str(path)
     labels = []
@@ -70,4 +80,4 @@ def load_labels(path) -> LabelSet:
         if not label:
             raise ToolError(f"blank label at line {lineno} in {path}")
         labels.append(label)
-    return LabelSet(labels=tuple(labels))
+    return tuple(labels)

@@ -35,8 +35,7 @@ def doc_word_counts(docs):
 
 def init_dmm(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
     """Assign each document one uniformly random topic and build the tables."""
-    z = rng.integers(0, hp.ntopics, size=len(corpus.docs))
-    return recount_dmm(corpus.docs, z, hp.ntopics, corpus.vocab.size)
+    return recount_dmm(corpus, rng.integers(0, hp.ntopics, size=corpus.n_docs), hp.ntopics)
 
 
 def dmm_conditional(state: CountState, hp: Hyperparams, uwords, ucounts,

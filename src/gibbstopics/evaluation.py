@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from gibbstopics.core import ToolError
-from gibbstopics.corpus import LabelSet
 from gibbstopics.persistence import read_matrix
 
 
@@ -50,7 +49,6 @@ def _check_lengths(clusters, labels):
 def purity(clusters, labels) -> float:
     """Fraction of documents in the majority gold class of their cluster:
     (1/N) * sum_k max_j |cluster_k intersect class_j|."""
-    labels = labels.labels if isinstance(labels, LabelSet) else labels
     _check_lengths(clusters, labels)
     by_cluster: dict = {}
     for c, l in zip(clusters, labels):
@@ -65,7 +63,6 @@ def nmi(clusters, labels) -> float:
     Both partitions trivial (single block each) is defined as 1.0; exactly one
     zero-entropy partition yields 0 naturally.
     """
-    labels = labels.labels if isinstance(labels, LabelSet) else labels
     _check_lengths(clusters, labels)
     n = len(clusters)
     joint = Counter(zip(clusters, labels))
@@ -83,7 +80,7 @@ def nmi(clusters, labels) -> float:
     return min(1.0, max(0.0, mutual / denom))
 
 
-def evaluate_files(directory, suffix_or_name: str, labels: LabelSet) -> EvalSummary:
+def evaluate_files(directory, suffix_or_name: str, labels) -> EvalSummary:
     """Score every file in the directory whose name ends with the given suffix
     (an exact file name matches itself), in ascending name order, and report
     the mean and sample standard deviation (divisor n-1, 0 when n=1)."""
@@ -100,10 +97,8 @@ def evaluate_files(directory, suffix_or_name: str, labels: LabelSet) -> EvalSumm
     for name in names:
         path = os.path.join(directory, name)
         theta = read_matrix(path)
-        if len(theta) != len(labels.labels):
-            raise ToolError(
-                f"{path}: {len(theta)} distribution rows != {len(labels.labels)} labels"
-            )
+        if len(theta) != len(labels):
+            raise ToolError(f"{path}: {len(theta)} distribution rows != {len(labels)} labels")
         clusters = [argmax_cluster(row) for row in theta]
         results.append(ClusteringResult(file=name, purity=purity(clusters, labels),
                                         nmi=nmi(clusters, labels)))

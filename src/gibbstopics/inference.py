@@ -45,30 +45,29 @@ def load_pretrained(paras_path) -> PretrainedModel:
         raise ToolError(f"paras file {paras_path} is from model {rec.hp.model}, expected LDA or DMM")
     hp = rec.hp.validate()
 
+    # Outputs land in the corpus's folder, so the corpus sits next to the .paras.
     paras_dir = os.path.dirname(os.path.abspath(paras_path))
-    candidates = (rec.corpus_abs, rec.corpus, os.path.join(paras_dir, rec.corpus))
+    candidates = (rec.corpus_abs, os.path.join(paras_dir, os.path.basename(rec.corpus_abs)))
     corpus_path = next((c for c in candidates if os.path.isfile(c)), None)
     if corpus_path is None:
         raise ToolError(f"training corpus {rec.corpus} referenced by {paras_path} not found")
     corpus = load_corpus(corpus_path)
 
     assign_path = os.path.join(paras_dir, hp.name + ".topicAssignments")
-    z = persistence.read_assignments(assign_path, hp.model)
-    if len(z) != corpus.n_docs:
-        raise ToolError(
-            f"assignment count {len(z)} != document count {corpus.n_docs} in {assign_path}"
-        )
-
-    if hp.model == "LDA":
-        for d, (doc, zd) in enumerate(zip(corpus.docs, z)):
-            if len(zd) != len(doc):
-                raise ToolError(f"assignment length mismatch at document {d + 1} in {assign_path}")
-    topics = np.hstack(z)
-    bad = topics[(topics < 0) | (topics >= hp.ntopics)]
+    z, offsets = persistence.read_assignments(assign_path)
+    if offsets.size != corpus.offsets.size:
+        raise ToolError(f"assignment count {offsets.size - 1} != document count {corpus.n_docs} "
+                        f"in {assign_path}")
+    # LDA has one topic per token, DMM one per document.
+    expected = corpus.offsets if hp.model == "LDA" else np.arange(corpus.n_docs + 1)
+    if not np.array_equal(offsets, expected):
+        raise ToolError(f"assignment length mismatch at document "
+                        f"{np.argmax(offsets != expected)} in {assign_path}")
+    bad = z[(z < 0) | (z >= hp.ntopics)]
     if bad.size:
         raise ToolError(f"topic id {bad[0]} out of range in {assign_path}")
     recount = recount_lda if hp.model == "LDA" else recount_dmm
-    state = recount(corpus.docs, z, hp.ntopics, corpus.vocab.size)
+    state = recount(corpus, z, hp.ntopics)
     return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=state.nkw, nk=state.nk,
                            paras_path=paras_path)
 
@@ -79,8 +78,12 @@ def fold_corpus(model: PretrainedModel, new_corpus_path) -> Corpus:
     raw = load_corpus(new_corpus_path)
     # training id of each unseen-corpus word id, -1 when out of vocabulary
     to_train = np.array([model.vocab.index.get(w, -1) for w in raw.vocab.words], dtype=np.int64)
-    docs = tuple(ids[ids >= 0] for ids in (to_train[doc] for doc in raw.docs))
-    folded = Corpus(docs=docs, vocab=model.vocab, source_path=raw.source_path)
+    words = to_train[raw.words]
+    kept = words >= 0
+    # document d starts after the kept tokens of documents 0..d-1
+    offsets = np.concatenate(([0], kept.cumsum()))[raw.offsets]
+    folded = Corpus(words=words[kept], offsets=offsets, vocab=model.vocab,
+                    source_path=raw.source_path)
     if folded.n_tokens == 0:
         print(f"warning: every token of {new_corpus_path} is out of vocabulary", file=sys.stderr)
     return folded

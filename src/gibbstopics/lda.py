@@ -38,8 +38,7 @@ _BUILD = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 def init_lda(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
     """Assign every token a uniformly random topic and build the count tables."""
-    z = [rng.integers(0, hp.ntopics, size=len(doc)) for doc in corpus.docs]
-    return recount_lda(corpus.docs, z, hp.ntopics, corpus.vocab.size)
+    return recount_lda(corpus, rng.integers(0, hp.ntopics, size=corpus.n_tokens), hp.ntopics)
 
 
 def lda_conditional(state: CountState, hp: Hyperparams, d: int, word: int, n_vocab: int) -> np.ndarray:
@@ -101,22 +100,32 @@ def _kernel():
     return sweep
 
 
-def _check_sweep_inputs(state: CountState, lengths, words, z, n_topics: int, n_vocab: int):
-    """Everything the kernel indexes must be in bounds: it has no checks."""
-    n_docs = lengths.size
+def _c_int64(a, shape) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.flags.c_contiguous
+            and a.shape == shape)
+
+
+def _check_sweep_inputs(corpus, state: CountState, n_topics: int, n_vocab: int):
+    """Everything the kernel reads or writes must be in bounds: it has no checks."""
+    words, offsets, z = corpus.words, corpus.offsets, state.z
+    n_tokens, n_docs = np.size(words), np.size(offsets) - 1
+    if not (_c_int64(words, (n_tokens,))
+            and (n_tokens == 0 or 0 <= words.min() <= words.max() < n_vocab)):
+        raise ToolError(f"lda_sweep: word ids are not a C-contiguous int64 array in [0, {n_vocab})")
+    if not (_c_int64(offsets, (n_docs + 1,)) and n_docs >= 0 and offsets[0] == 0
+            and offsets[-1] == n_tokens and (np.diff(offsets) >= 0).all()):
+        raise ToolError(f"lda_sweep: document offsets are not C-contiguous int64 non-decreasing "
+                        f"from 0 to the token count {n_tokens}")
     tables = ((state.ndk, (n_docs, n_topics)), (state.nkw, (n_topics, n_vocab)),
               (state.nk, (n_topics,)))
-    if not all(isinstance(t, np.ndarray) and t.dtype == np.int64 and t.flags.c_contiguous
-               and t.shape == shape for t, shape in tables):
+    if not all(_c_int64(t, shape) for t, shape in tables):
         raise ToolError(f"lda_sweep: count tables are not C-contiguous int64 of shapes "
                         f"({n_docs}, {n_topics}), ({n_topics}, {n_vocab}) and ({n_topics},)")
-    if len(state.z) != n_docs or not np.array_equal(
-            lengths, np.fromiter(map(len, state.z), np.int64, n_docs)):
-        raise ToolError("lda_sweep: topic assignments do not match the corpus token counts")
-    if words.dtype != np.int64 or (words.size and not 0 <= words.min() <= words.max() < n_vocab):
-        raise ToolError(f"lda_sweep: word ids are not int64 in [0, {n_vocab})")
-    if z.dtype != np.int64 or (z.size and not 0 <= z.min() <= z.max() < n_topics):
-        raise ToolError(f"lda_sweep: topics are not int64 in [0, {n_topics})")
+    if not (_c_int64(z, (n_tokens,)) and z.flags.writeable):
+        raise ToolError(f"lda_sweep: topic assignments are not a writable C-contiguous int64 "
+                        f"array of one topic per token ({n_tokens})")
+    if n_tokens and not 0 <= z.min() <= z.max() < n_topics:
+        raise ToolError(f"lda_sweep: topics are not in [0, {n_topics})")
 
 
 def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
@@ -125,18 +134,13 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     sweep's uniforms are drawn up front, one per token in visiting order."""
     sweep = _kernel()
     n_topics, n_vocab = hp.ntopics, corpus.vocab.size
-    lengths = np.fromiter(map(len, corpus.docs), np.int64, len(corpus.docs))
-    words = np.concatenate(corpus.docs)
-    z = np.concatenate(state.z)
-    _check_sweep_inputs(state, lengths, words, z, n_topics, n_vocab)
-    uniforms = rng.random(z.size)
+    _check_sweep_inputs(corpus, state, n_topics, n_vocab)
+    uniforms = rng.random(corpus.n_tokens)
     scratch = np.empty(n_topics)
-    bad = sweep(lengths.size, lengths.ctypes.data, words.ctypes.data, z.ctypes.data,
-                state.ndk.ctypes.data, state.nkw.ctypes.data, state.nk.ctypes.data,
-                n_topics, n_vocab, float(hp.alpha), float(hp.beta),
+    bad = sweep(corpus.n_docs, corpus.offsets.ctypes.data, corpus.words.ctypes.data,
+                state.z.ctypes.data, state.ndk.ctypes.data, state.nkw.ctypes.data,
+                state.nk.ctypes.data, n_topics, n_vocab, float(hp.alpha), float(hp.beta),
                 uniforms.ctypes.data, scratch.ctypes.data)
-    ends = np.cumsum(lengths).tolist()
-    state.z[:] = [z[start:end] for start, end in zip([0, *ends], ends)]
     if bad >= 0:
         raise ToolError(f"lda_sweep: nonpositive weight at token {bad}, count bookkeeping corrupt")
     return state

@@ -36,19 +36,19 @@ static double pairwise_sum(const double *a, int64_t n)
 }
 
 /* Visit the tokens in (document, position) order over the flat words/z,
- * resampling each with uniforms u[t]; w is K doubles of scratch. Returns -1,
- * or the index of the first token whose conditional has a weight that is not
- * finite and positive (its counts are then left decremented). */
-int64_t lda_sweep(int64_t n_docs, const int64_t *doc_len, const int64_t *words,
+ * document d holding tokens offsets[d] to offsets[d+1]-1, resampling each
+ * with uniforms u[t]; w is K doubles of scratch. Returns -1, or the index of
+ * the first token whose conditional has a weight that is not finite and
+ * positive (its counts are then left decremented). */
+int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                   int64_t *z, int64_t *ndk, int64_t *nkw, int64_t *nk,
                   int64_t K, int64_t V, double alpha, double beta,
                   const double *u, double *w)
 {
     const double vbeta = (double)V * beta;
-    int64_t t = 0;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t *ndk_d = ndk + d * K;
-        for (int64_t end = t + doc_len[d]; t < end; t++) {
+        for (int64_t t = offsets[d], end = offsets[d + 1]; t < end; t++) {
             int64_t word = words[t], k = z[t];
             ndk_d[k]--;
             nkw[k * V + word]--;

@@ -118,12 +118,16 @@ def write_assignments(z, path: str, kind: str):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_assignments(path: str, kind: str) -> list:
-    lines = read_lines(path, "assignments file")
+def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The topic ids of a .topicAssignments file as one flat int64 array, and
+    the int64 offsets (lines + 1, from 0) where each line's ids start."""
+    topics: list[int] = []
+    offsets = [0]
     try:
-        if kind in ("DMM", "DMMinf"):
-            return [int(line) for line in lines]
-        return [np.array([int(t) for t in line.split()], dtype=np.int64) for line in lines]
+        for line in read_lines(path, "assignments file"):
+            topics += map(int, line.split())
+            offsets.append(len(topics))
+        return np.array(topics, dtype=np.int64), np.array(offsets, dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise ToolError(f"bad topic assignment in {path}") from exc
 
@@ -161,11 +165,11 @@ def output_base(corpus_path: str, name: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(corpus_path)), name)
 
 
-def save_outputs(base, theta, phi, vocab, z, hp, corpus_path, iteration=None):
+def save_outputs(base, theta, phi, corpus, z, hp, iteration=None):
     """Write the five artifacts; iteration, when given, suffixes each name."""
     sfx = f".{iteration}" if iteration is not None else ""
     write_matrix(theta, f"{base}.theta{sfx}")
     write_matrix(phi, f"{base}.phi{sfx}")
-    write_top_words(phi, vocab, hp.twords, f"{base}.topWords{sfx}")
+    write_top_words(phi, corpus.vocab, hp.twords, f"{base}.topWords{sfx}")
     write_assignments(z, f"{base}.topicAssignments{sfx}", hp.model)
-    write_paras(hp, corpus_path, f"{base}.paras{sfx}")
+    write_paras(hp, corpus.source_path, f"{base}.paras{sfx}")

@@ -9,7 +9,8 @@ def make_corpus(docs, n_vocab, source_path="<memory>"):
     words = tuple(f"w{i}" for i in range(n_vocab))
     vocab = Vocabulary(words=words, index={w: i for i, w in enumerate(words)})
     return Corpus(
-        docs=tuple(np.array(doc, dtype=np.int64) for doc in docs),
+        words=np.array([w for doc in docs for w in doc], dtype=np.int64),
+        offsets=np.cumsum([0, *map(len, docs)], dtype=np.int64),
         vocab=vocab,
         source_path=source_path,
     )

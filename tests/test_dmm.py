@@ -63,7 +63,7 @@ def test_init_conservation():
     corpus = make_corpus([[0, 1], [2], [1, 1, 2]], 3)
     state = init_dmm(corpus, Hyperparams(model="DMM", ntopics=4), make_rng(2)[0])
     assert state.mk.sum() == 3
-    check_state(state, corpus.docs, "DMM")
+    check_state(state, corpus, "DMM")
 
 
 def test_init_deterministic():
@@ -151,7 +151,7 @@ def test_sweep_preserves_invariants():
     state = init_dmm(corpus, hp, rng)
     for _ in range(10):
         dmm_sweep(corpus, state, hp, rng)
-        check_state(state, corpus.docs, "DMM")
+        check_state(state, corpus, "DMM")
         assert state.mk.sum() == corpus.n_docs
 
 
@@ -192,11 +192,11 @@ def test_theta_matches_conditional_worked_example():
     hp = Hyperparams(model="DMM", ntopics=2, alpha=0.1, beta=0.1)
     z = np.array([0, 0, 1], dtype=np.int64)
     from gibbstopics.core import recount_dmm
-    state = recount_dmm(corpus.docs, z, 2, 3)
+    state = recount_dmm(corpus, z, 2)
     theta = estimate_theta_dmm(state, corpus, hp)
     assert np.allclose(theta[0], [0.88590, 0.11410], atol=1e-4)
     # state restored after the leave-one-out pass
-    check_state(state, corpus.docs, "DMM")
+    check_state(state, corpus, "DMM")
 
 
 def test_train_writes_outputs_and_assignment_format(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbstopics.core import ToolError
-from gibbstopics.corpus import LabelSet
 from gibbstopics.evaluation import argmax_cluster, evaluate_files, nmi, purity
 
 
@@ -146,7 +145,7 @@ def write_theta_file(directory, name, rows):
 class TestEvaluateFiles:
     def test_exact_name_single_file(self, tmp_path):
         write_theta_file(tmp_path, "testLDA.theta", [[0.9, 0.1], [0.2, 0.8]])
-        labels = LabelSet(labels=("A", "B"))
+        labels = ("A", "B")
         summary = evaluate_files(tmp_path, "testLDA.theta", labels)
         assert len(summary.results) == 1
         assert summary.results[0].purity == 1.0
@@ -156,13 +155,13 @@ class TestEvaluateFiles:
     def test_suffix_matches_multiple_sorted(self, tmp_path):
         write_theta_file(tmp_path, "testLDA.theta", [[0.9, 0.1], [0.2, 0.8]])
         write_theta_file(tmp_path, "testDMM.theta", [[0.9, 0.1], [0.6, 0.4]])
-        labels = LabelSet(labels=("A", "B"))
+        labels = ("A", "B")
         summary = evaluate_files(tmp_path, "theta", labels)
         assert [r.file for r in summary.results] == ["testDMM.theta", "testLDA.theta"]
 
     def test_mean_and_sample_std(self, tmp_path):
         # purities engineered to 0.8 and 0.6 over 5 documents
-        labels = LabelSet(labels=("A", "A", "A", "B", "B"))
+        labels = ("A", "A", "A", "B", "B")
         write_theta_file(tmp_path, "a.theta",
                          [[1, 0], [1, 0], [1, 0], [1, 0], [0, 1]])  # purity 0.8
         write_theta_file(tmp_path, "b.theta",
@@ -174,9 +173,9 @@ class TestEvaluateFiles:
 
     def test_no_match_fatal(self, tmp_path):
         with pytest.raises(ToolError, match="no file matching"):
-            evaluate_files(tmp_path, "theta", LabelSet(labels=("A",)))
+            evaluate_files(tmp_path, "theta", ("A",))
 
     def test_row_count_mismatch_names_file(self, tmp_path):
         write_theta_file(tmp_path, "bad.theta", [[1.0]])
         with pytest.raises(ToolError, match="bad.theta"):
-            evaluate_files(tmp_path, "theta", LabelSet(labels=("A", "B")))
+            evaluate_files(tmp_path, "theta", ("A", "B"))

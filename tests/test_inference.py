@@ -46,11 +46,37 @@ def test_load_pretrained_missing_corpus(tmp_path):
         load_pretrained(paras)
 
 
+def test_load_pretrained_finds_corpus_next_to_paras_not_in_cwd(tmp_path, monkeypatch):
+    # The model is trained from A/ on data/c.txt, then data/ moves to B/; the
+    # working directory C/ holds another data/c.txt with as many documents.
+    for folder, text in (("A", "a b\nc a\n"), ("C", "x y\nz q\n")):
+        (tmp_path / folder / "data").mkdir(parents=True)
+        (tmp_path / folder / "data" / "c.txt").write_text(text)
+    monkeypatch.chdir(tmp_path / "A")
+    hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=2, name="m", seed=1)
+    train_dmm(load_corpus("data/c.txt"), hp, make_rng(1)[0], quiet=True)
+    (tmp_path / "B").mkdir()
+    (tmp_path / "A" / "data").rename(tmp_path / "B" / "data")
+    monkeypatch.chdir(tmp_path / "C")
+    model = load_pretrained(tmp_path / "B" / "data" / "m.paras")
+    assert model.vocab.words == ("a", "b", "c")
+
+
 def test_load_pretrained_assignment_mismatch(tmp_path):
     _, paras = train_small_lda(tmp_path, ["a b", "b c"])
-    (tmp_path / "m.topicAssignments").write_text("0 1\n")
-    with pytest.raises(ToolError, match="assignment"):
-        load_pretrained(paras)
+    for text, error in [("0 1\n", "assignment count 1 != document count 2"),
+                        ("0 1\n1\n", "assignment length mismatch at document 2"),
+                        ("0\n1 1 0\n", "assignment length mismatch at document 1")]:
+        (tmp_path / "m.topicAssignments").write_text(text)
+        with pytest.raises(ToolError, match=error):
+            load_pretrained(paras)
+    # DMM: exactly one topic per document
+    path = tmp_path / "corpus.txt"
+    hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=1, name="dm", seed=5)
+    train_dmm(load_corpus(path), hp, make_rng(5)[0], quiet=True)
+    (tmp_path / "dm.topicAssignments").write_text("0\n1 0\n")
+    with pytest.raises(ToolError, match="assignment length mismatch at document 2"):
+        load_pretrained(tmp_path / "dm.paras")
 
 
 @pytest.mark.parametrize("topic", [-1, 2])
@@ -98,8 +124,7 @@ def test_frozen_counts_not_mutated(tmp_path):
     assert state.nk.sum() == frozen_nkw.sum() + new_tokens
     folded = fold_corpus(model, unseen)
     recount = frozen_nkw.copy()
-    for doc, zd in zip(folded.docs, state.z):
-        np.add.at(recount, (zd, doc), 1)
+    np.add.at(recount, (state.z, folded.words), 1)
     assert np.array_equal(recount, state.nkw)
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,19 +16,19 @@ from conftest import make_corpus
 def loop_sweep(corpus, state, hp, rng):
     """Reference sweep: lda_sweep as a per-token NumPy loop over
     lda_conditional and core.draw."""
-    nkw, nk = state.nkw, state.nk
+    nkw, nk, z = state.nkw, state.nk, state.z
     n_vocab = nkw.shape[1]
-    uniforms = iter(rng.random(corpus.n_tokens).tolist())
-    for d, doc in enumerate(corpus.docs):
-        zd = state.z[d]
+    uniforms = rng.random(corpus.n_tokens).tolist()
+    words, offsets = corpus.words.tolist(), corpus.offsets.tolist()
+    for d in range(corpus.n_docs):
         ndk_d = state.ndk[d]
-        for i, w in enumerate(doc.tolist()):
-            k = zd[i]
+        for t in range(offsets[d], offsets[d + 1]):
+            w, k = words[t], z[t]
             ndk_d[k] -= 1
             nkw[k, w] -= 1
             nk[k] -= 1
-            k = draw(lda_conditional(state, hp, d, w, n_vocab), next(uniforms))
-            zd[i] = k
+            k = draw(lda_conditional(state, hp, d, w, n_vocab), uniforms[t])
+            z[t] = k
             ndk_d[k] += 1
             nkw[k, w] += 1
             nk[k] += 1
@@ -38,7 +39,7 @@ def test_init_single_topic():
     corpus = make_corpus([[0, 1], [1, 2, 0]], 3)
     rng, _ = make_rng(1)
     state = init_lda(corpus, Hyperparams(ntopics=1), rng)
-    assert all(np.all(zd == 0) for zd in state.z)
+    assert np.all(state.z == 0)
     assert state.nk[0] == 5
 
 
@@ -48,14 +49,14 @@ def test_init_conservation():
     state = init_lda(corpus, Hyperparams(ntopics=2), rng)
     assert state.nk.sum() == 3
     assert state.ndk[0].sum() == 2
-    check_state(state, corpus.docs, "LDA")
+    check_state(state, corpus, "LDA")
 
 
 def test_init_deterministic():
     corpus = make_corpus([[0, 1, 2, 0], [2, 1]], 3)
     a = init_lda(corpus, Hyperparams(ntopics=4), make_rng(77)[0])
     b = init_lda(corpus, Hyperparams(ntopics=4), make_rng(77)[0])
-    assert all(np.array_equal(x, y) for x, y in zip(a.z, b.z))
+    assert np.array_equal(a.z, b.z)
 
 
 def test_conditional_symmetry_with_zero_counts():
@@ -106,9 +107,9 @@ def test_sweep_single_topic_is_identity():
     hp = Hyperparams(ntopics=1)
     rng, _ = make_rng(3)
     state = init_lda(corpus, hp, rng)
-    before = [zd.copy() for zd in state.z]
+    before = state.z.copy()
     lda_sweep(corpus, state, hp, rng)
-    assert all(np.array_equal(x, y) for x, y in zip(before, state.z))
+    assert np.array_equal(before, state.z)
 
 
 def test_sweep_preserves_invariants():
@@ -118,7 +119,7 @@ def test_sweep_preserves_invariants():
     state = init_lda(corpus, hp, rng)
     for _ in range(10):
         lda_sweep(corpus, state, hp, rng)
-        check_state(state, corpus.docs, "LDA")
+        check_state(state, corpus, "LDA")
     assert state.nk.sum() == corpus.n_tokens
 
 
@@ -192,8 +193,7 @@ def test_sweep_bit_identical_to_loop_form(ntopics, alpha, beta):
         states.append(state)
         rngs.append(rng)
     fast, ref = states
-    assert all(np.array_equal(a, b) for a, b in zip(fast.z, ref.z))
-    for table in ("ndk", "nkw", "nk"):
+    for table in ("z", "ndk", "nkw", "nk"):
         assert np.array_equal(getattr(fast, table), getattr(ref, table))
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
@@ -238,28 +238,38 @@ def test_sweep_total_is_numpy_pairwise_sum():
             break
     u, expected = found
     assert draw(weights, u) == expected
-    state = CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=[np.zeros(1, dtype=np.int64)])
+    state = CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=np.zeros(1, dtype=np.int64))
     lda_sweep(corpus, state, hp, _FixedUniform(u))
-    assert state.z[0][0] == expected
+    assert state.z[0] == expected
 
 
-@pytest.mark.parametrize("case", ["topic K", "word V", "float64 nkw", "short ndk"])
+@pytest.mark.parametrize("case", ["topic K", "word V", "float64 nkw", "short ndk",
+                                  "offsets past words", "short z", "strided z"])
 def test_sweep_rejects_out_of_bounds_input(case):
+    # The kernel reads and writes through raw pointers, so each of these must
+    # be refused before the first draw.
     docs = [[0, 1, 2], [2, 1]]
     hp = Hyperparams(ntopics=3)
     rng, _ = make_rng(9)
     state = init_lda(make_corpus(docs, 3), hp, rng)
     if case == "topic K":
-        state.z[0][0] = 3
+        state.z[0] = 3
     elif case == "word V":
         docs[1][0] = 3
     elif case == "float64 nkw":
         state.nkw = state.nkw.astype(np.float64)
-    else:
+    elif case == "short ndk":
         state.ndk = state.ndk[:-1].copy()
+    elif case == "short z":
+        state.z = state.z[:-1].copy()
+    elif case == "strided z":
+        state.z = state.z.repeat(2)[::2]  # same topics, every other int64
+    corpus = make_corpus(docs, 3)
+    if case == "offsets past words":
+        corpus = replace(corpus, offsets=corpus.offsets + [0, 0, 1])
     nkw, rng_state = state.nkw.copy(), rng.bit_generator.state
     with pytest.raises(ToolError, match="lda_sweep"):
-        lda_sweep(make_corpus(docs, 3), state, hp, rng)
+        lda_sweep(corpus, state, hp, rng)
     assert np.array_equal(state.nkw, nkw)
     assert rng.bit_generator.state == rng_state
 

@@ -56,8 +56,8 @@ READERS = {
     "corpus": (load_corpus, b"a b a\nc b\n"),
     "labels": (load_labels, b"X\nY\n"),
     "matrix": (read_matrix, b"0.5 0.5\n0.25 0.75\n"),
-    "lda_assignments": (lambda path: read_assignments(path, "LDA"), b"0 1 0\n1 1\n"),
-    "dmm_assignments": (lambda path: read_assignments(path, "DMM"), b"0\n1\n"),
+    "lda_assignments": (read_assignments, b"0 1 0\n1 1\n"),
+    "dmm_assignments": (read_assignments, b"0\n1\n"),
     "paras": (lambda path: read_paras(path).hp.validate(), _paras_bytes()),
 }
 

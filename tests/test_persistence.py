@@ -82,15 +82,17 @@ def test_assignments_lda(tmp_path):
     path = str(tmp_path / "m.topicAssignments")
     write_assignments([np.array([0, 1]), np.array([1])], path, "LDA")
     assert open(path).read() == "0 1\n1\n"
-    back = read_assignments(path, "LDA")
-    assert [list(a) for a in back] == [[0, 1], [1]]
+    topics, offsets = read_assignments(path)
+    assert topics.tolist() == [0, 1, 1] and offsets.tolist() == [0, 2, 3]
+    assert topics.dtype == offsets.dtype == np.int64
 
 
 def test_assignments_dmm(tmp_path):
     path = str(tmp_path / "m.topicAssignments")
     write_assignments(np.array([1, 0]), path, "DMM")
     assert open(path).read() == "1\n0\n"
-    assert read_assignments(path, "DMM") == [1, 0]
+    topics, offsets = read_assignments(path)
+    assert topics.tolist() == [1, 0] and offsets.tolist() == [0, 1, 2]
 
 
 def test_read_assignments_errors(tmp_path):
@@ -98,7 +100,7 @@ def test_read_assignments_errors(tmp_path):
     for text in ("0 x\n", "0 99999999999999999999\n"):  # not an int, past int64
         path.write_text(text)
         with pytest.raises(ToolError, match="bad topic assignment"):
-            read_assignments(str(path), "LDA")
+            read_assignments(str(path))
 
 
 def test_assignments_line_count(tmp_path):
@@ -181,7 +183,7 @@ def test_failed_write_removes_temp_file(tmp_path):
     (load_corpus, b"a b\nc \xff d\n", "corpus file"),
     (load_labels, b"X\n\xffY\n", "label file"),
     (read_matrix, b"0.5 0.5\n0.5 \xff\n", "matrix file"),
-    (lambda path: read_assignments(path, "LDA"), b"0 1\n1 \xff\n", "assignments file"),
+    (lambda path: read_assignments(path), b"0 1\n1 \xff\n", "assignments file"),
     (read_paras, b"model=LDA\nname=\xff\n", "paras file"),
 ])
 def test_invalid_utf8_names_file_and_line(tmp_path, read, data, what):
