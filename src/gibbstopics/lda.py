@@ -5,22 +5,17 @@ already removed from the tables:
 
     p(z = k) ~ (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)
 
-A sweep runs in a small C kernel (ldasweep.c) that does the arithmetic of
-lda_conditional and core.draw in the same order. It is compiled with the
-system `cc` on first use and cached under $XDG_CACHE_HOME/gibbstopics.
+A sweep runs in a compiled C kernel (native.py, sweeps.c) that does the
+arithmetic of lda_conditional and core.draw in the same order.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import hashlib
-import os
-import secrets
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
+from gibbstopics import native
 from gibbstopics.chain import run_chain
 from gibbstopics.core import (
     CountState,
@@ -29,11 +24,6 @@ from gibbstopics.core import (
     estimate_theta_lda,
     recount_lda,
 )
-
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ldasweep.c")
-# No -march=native or -ffast-math: FMA contraction or reassociation would
-# change rounding, and with it the draws.
-_BUILD = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def init_lda(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
@@ -50,78 +40,23 @@ def lda_conditional(state: CountState, hp: Hyperparams, d: int, word: int, n_voc
     return weights
 
 
-def _build(lib_path: str):
-    """Compile ldasweep.c into lib_path. The compiler writes a fresh O_EXCL
-    temp name that is then renamed into place, so concurrent first runs never
-    load a half-written library."""
-    import subprocess  # here, not at the top: only a build needs it, every import would pay
-
-    tmp = f"{lib_path}.{secrets.token_hex(8)}.tmp"
-    created = False
-    try:
-        os.makedirs(os.path.dirname(lib_path), exist_ok=True)
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-        created = True
-        subprocess.run([*_BUILD, "-o", tmp, _SOURCE], check=True, capture_output=True, text=True)
-        os.replace(tmp, lib_path)
-        created = False
-    except subprocess.CalledProcessError as exc:
-        first = (exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"])[0]
-        raise ToolError(f"cannot build the LDA sweep kernel with `{' '.join(_BUILD)}`: {first}") from exc
-    except OSError as exc:
-        raise ToolError(f"cannot build the LDA sweep kernel with `{' '.join(_BUILD)}`: {exc}") from exc
-    finally:
-        if created:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-
-@cache
-def _kernel():
-    """The compiled sweep, built on first use (one library per source and
-    flags) and loaded through ctypes."""
-    try:
-        with open(_SOURCE, "rb") as f:
-            source = f.read()
-    except OSError as exc:
-        raise ToolError(f"cannot read the LDA sweep kernel source {_SOURCE}: {exc}") from exc
-    digest = hashlib.sha256(source + " ".join(_BUILD).encode()).hexdigest()[:16]
-    cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    lib_path = os.path.join(cache_home, "gibbstopics", f"ldasweep-{digest}.so")
-    if not os.path.isfile(lib_path):
-        _build(lib_path)
-    try:
-        sweep = ctypes.CDLL(lib_path).lda_sweep
-    except OSError as exc:
-        raise ToolError(f"cannot load the LDA sweep kernel {lib_path}: {exc}") from exc
-    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, f64, ptr, ptr)
-    sweep.restype = i64
-    return sweep
-
-
-def _c_int64(a, shape) -> bool:
-    return (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.flags.c_contiguous
-            and a.shape == shape)
-
-
 def _check_sweep_inputs(corpus, state: CountState, n_topics: int, n_vocab: int):
     """Everything the kernel reads or writes must be in bounds: it has no checks."""
     words, offsets, z = corpus.words, corpus.offsets, state.z
     n_tokens, n_docs = np.size(words), np.size(offsets) - 1
-    if not (_c_int64(words, (n_tokens,))
+    if not (native.c_int64(words, (n_tokens,))
             and (n_tokens == 0 or 0 <= words.min() <= words.max() < n_vocab)):
         raise ToolError(f"lda_sweep: word ids are not a C-contiguous int64 array in [0, {n_vocab})")
-    if not (_c_int64(offsets, (n_docs + 1,)) and n_docs >= 0 and offsets[0] == 0
+    if not (native.c_int64(offsets, (n_docs + 1,)) and n_docs >= 0 and offsets[0] == 0
             and offsets[-1] == n_tokens and (np.diff(offsets) >= 0).all()):
         raise ToolError(f"lda_sweep: document offsets are not C-contiguous int64 non-decreasing "
                         f"from 0 to the token count {n_tokens}")
     tables = ((state.ndk, (n_docs, n_topics)), (state.nkw, (n_topics, n_vocab)),
               (state.nk, (n_topics,)))
-    if not all(_c_int64(t, shape) for t, shape in tables):
+    if not all(native.c_int64(t, shape) for t, shape in tables):
         raise ToolError(f"lda_sweep: count tables are not C-contiguous int64 of shapes "
                         f"({n_docs}, {n_topics}), ({n_topics}, {n_vocab}) and ({n_topics},)")
-    if not (_c_int64(z, (n_tokens,)) and z.flags.writeable):
+    if not (native.c_int64(z, (n_tokens,)) and z.flags.writeable):
         raise ToolError(f"lda_sweep: topic assignments are not a writable C-contiguous int64 "
                         f"array of one topic per token ({n_tokens})")
     if n_tokens and not 0 <= z.min() <= z.max() < n_topics:
@@ -132,7 +67,7 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     """One full pass: every token visited in (document, position) order,
     decremented, resampled from its conditional and re-incremented. The
     sweep's uniforms are drawn up front, one per token in visiting order."""
-    sweep = _kernel()
+    sweep = native._kernel().lda_sweep
     n_topics, n_vocab = hp.ntopics, corpus.vocab.size
     _check_sweep_inputs(corpus, state, n_topics, n_vocab)
     uniforms = rng.random(corpus.n_tokens)

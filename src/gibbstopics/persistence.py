@@ -9,6 +9,7 @@ variants <name>.<suffix>.<iteration>.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import io
 import os
@@ -111,10 +112,12 @@ def write_top_words(phi, vocab, twords: int, path: str):
 
 
 def write_assignments(z, path: str, kind: str):
+    """z is one int array of topics per document (DMM) or one per document
+    of its tokens' topics (LDA); each document is one line."""
     if kind in ("DMM", "DMMinf"):
-        lines = [str(int(zd)) for zd in z]
+        lines = map(str, z.tolist())
     else:
-        lines = [" ".join(str(int(t)) for t in zd) for zd in z]
+        lines = (" ".join(map(str, row.tolist())) for row in z)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -123,13 +126,22 @@ def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
     the int64 offsets (lines + 1, from 0) where each line's ids start."""
     topics: list[int] = []
     offsets = [0]
-    try:
-        for line in read_lines(path, "assignments file"):
+    for lineno, line in enumerate(read_lines(path, "assignments file"), start=1):
+        # int() also takes "+", "_" and non-ASCII digits, which are never
+        # written; on the rest it takes exactly the ids -?[0-9]+.
+        try:
+            if not line.isascii() or "+" in line or "_" in line:
+                raise ValueError(f"{line!r} holds +, _ or a non-ASCII character")
             topics += map(int, line.split())
-            offsets.append(len(topics))
+        except ValueError as exc:
+            raise ToolError(f"bad topic assignment at line {lineno} in {path}") from exc
+        offsets.append(len(topics))
+    try:
         return np.array(topics, dtype=np.int64), np.array(offsets, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ToolError(f"bad topic assignment in {path}") from exc
+    except OverflowError as exc:
+        first = next(i for i, t in enumerate(topics) if not -2**63 <= t < 2**63)
+        raise ToolError(f"bad topic assignment at line {bisect.bisect_right(offsets, first)} "
+                        f"in {path}") from exc
 
 
 def write_paras(hp: Hyperparams, corpus_path: str, path: str):

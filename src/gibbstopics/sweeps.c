@@ -1,0 +1,157 @@
+/* The collapsed Gibbs sweeps of both samplers, built and loaded by
+ * gibbstopics.native: lda_sweep (called from lda.lda_sweep) and dmm_sweep
+ * (called from dmm.dmm_sweep and dmm.estimate_theta_dmm).
+ *
+ * Each step does the arithmetic of the Python conditional (lda_conditional,
+ * dmm_conditional) and core.draw in the same order, so z, the count tables
+ * and the draws match the NumPy forms the tests keep, bit for bit. Build
+ * without FMA contraction or fast-math: both change rounding. */
+
+#include <math.h>
+#include <stdint.h>
+
+/* The sum np.add.reduce computes for a contiguous float64 vector: pairwise,
+ * with eight accumulators per block of at most 128 values. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Visit the tokens in (document, position) order over the flat words/z,
+ * document d holding tokens offsets[d] to offsets[d+1]-1, resampling each
+ * with uniforms u[t]; w is K doubles of scratch. Returns -1, or the index of
+ * the first token whose conditional has a weight that is not finite and
+ * positive (its counts are then left decremented). */
+int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
+                  int64_t *z, int64_t *ndk, int64_t *nkw, int64_t *nk,
+                  int64_t K, int64_t V, double alpha, double beta,
+                  const double *u, double *w)
+{
+    const double vbeta = (double)V * beta;
+    for (int64_t d = 0; d < n_docs; d++) {
+        int64_t *ndk_d = ndk + d * K;
+        for (int64_t t = offsets[d], end = offsets[d + 1]; t < end; t++) {
+            int64_t word = words[t], k = z[t];
+            ndk_d[k]--;
+            nkw[k * V + word]--;
+            nk[k]--;
+            for (int64_t j = 0; j < K; j++) {
+                w[j] = ((double)ndk_d[j] + alpha) * ((double)nkw[j * V + word] + beta)
+                       / ((double)nk[j] + vbeta);
+                if (!(w[j] > 0 && w[j] < INFINITY))
+                    return t;
+            }
+            double x = u[t] * pairwise_sum(w, K);
+            for (int64_t j = 1; j < K; j++)
+                w[j] += w[j - 1];
+            for (k = 0; k < K - 1 && !(w[k] > x); k++)
+                ;
+            z[t] = k;
+            ndk_d[k]++;
+            nkw[k * V + word]++;
+            nk[k]++;
+        }
+    }
+    return -1;
+}
+
+/* Move one document's word counts (uwords/ucounts entries b to e-1, n
+ * tokens) into (sign 1) or out of (sign -1) topic k. */
+static void shift_doc(int64_t k, int64_t sign, int64_t b, int64_t e, int64_t n,
+                      const int64_t *uwords, const int64_t *ucounts,
+                      int64_t *mk, int64_t *nkw, int64_t *nk, int64_t V)
+{
+    mk[k] += sign;
+    for (int64_t i = b; i < e; i++)
+        nkw[k * V + uwords[i]] += sign * ucounts[i];
+    nk[k] += sign * n;
+}
+
+/* For each document d in turn, with its counts removed from topic z[d]:
+ * the log-weight of every topic, summed left to right as in
+ * dmm_conditional (prior, word terms, then length terms) from the tables
+ * lnum[m] = log(m + beta), lden[m] = log(m + V*beta) and
+ * lpri[m] = log(m + alpha) - log(D - 1 + K*alpha), m < D; then the weights
+ * exp(logw - max). With uniforms u, z[d] is drawn with u[d] as core.draw
+ * does; without (u NULL), row d of the D x K theta is the normalized weights.
+ * The counts go back under z[d]. w is K doubles of scratch.
+ *
+ * Every table index is checked, so corrupt (negative) counts never read
+ * outside a table. Returns -1, or the first document whose index falls
+ * outside a table or whose log-weight is not finite (its counts are then
+ * restored under the unchanged z[d]). */
+int64_t dmm_sweep(int64_t n_docs, const int64_t *uoffsets, const int64_t *uwords,
+                  const int64_t *ucounts, int64_t *z, int64_t *mk, int64_t *nkw, int64_t *nk,
+                  int64_t K, int64_t V, const double *lnum, int64_t n_num,
+                  const double *lden, int64_t n_den, const double *lpri,
+                  const double *u, double *w, double *theta)
+{
+    for (int64_t d = 0; d < n_docs; d++) {
+        int64_t b = uoffsets[d], e = uoffsets[d + 1], n = 0, k = z[d];
+        for (int64_t i = b; i < e; i++)
+            n += ucounts[i];
+        shift_doc(k, -1, b, e, n, uwords, ucounts, mk, nkw, nk, V);
+        double top = -INFINITY;
+        for (int64_t j = 0; j < K; j++) {
+            int64_t m = mk[j], c = nk[j];
+            if (m < 0 || m >= n_docs || c < 0 || c + n > n_den)
+                goto corrupt;
+            double s = lpri[m];
+            for (int64_t i = b; i < e; i++) {
+                int64_t a = nkw[j * V + uwords[i]], r = ucounts[i];
+                if (a < 0 || a + r > n_num)
+                    goto corrupt;
+                for (int64_t t = 0; t < r; t++)
+                    s += lnum[a + t];
+            }
+            for (int64_t t = 0; t < n; t++)
+                s -= lden[c + t];
+            if (!(s > -INFINITY && s < INFINITY))
+                goto corrupt;
+            w[j] = s;
+            if (s > top)
+                top = s;
+        }
+        for (int64_t j = 0; j < K; j++)
+            w[j] = exp(w[j] - top);
+        double total = pairwise_sum(w, K);
+        if (u) {
+            double x = u[d] * total;
+            for (int64_t j = 1; j < K; j++)
+                w[j] += w[j - 1];
+            for (k = 0; k < K - 1 && !(w[k] > x); k++)
+                ;
+            z[d] = k;
+        } else {
+            for (int64_t j = 0; j < K; j++)
+                theta[d * K + j] = w[j] / total;
+        }
+        shift_doc(k, 1, b, e, n, uwords, ucounts, mk, nkw, nk, V);
+        continue;
+    corrupt:
+        shift_doc(k, 1, b, e, n, uwords, ucounts, mk, nkw, nk, V);
+        return d;
+    }
+    return -1;
+}

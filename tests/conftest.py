@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gibbstopics import native
 from gibbstopics.corpus import Corpus, Vocabulary
 
 
@@ -43,3 +44,12 @@ def two_topic_lines(rng, n_docs, doc_len, words_per_topic=10):
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))
+
+
+@pytest.fixture
+def empty_kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache, with the loaded library forgotten before and after."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    native._kernel.cache_clear()
+    yield tmp_path / "xdg" / "gibbstopics"
+    native._kernel.cache_clear()

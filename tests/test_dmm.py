@@ -1,10 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, make_rng
+from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, draw, make_rng
+from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import (
     dmm_conditional,
     dmm_sweep,
+    doc_word_counts,
     estimate_theta_dmm,
     init_dmm,
     train_dmm,
@@ -33,13 +38,46 @@ def loop_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
     dmm_conditional must reproduce it bit for bit."""
     logw = np.log(state.mk + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha)
     for w, c in zip(uwords, ucounts):
-        col = state.nkw[:, w] + hp.beta
         for j in range(c):
-            logw = logw + np.log(col + j)
-    base = state.nk + n_vocab * hp.beta
+            logw = logw + np.log((state.nkw[:, w] + j) + hp.beta)
     for i in range(int(sum(ucounts))):
-        logw = logw - np.log(base + i)
+        logw = logw - np.log((state.nk + i) + n_vocab * hp.beta)
     return logw
+
+
+def _shift_doc(state, k, uwords, ucounts, sign):
+    state.mk[k] += sign
+    state.nkw[k, uwords] += sign * ucounts
+    state.nk[k] += sign * ucounts.sum()
+
+
+def _leave_one_out(state, hp, corpus):
+    """For each document d in turn, remove its counts from topic z[d] and yield
+    (d, its conditional's weights scaled to max 1, formed with libm exp);
+    once the caller is done with d, add the counts back under z[d], which
+    the caller may have set."""
+    for d, doc in enumerate(corpus.docs):
+        uwords, ucounts = np.unique(doc, return_counts=True)
+        _shift_doc(state, state.z[d], uwords, ucounts, -1)
+        logw = dmm_conditional(state, hp, uwords, ucounts, corpus.vocab.size, corpus.n_docs)
+        yield d, np.array([math.exp(x) for x in logw - logw.max()])
+        _shift_doc(state, state.z[d], uwords, ucounts, 1)
+
+
+def loop_sweep(corpus, state, hp, rng):
+    """Reference sweep: dmm_sweep as a per-document NumPy loop over
+    dmm_conditional and core.draw."""
+    uniforms = rng.random(corpus.n_docs).tolist()
+    for d, weights in _leave_one_out(state, hp, corpus):
+        state.z[d] = draw(weights, uniforms[d])
+
+
+def loop_theta(state, hp, corpus):
+    """Reference estimate_theta_dmm: each row the normalized weights."""
+    theta = np.empty((corpus.n_docs, hp.ntopics))
+    for d, weights in _leave_one_out(state, hp, corpus):
+        theta[d] = weights / weights.sum()
+    return theta
 
 
 def removed_state(mk, nkw):
@@ -224,3 +262,117 @@ def test_train_deterministic_given_seed(tmp_path):
         contents.append([(tmp_path / f"run.{s}").read_bytes()
                          for s in ("theta", "phi", "topWords", "topicAssignments", "paras")])
     assert contents[0] == contents[1]
+
+
+def test_word_counts_flat_per_document():
+    docs = (np.array([3, 1, 3]), np.array([], dtype=np.int64), np.array([0, 2, 2, 0, 2]))
+    uwords, ucounts, uoffsets = doc_word_counts(docs)
+    assert uwords.tolist() == [1, 3, 0, 2]
+    assert ucounts.tolist() == [1, 2, 2, 3]
+    assert uoffsets.tolist() == [0, 2, 2, 4]
+    assert all(a.dtype == np.int64 for a in (uwords, ucounts, uoffsets))
+
+
+def _random_corpus(gen, n_docs, n_vocab):
+    # Lengths from 0 (an all-OOV document after folding) to 12 over a small
+    # vocabulary, so words repeat within documents.
+    return make_corpus([gen.integers(0, n_vocab, size=gen.integers(0, 13)).tolist()
+                        for _ in range(n_docs)], n_vocab)
+
+
+@pytest.mark.parametrize("frozen", [0, 400])
+@pytest.mark.parametrize("alpha, beta", [(0.1, 0.1), (2.5, 0.01)])
+@pytest.mark.parametrize("ntopics", [1, 7, 8, 9, 50, 129])
+def test_kernel_matches_numpy_oracle(ntopics, alpha, beta, frozen):
+    # The kernel must sum dmm_conditional's terms, exponentiate and draw
+    # exactly as the NumPy loop does: same topics, counts, theta and uniforms.
+    # With frozen > 0 the tables also hold training counts of up to that many
+    # per cell, as in DMMinf, whose log tables must reach them.
+    gen = np.random.Generator(np.random.PCG64(ntopics))
+    corpus = _random_corpus(gen, 40, 6)
+    hp = Hyperparams(model="DMM", ntopics=ntopics, alpha=alpha, beta=beta)
+    rng, _ = make_rng(ntopics + 1)
+    state = init_dmm(corpus, hp, rng)
+    training = gen.integers(0, frozen + 1, size=state.nkw.shape)
+    state.nkw += training
+    state.nk += training.sum(axis=1)
+    ref = replace(state, z=state.z.copy(), mk=state.mk.copy(), nkw=state.nkw.copy(),
+                  nk=state.nk.copy())
+    ref_rng = np.random.Generator(np.random.PCG64())
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    for _ in range(3):
+        dmm_sweep(corpus, state, hp, rng)
+        loop_sweep(corpus, ref, hp, ref_rng)
+        for name in ("z", "mk", "nkw", "nk"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(estimate_theta_dmm(state, corpus, hp), loop_theta(ref, hp, corpus))
+    state.nkw -= training
+    state.nk -= training.sum(axis=1)
+    check_state(state, corpus, "DMM")
+
+
+@pytest.mark.parametrize("case", ["word V", "topic K", "float64 nkw", "short mk",
+                                  "uoffsets past uwords", "strided z"])
+def test_sweep_rejects_out_of_bounds_input(case):
+    # The kernel reads and writes through raw pointers, so each of these must
+    # be refused before the first draw.
+    docs = [[0, 1, 1], [2], [1, 0]]
+    hp = Hyperparams(model="DMM", ntopics=3)
+    rng, _ = make_rng(9)
+    corpus = make_corpus(docs, 3)
+    state = init_dmm(corpus, hp, rng)
+    uwords, ucounts, uoffsets = doc_word_counts(corpus.docs)
+    if case == "word V":
+        uwords[2] = 3
+    elif case == "topic K":
+        state.z[0] = 3
+    elif case == "float64 nkw":
+        state.nkw = state.nkw.astype(np.float64)
+    elif case == "short mk":
+        state.mk = state.mk[:-1].copy()
+    elif case == "uoffsets past uwords":
+        uoffsets[-1] += 1
+    elif case == "strided z":
+        state.z = state.z.repeat(2)[::2]  # same topics, every other int64
+    nkw, rng_state = state.nkw.copy(), rng.bit_generator.state
+    with pytest.raises(ToolError, match="dmm_sweep"):
+        dmm_sweep(corpus, state, hp, rng, counts=(uwords, ucounts, uoffsets))
+    assert np.array_equal(state.nkw, nkw)
+    assert rng.bit_generator.state == rng_state
+    with pytest.raises(ToolError, match="estimate_theta_dmm"):
+        estimate_theta_dmm(state, corpus, hp, counts=(uwords, ucounts, uoffsets))
+    assert np.array_equal(state.nkw, nkw)
+
+
+@pytest.mark.parametrize("table", ["mk", "nkw"])
+@pytest.mark.parametrize("run", ["sweep", "theta"])
+def test_kernel_detects_negative_counts(table, run):
+    # A negative count would index before the start of a log table; the
+    # kernel must refuse it, not read there.
+    corpus = make_corpus([[0, 1], [1], [0, 0]], 2)
+    hp = Hyperparams(model="DMM", ntopics=2, beta=0.1)
+    rng, _ = make_rng(6)
+    state = init_dmm(corpus, hp, rng)
+    getattr(state, table)[...] -= 100
+    before = [t.copy() for t in (state.z, state.mk, state.nkw, state.nk)]
+    with pytest.raises(ToolError, match="count bookkeeping corrupt"):
+        if run == "sweep":
+            dmm_sweep(corpus, state, hp, rng)
+        else:
+            estimate_theta_dmm(state, corpus, hp)
+    # The first document already fails; its counts go back where they were.
+    after = (state.z, state.mk, state.nkw, state.nk)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_build_without_compiler_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("a b\nc a\n")
+    corpus = load_corpus(path)
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    with pytest.raises(ToolError, match="cc -O2 -fPIC -shared -ffp-contract=off.*No such file"):
+        train_dmm(corpus, Hyperparams(model="DMM", ntopics=2, niters=1, name="run"),
+                  make_rng(5)[0], quiet=True)
+    assert not list(empty_kernel_cache.glob("*.tmp"))
+    assert not list(tmp_path.glob("run.*"))

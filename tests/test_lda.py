@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gibbstopics import lda
+from gibbstopics import native
 from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, draw, make_rng
+from gibbstopics.corpus import load_corpus
+from gibbstopics.dmm import train_dmm
 from gibbstopics.lda import init_lda, lda_conditional, lda_sweep, train_lda
 
 from conftest import make_corpus
@@ -284,19 +286,9 @@ def test_sweep_detects_corrupt_counts():
         lda_sweep(corpus, state, hp, rng)
 
 
-@pytest.fixture
-def empty_kernel_cache(monkeypatch, tmp_path):
-    """An empty kernel cache, with the loaded library forgotten before and after."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    lda._kernel.cache_clear()
-    yield tmp_path / "xdg" / "gibbstopics"
-    lda._kernel.cache_clear()
-
-
 def _train(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\nc a\n")
-    from gibbstopics.corpus import load_corpus
     hp = Hyperparams(model="LDA", ntopics=2, niters=1, name="run")
     train_lda(load_corpus(path), hp, make_rng(5)[0], quiet=True)
 
@@ -322,11 +314,16 @@ def test_failed_build_names_first_error_line(empty_kernel_cache, monkeypatch, tm
 
 
 def test_second_load_reuses_cached_library(empty_kernel_cache, tmp_path):
-    lda._kernel()
-    (lib,) = empty_kernel_cache.glob("ldasweep-*.so")
+    native._kernel()
+    (lib,) = empty_kernel_cache.glob("sweeps-*.so")
     os.utime(lib, ns=(10**18, 10**18))
-    lda._kernel.cache_clear()
+    native._kernel.cache_clear()
     _train(tmp_path)
+    # DMM runs in the same library: it loads the cached file, builds nothing.
+    native._kernel.cache_clear()
+    train_dmm(load_corpus(tmp_path / "c.txt"), Hyperparams(model="DMM", ntopics=2, niters=1,
+                                                          name="dmm"), make_rng(5)[0], quiet=True)
+    assert (tmp_path / "dmm.theta").exists()
     assert list(empty_kernel_cache.iterdir()) == [lib]
     assert lib.stat().st_mtime_ns == 10**18
 

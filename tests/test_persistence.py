@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,25 @@ def test_read_assignments_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ToolError, match="bad topic assignment"):
             read_assignments(str(path))
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+1", "\u0663", "1-2", "--1", "x", "99999999999999999999"])
+def test_read_assignments_accepts_only_written_ids(tmp_path, bad):
+    # int() would read "1_0" as 10, "+1" as 1 and an Arabic-Indic digit as 3;
+    # the writer never writes those, so they are errors naming their line.
+    path = tmp_path / "m.topicAssignments"
+    path.write_text(f"0 1\n1 {bad} 0\n", encoding="utf-8")
+    message = re.escape(f"bad topic assignment at line 2 in {path}") + "$"
+    with pytest.raises(ToolError, match=message):
+        read_assignments(str(path))
+
+
+def test_read_assignments_keeps_negative_ids(tmp_path):
+    # so that load_pretrained can say which id is out of range
+    path = tmp_path / "m.topicAssignments"
+    path.write_text("0 -1\n\n2\n")
+    topics, offsets = read_assignments(str(path))
+    assert topics.tolist() == [0, -1, 2] and offsets.tolist() == [0, 2, 2, 3]
 
 
 def test_assignments_line_count(tmp_path):
