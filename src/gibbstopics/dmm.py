@@ -105,25 +105,36 @@ def _check_sweep_inputs(who: str, corpus, state: CountState, counts, n_topics: i
         raise ToolError(f"{who}: topics are not in [0, {n_topics})")
 
 
-def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, rng):
+def _chain_tables(corpus, state: CountState, hp: Hyperparams):
+    """The kernel's _log_tables, sized to what the counts, frozen training
+    counts included, can reach: a word's total count, all tokens, all
+    documents. Sweeps only move counts between topics, so these sizes, and
+    the tables, hold for the whole chain."""
+    return _log_tables(hp, corpus.vocab.size, corpus.n_docs,
+                       int(state.nkw.sum(axis=0).max(initial=0)) + 1, int(state.nk.sum()) + 1)
+
+
+def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, tables, rng):
     """Check the inputs, then run the kernel over every document: a sweep
     that draws one uniform per document from rng, or, without rng, the theta
     of the current state, which is returned."""
     kernel = native._kernel().dmm_sweep
     if counts is None:
         counts = doc_word_counts(corpus.docs)
+    if tables is None:
+        tables = _chain_tables(corpus, state, hp)
     n_docs, n_topics, n_vocab = corpus.n_docs, hp.ntopics, corpus.vocab.size
     _check_sweep_inputs(who, corpus, state, counts, n_topics, n_vocab)
+    lnum, lden, lpri = tables
+    if not (all(isinstance(t, np.ndarray) and t.dtype == np.float64 and t.ndim == 1
+                and t.flags.c_contiguous for t in tables) and lpri.size == n_docs):
+        raise ToolError(f"{who}: log tables are not C-contiguous float64 vectors with "
+                        f"{n_docs} prior terms")
     uniforms = theta = None
     if rng is None:
         theta = np.empty((n_docs, n_topics))
     else:
         uniforms = rng.random(n_docs)
-    # Sized to what the counts, frozen training counts included, can reach:
-    # a word's total count, all tokens, all documents.
-    lnum, lden, lpri = _log_tables(hp, n_vocab, n_docs,
-                                   int(state.nkw.sum(axis=0).max(initial=0)) + 1,
-                                   int(state.nk.sum()) + 1)
     uwords, ucounts, uoffsets = counts
     scratch = np.empty(n_topics)
     bad = kernel(n_docs, uoffsets.ctypes.data, uwords.ctypes.data, ucounts.ctypes.data,
@@ -139,20 +150,31 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, rn
 
 
 def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator,
-              counts=None):
+              counts=None, tables=None):
     """One full pass: each document's counts removed, topic resampled from the
     log-space conditional, counts restored under the new topic. The sweep's
-    uniforms are drawn up front, one per document; counts is
-    doc_word_counts(corpus.docs), computed when not given."""
-    _run_kernel("dmm_sweep", corpus, state, hp, counts, rng)
+    uniforms are drawn up front, one per document. counts is
+    doc_word_counts(corpus.docs) and tables the chain's log tables, each
+    computed when not given."""
+    _run_kernel("dmm_sweep", corpus, state, hp, counts, tables, rng)
     return state
 
 
 def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams,
-                       counts=None) -> np.ndarray:
+                       counts=None, tables=None) -> np.ndarray:
     """theta[d] = the normalized leave-one-out conditional of document d at the
     final state (the sampler's own predictive distribution over topics)."""
-    return _run_kernel("estimate_theta_dmm", corpus, state, hp, counts, None)
+    return _run_kernel("estimate_theta_dmm", corpus, state, hp, counts, tables, None)
+
+
+def dmm_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
+    """The sweep and theta callables of a chain from state, whose counts
+    (frozen training counts included) must be complete: the word counts and
+    log tables they share are built once here."""
+    counts = doc_word_counts(corpus.docs)
+    tables = _chain_tables(corpus, state, hp)
+    return (partial(dmm_sweep, corpus, state, hp, rng, counts=counts, tables=tables),
+            partial(estimate_theta_dmm, state, corpus, hp, counts=counts, tables=tables))
 
 
 def train_dmm(corpus, hp: Hyperparams, rng: np.random.Generator,
@@ -160,7 +182,5 @@ def train_dmm(corpus, hp: Hyperparams, rng: np.random.Generator,
     """Run init plus niters sweeps with the same save schedule as LDA training;
     .topicAssignments holds one topic per document."""
     hp.validate()
-    counts = doc_word_counts(corpus.docs)
     state = init_dmm(corpus, hp, rng)
-    return run_chain(corpus, state, hp, partial(dmm_sweep, corpus, state, hp, rng, counts=counts),
-                     partial(estimate_theta_dmm, state, corpus, hp, counts=counts), quiet=quiet)
+    return run_chain(corpus, state, hp, *dmm_chain(corpus, state, hp, rng), quiet=quiet)

@@ -23,7 +23,7 @@ from gibbstopics.core import (
     recount_lda,
 )
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus
-from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
+from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.lda import init_lda, lda_sweep
 
 
@@ -103,18 +103,15 @@ def infer(model: PretrainedModel, new_corpus_path, niters: int, twords: int,
         raise ToolError(f"-name {name} would overwrite the model of {model.paras_path} "
                         f"({trained}.*); choose another -name")
     folded = fold_corpus(model, new_corpus_path)
-    if kind == "LDAinf":
-        state = init_lda(folded, hp, rng)
-        sweep = partial(lda_sweep, folded, state, hp, rng)
-        theta = partial(estimate_theta_lda, state, hp)
-    else:
-        counts = doc_word_counts(folded.docs)
-        state = init_dmm(folded, hp, rng)
-        sweep = partial(dmm_sweep, folded, state, hp, rng, counts=counts)
-        theta = partial(estimate_theta_dmm, state, folded, hp, counts=counts)
+    state = (init_lda if kind == "LDAinf" else init_dmm)(folded, hp, rng)
     # Adding the frozen counts makes the training sweeps reusable verbatim:
     # the topic-word factor sees training + new counts, while ndk/mk cover
     # only the new documents.
     state.nkw += model.nkw
     state.nk += model.nk
+    if kind == "LDAinf":
+        sweep = partial(lda_sweep, folded, state, hp, rng)
+        theta = partial(estimate_theta_lda, state, hp)
+    else:
+        sweep, theta = dmm_chain(folded, state, hp, rng)
     return run_chain(folded, state, hp, sweep, theta, quiet=quiet)

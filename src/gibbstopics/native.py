@@ -1,10 +1,11 @@
-"""The compiled sweep kernels of both samplers (sweeps.c): lda_sweep and
-dmm_sweep in one library.
+"""The compiled kernels (sweeps.c) in one library: lda_sweep and dmm_sweep,
+the sweeps of both samplers, and format_matrix, the matrix writer's
+formatter.
 
 It is compiled with the system `cc` on first use and cached under
 $XDG_CACHE_HOME/gibbstopics, one library per source and flags, and loaded
 through ctypes. The kernels read and write through raw pointers, so every
-caller checks its arrays with c_int64 first.
+caller checks its arrays first (the sweeps with c_int64).
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ def _build(lib_path: str):
         created = False
     except subprocess.CalledProcessError as exc:
         first = (exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"])[0]
-        raise ToolError(f"cannot build the sweep kernels with `{' '.join(_BUILD)}`: "
+        raise ToolError(f"cannot build the compiled kernels with `{' '.join(_BUILD)}`: "
                         f"{first}") from exc
     except OSError as exc:
-        raise ToolError(f"cannot build the sweep kernels with `{' '.join(_BUILD)}`: "
+        raise ToolError(f"cannot build the compiled kernels with `{' '.join(_BUILD)}`: "
                         f"{exc}") from exc
     finally:
         if created:
@@ -57,12 +58,12 @@ def _build(lib_path: str):
 @cache
 def _kernel():
     """The compiled library, built on first use, with the argument types of
-    both kernels set."""
+    every kernel set."""
     try:
         with open(_SOURCE, "rb") as f:
             source = f.read()
     except OSError as exc:
-        raise ToolError(f"cannot read the sweep kernel source {_SOURCE}: {exc}") from exc
+        raise ToolError(f"cannot read the kernel source {_SOURCE}: {exc}") from exc
     digest = hashlib.sha256(source + " ".join(_BUILD).encode()).hexdigest()[:16]
     cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     lib_path = os.path.join(cache_home, "gibbstopics", f"sweeps-{digest}.so")
@@ -71,12 +72,13 @@ def _kernel():
     try:
         lib = ctypes.CDLL(lib_path)
     except OSError as exc:
-        raise ToolError(f"cannot load the sweep kernels {lib_path}: {exc}") from exc
+        raise ToolError(f"cannot load the compiled kernels {lib_path}: {exc}") from exc
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.lda_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, f64, ptr, ptr)
     lib.dmm_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64,
                               ptr, i64, ptr, i64, ptr, ptr, ptr, ptr)
-    lib.lda_sweep.restype = lib.dmm_sweep.restype = i64
+    lib.format_matrix.argtypes = (i64, i64, ptr, ptr)
+    lib.lda_sweep.restype = lib.dmm_sweep.restype = lib.format_matrix.restype = i64
     return lib
 
 

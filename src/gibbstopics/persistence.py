@@ -5,19 +5,23 @@ file in the same directory, fsync, rename), so an interrupted run never leaves
 a truncated artifact and concurrent runs never share a temp file. Outputs land
 in the directory of the input corpus, named <name>.<suffix> with save-point
 variants <name>.<suffix>.<iteration>.
+
+.theta and .phi hold the bytes np.savetxt(fmt="%.6g") would write; the
+compiled library of native.py formats them. Reading needs no compiler, so
+Eval runs without one.
 """
 
 from __future__ import annotations
 
 import bisect
 import contextlib
-import io
 import os
 import secrets
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from gibbstopics import native
 from gibbstopics.core import Hyperparams, ToolError, top_words
 
 # The .paras keys: the model kind, the training corpus as given and as an
@@ -50,7 +54,8 @@ def read_lines(path, what: str) -> list[str]:
         raise ToolError(f"invalid UTF-8 at line {line} in {what} {path}") from exc
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, data):
+    """Write the bytes-like data to path atomically."""
     # A fresh random name per write keeps concurrent runs off each other's temp
     # file; O_EXCL refuses an existing one. Unlike mkstemp's fixed 0600, the
     # file gets the umask's mode, as the artifacts always had.
@@ -59,8 +64,8 @@ def _atomic_write(path: str, text: str):
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         created = True
-        with open(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        with open(fd, "wb") as f:
+            f.write(data)
             f.flush()
             os.fsync(fd)
         os.replace(tmp, path)
@@ -74,9 +79,16 @@ def _atomic_write(path: str, text: str):
 
 
 def write_matrix(matrix, path: str):
-    buf = io.StringIO()
-    np.savetxt(buf, matrix, fmt="%.6g")
-    _atomic_write(path, buf.getvalue())
+    """Write a 2-D matrix of finite, non-negative values (a .theta or .phi):
+    one line per row, values "%.6g"-formatted and separated by one space."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or not np.isfinite(matrix).all() or (matrix < 0).any():
+        raise ToolError(f"cannot write {path}: not a 2-D matrix of finite, non-negative values")
+    rows, cols = matrix.shape
+    # At most 13 bytes per "%.6g" value, plus its space or newline.
+    out = np.empty(rows * (14 * cols + 1), np.uint8)
+    size = native._kernel().format_matrix(rows, cols, matrix.ctypes.data, out.ctypes.data)
+    _atomic_write(path, out[:size])
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -108,7 +120,7 @@ def write_top_words(phi, vocab, twords: int, path: str):
         ranked = top_words(row, vocab, twords)
         suffix = (" " + " ".join(w for w, _ in ranked)) if ranked else ""
         lines.append(f"Topic {k}:{suffix}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_assignments(z, path: str, kind: str):
@@ -118,7 +130,7 @@ def write_assignments(z, path: str, kind: str):
         lines = map(str, z.tolist())
     else:
         lines = (" ".join(map(str, row.tolist())) for row in z)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +159,7 @@ def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
 def write_paras(hp: Hyperparams, corpus_path: str, path: str):
     values = {**asdict(hp), "corpus": corpus_path, "corpus_abs": os.path.abspath(corpus_path),
               "alpha": float(hp.alpha), "beta": float(hp.beta)}
-    _atomic_write(path, "".join(f"{key}={values[key]}\n" for key in PARAS_KEYS))
+    _atomic_write(path, "".join(f"{key}={values[key]}\n" for key in PARAS_KEYS).encode())
 
 
 def read_paras(path: str) -> ParasRecord:

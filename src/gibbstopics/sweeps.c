@@ -1,6 +1,8 @@
-/* The collapsed Gibbs sweeps of both samplers, built and loaded by
- * gibbstopics.native: lda_sweep (called from lda.lda_sweep) and dmm_sweep
- * (called from dmm.dmm_sweep and dmm.estimate_theta_dmm).
+/* The collapsed Gibbs sweeps of both samplers and the matrix writer's
+ * formatter, built and loaded by gibbstopics.native: lda_sweep (called from
+ * lda.lda_sweep), dmm_sweep (called from dmm.dmm_sweep and
+ * dmm.estimate_theta_dmm) and format_matrix (called from
+ * persistence.write_matrix).
  *
  * Each step does the arithmetic of the Python conditional (lda_conditional,
  * dmm_conditional) and core.draw in the same order, so z, the count tables
@@ -9,6 +11,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* The sum np.add.reduce computes for a contiguous float64 vector: pairwise,
  * with eight accumulators per block of at most 128 values. */
@@ -154,4 +158,110 @@ int64_t dmm_sweep(int64_t n_docs, const int64_t *uoffsets, const int64_t *uwords
         return d;
     }
     return -1;
+}
+
+
+/* Every power of ten up to 1e22 is exactly a double. */
+static const double P10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+                             1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* x * 10^k into *s with one rounding, or 0 when 10^|k| is not exact. */
+static int scale(double x, int k, double *s)
+{
+    if (k < -22 || k > 22)
+        return 0;
+    *s = k >= 0 ? x * P10[k] : x / P10[-k];
+    return 1;
+}
+
+/* Write x to out as printf("%.6g") does, without the terminating NUL, and
+ * return its length (at most 13).
+ *
+ * For positive x in decade e (10^e <= x < 10^(e+1)) the six significant
+ * digits are the scaled value s = x * 10^(5-e), in [1e5, 1e6), rounded to
+ * an integer. One multiplication or division by an exact power of ten puts
+ * s within 2^-33 of the exact product, so the rounding is exact unless s
+ * lies within 1e-6 of a tie. Those values go to snprintf, as do zero,
+ * values that need a power of ten past 1e22 (below about 1e-17 or above
+ * about 1e28), and non-finite or negative ones. */
+static int format_g6(double x, char *out)
+{
+    int b, e, n = 0;
+    double s;
+    if (!(x > 0 && x < INFINITY))
+        goto fallback;
+    frexp(x, &b);  /* 2^(b-1) <= x < 2^b, so e is e0 or e0 + 1 */
+    e = (int)floor((b - 1) * 0.30102999566398120);
+    if (!scale(x, 5 - e, &s))
+        goto fallback;
+    if (s >= 1e6) {
+        e++;
+        if (!scale(x, 5 - e, &s))
+            goto fallback;
+    }
+    /* At a decade's edge s may come out a rounding error below 1e5, or at
+     * exactly 1e6; both give 100000 in the upper decade (after the carry
+     * below), as the exact value does. */
+    double whole = floor(s), frac = s - whole;
+    if (fabs(frac - 0.5) < 1e-6)
+        goto fallback;
+    int32_t m = (int32_t)whole + (frac > 0.5);
+    if (m == 1000000) {  /* 999999.5 and up carry into the next decade */
+        m = 100000;
+        e++;
+    }
+    char d[6];
+    int nd = 6;
+    for (int i = 5; i >= 0; i--, m /= 10)
+        d[i] = (char)('0' + m % 10);
+    while (d[nd - 1] == '0')
+        nd--;
+    /* %g's style switch: d.ddddde+XX below decade -4 or from decade 6,
+     * else e + 1 digits before the point ("0." and -e - 1 zeros if e < 0) */
+    int sci = e < -4 || e >= 6, ip = sci ? 1 : e + 1;
+    if (ip > 0) {
+        memcpy(out, d, ip);
+        n = ip;
+    } else {
+        out[n++] = '0';
+    }
+    if (nd > ip) {
+        out[n++] = '.';
+        for (int i = ip; i < 0; i++)
+            out[n++] = '0';
+        int from = ip > 0 ? ip : 0;
+        memcpy(out + n, d + from, nd - from);
+        n += nd - from;
+    }
+    if (sci) {  /* |e| <= 28 here: two exponent digits */
+        out[n++] = 'e';
+        out[n++] = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        out[n++] = (char)('0' + e / 10);
+        out[n++] = (char)('0' + e % 10);
+    }
+    return n;
+fallback:;
+    char tmp[32];
+    n = snprintf(tmp, sizeof tmp, "%.6g", x);
+    memcpy(out, tmp, n);
+    return n;
+}
+
+/* Write the rows x cols row-major matrix x to out as
+ * np.savetxt(fmt="%.6g") does: values separated by one space, each row
+ * ending in a newline. out holds at least rows * (14 * cols + 1) bytes.
+ * Returns the number of bytes written. */
+int64_t format_matrix(int64_t rows, int64_t cols, const double *x, char *out)
+{
+    char *p = out;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t c = 0; c < cols; c++) {
+            p += format_g6(x[r * cols + c], p);
+            *p++ = c + 1 < cols ? ' ' : '\n';
+        }
+        if (cols == 0)
+            *p++ = '\n';
+    }
+    return p - out;
 }

@@ -101,6 +101,16 @@ class TestDispatch:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1
 
+    def test_eval_needs_no_compiler(self, tmp_path, capsys, empty_kernel_cache, monkeypatch):
+        # Eval only reads matrices, so it runs with no cc and no cached library.
+        (tmp_path / "corpus.LABEL").write_text("X\nY\nY\n")
+        (tmp_path / "m.theta").write_text("0.9 0.1\n0.2 0.8\n0.3 0.7\n")
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        assert main(["-model", "Eval", "-label", str(tmp_path / "corpus.LABEL"),
+                     "-dir", str(tmp_path), "-prob", "theta"]) == 0
+        assert capsys.readouterr().out.startswith("m.theta\tpurity=1")
+        assert not empty_kernel_cache.exists()
+
     def test_unreadable_corpus_diagnostic(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
         assert main(["-model", "LDA", "-corpus", str(missing)]) == 1

@@ -7,6 +7,7 @@ import pytest
 from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, draw, make_rng
 from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import (
+    _chain_tables,
     dmm_conditional,
     dmm_sweep,
     doc_word_counts,
@@ -313,7 +314,7 @@ def test_kernel_matches_numpy_oracle(ntopics, alpha, beta, frozen):
 
 
 @pytest.mark.parametrize("case", ["word V", "topic K", "float64 nkw", "short mk",
-                                  "uoffsets past uwords", "strided z"])
+                                  "uoffsets past uwords", "strided z", "short lpri"])
 def test_sweep_rejects_out_of_bounds_input(case):
     # The kernel reads and writes through raw pointers, so each of these must
     # be refused before the first draw.
@@ -323,6 +324,7 @@ def test_sweep_rejects_out_of_bounds_input(case):
     corpus = make_corpus(docs, 3)
     state = init_dmm(corpus, hp, rng)
     uwords, ucounts, uoffsets = doc_word_counts(corpus.docs)
+    tables = None
     if case == "word V":
         uwords[2] = 3
     elif case == "topic K":
@@ -335,13 +337,16 @@ def test_sweep_rejects_out_of_bounds_input(case):
         uoffsets[-1] += 1
     elif case == "strided z":
         state.z = state.z.repeat(2)[::2]  # same topics, every other int64
+    elif case == "short lpri":  # the kernel checks m < D, not the table's size
+        lnum, lden, lpri = _chain_tables(corpus, state, hp)
+        tables = (lnum, lden, lpri[:-1].copy())
     nkw, rng_state = state.nkw.copy(), rng.bit_generator.state
     with pytest.raises(ToolError, match="dmm_sweep"):
-        dmm_sweep(corpus, state, hp, rng, counts=(uwords, ucounts, uoffsets))
+        dmm_sweep(corpus, state, hp, rng, counts=(uwords, ucounts, uoffsets), tables=tables)
     assert np.array_equal(state.nkw, nkw)
     assert rng.bit_generator.state == rng_state
     with pytest.raises(ToolError, match="estimate_theta_dmm"):
-        estimate_theta_dmm(state, corpus, hp, counts=(uwords, ucounts, uoffsets))
+        estimate_theta_dmm(state, corpus, hp, counts=(uwords, ucounts, uoffsets), tables=tables)
     assert np.array_equal(state.nkw, nkw)
 
 

@@ -328,6 +328,13 @@ def test_second_load_reuses_cached_library(empty_kernel_cache, tmp_path):
     assert lib.stat().st_mtime_ns == 10**18
 
 
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    build = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-fPIC", "-shared",
+             "-o", str(tmp_path / "sweeps.so"), native._SOURCE]
+    result = subprocess.run(build, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_import_and_corpus_load_build_nothing(tmp_path):
     code = ("import sys, gibbstopics; gibbstopics.load_corpus(sys.argv[1]); "
             "assert 'subprocess' not in sys.modules")

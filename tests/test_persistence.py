@@ -1,8 +1,11 @@
+import io
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gibbstopics.core import Hyperparams, ToolError
 from gibbstopics.corpus import Vocabulary, load_corpus, load_labels
@@ -41,6 +44,68 @@ def test_matrix_round_trip(tmp_path):
     write_matrix(matrix, path)
     back = read_matrix(path)
     assert np.allclose(np.vstack(back), matrix, atol=1e-6)
+
+
+def savetxt_bytes(matrix) -> bytes:
+    """The reference: what np.savetxt(fmt="%.6g") writes for the matrix."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.asarray(matrix, dtype=np.float64), fmt="%.6g")
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("values,text", [
+    # fixed style: decimal exponent -4 to 5, trailing zeros stripped
+    ([0.5, 0.25, 123456.0, 0.000123457, 12345.65], "0.5 0.25 123456 0.000123457 12345.6"),
+    # exponent style: below -4 or from 6, at least two exponent digits
+    ([1e-5, 1234567.0, 2.5e-10, 1e-16], "1e-05 1.23457e+06 2.5e-10 1e-16"),
+    # rounding carries into the next decade, across the style switches too
+    ([999999.7, 0.09999996, 9.9999996e-5], "1e+06 0.1 0.0001"),
+    # fallback: ties round half to even, near-ties by their exact value;
+    # zeros, tiny and huge values
+    ([123457.5, 1234565.0, 0.1000005, 0.0, -0.0, 5e-324, 1e300],
+     "123458 1.23456e+06 0.100001 0 -0 4.94066e-324 1e+300"),
+])
+def test_matrix_format_branches(tmp_path, values, text):
+    path = tmp_path / "m.theta"
+    write_matrix([values], str(path))
+    assert path.read_bytes() == savetxt_bytes([values]) == (text + "\n").encode()
+
+
+def _near(x: float):
+    """x and its neighbouring doubles one ulp down and up"""
+    return st.sampled_from([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)])
+
+
+matrix_values = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),  # subnormals included
+    st.integers(-30, 30).flatmap(lambda e: _near(10.0 ** e)),  # powers of ten
+    # decimal near-ties at the seventh digit, such as 0.1234565
+    st.tuples(st.integers(10**5, 10**6 - 1), st.integers(-20, 20)).flatmap(
+        lambda t: _near(float(f"{t[0]}5e{t[1] - 7}"))),
+    # both sides of the style switches at decimal exponents -5/-4 and 6
+    st.floats(9e-6, 1.1e-5) | st.floats(9e-5, 1.1e-4) | st.floats(9e5, 1.1e6),
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_write_matrix_matches_savetxt(tmp_path, data):
+    m, n = data.draw(st.integers(1, 8), label="m"), data.draw(st.integers(1, 8), label="n")
+    rows, cols = data.draw(st.sampled_from([(1, 1), (1, n), (m, 1), (m, n)]), label="shape")
+    matrix = np.array(data.draw(st.lists(matrix_values, min_size=rows * cols,
+                                         max_size=rows * cols), label="values")).reshape(rows, cols)
+    path = tmp_path / "m.phi"
+    write_matrix(matrix, str(path))
+    assert path.read_bytes() == savetxt_bytes(matrix)
+
+
+@pytest.mark.parametrize("matrix", [[[0.5, np.nan]], [[np.inf, 0.5]], [[0.5], [-1e-300]],
+                                    [0.5, 0.5]])
+def test_write_matrix_refuses_non_finite_negative_or_not_2d(tmp_path, matrix):
+    path = tmp_path / "m.theta"
+    with pytest.raises(ToolError, match=re.escape(f"cannot write {path}: not a 2-D matrix")):
+        write_matrix(matrix, str(path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_matrix_errors(tmp_path):
