@@ -29,16 +29,19 @@ from gibbstopics.core import (
 )
 
 
-def doc_word_counts(docs):
+def doc_word_counts(corpus):
     """Every document's distinct word ids and their counts, flat: document d
     has word ids uwords[uoffsets[d]:uoffsets[d+1]], ascending, occurring
-    ucounts[...] times. Returns (uwords, ucounts, uoffsets), all int64."""
-    words = np.concatenate([np.empty(0, np.int64), *docs])
-    doc_of = np.arange(len(docs)).repeat(np.fromiter(map(len, docs), np.int64, len(docs)))
-    n_vocab = int(words.max(initial=0)) + 1
-    keys, ucounts = np.unique(doc_of * n_vocab + words, return_counts=True)
+    ucounts[...] times. Returns (uwords, ucounts, uoffsets), all int64. A
+    word id outside the vocabulary would land in a neighbouring document's
+    keys, so it is refused, as are offsets that do not cover the words."""
+    offsets, n_vocab = corpus.offsets, corpus.vocab.size
+    native.check_offsets("doc_word_counts", "document offsets", offsets, corpus.words.size)
+    native.check_range("doc_word_counts", "word ids", corpus.words, 0, n_vocab)
+    doc_of = np.arange(offsets.size - 1).repeat(np.diff(offsets))
+    keys, ucounts = np.unique(doc_of * n_vocab + corpus.words, return_counts=True)
     doc_of, uwords = np.divmod(keys, n_vocab)
-    return uwords, ucounts, doc_of.searchsorted(np.arange(len(docs) + 1))
+    return uwords, ucounts, doc_of.searchsorted(np.arange(offsets.size))
 
 
 def init_dmm(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
@@ -80,31 +83,6 @@ def dmm_conditional(state: CountState, hp: Hyperparams, uwords, ucounts,
     return logw
 
 
-def _check_sweep_inputs(who: str, corpus, state: CountState, counts, n_topics: int, n_vocab: int):
-    """Everything the kernel reads or writes through its pointers must be in
-    bounds: it checks only its table indexes."""
-    uwords, ucounts, uoffsets = counts
-    n_docs, n_unique = corpus.n_docs, np.size(uwords)
-    if not (native.c_int64(uwords, (n_unique,)) and native.c_int64(ucounts, (n_unique,))
-            and (n_unique == 0 or (0 <= uwords.min() <= uwords.max() < n_vocab
-                                   and ucounts.min() > 0))):
-        raise ToolError(f"{who}: word counts are not C-contiguous int64 arrays of word ids in "
-                        f"[0, {n_vocab}) and positive counts")
-    if not (native.c_int64(uoffsets, (n_docs + 1,)) and uoffsets[0] == 0
-            and uoffsets[-1] == n_unique and (np.diff(uoffsets) >= 0).all()):
-        raise ToolError(f"{who}: word-count offsets are not C-contiguous int64 non-decreasing "
-                        f"from 0 to {n_unique}, one per document plus one")
-    tables = ((state.mk, (n_topics,)), (state.nkw, (n_topics, n_vocab)), (state.nk, (n_topics,)))
-    if not all(native.c_int64(t, shape) for t, shape in tables):
-        raise ToolError(f"{who}: count tables are not C-contiguous int64 of shapes "
-                        f"({n_topics},), ({n_topics}, {n_vocab}) and ({n_topics},)")
-    if not (native.c_int64(state.z, (n_docs,)) and state.z.flags.writeable):
-        raise ToolError(f"{who}: topic assignments are not a writable C-contiguous int64 "
-                        f"array of one topic per document ({n_docs})")
-    if n_docs and not 0 <= state.z.min() <= state.z.max() < n_topics:
-        raise ToolError(f"{who}: topics are not in [0, {n_topics})")
-
-
 def _chain_tables(corpus, state: CountState, hp: Hyperparams):
     """The kernel's _log_tables, sized to what the counts, frozen training
     counts included, can reach: a word's total count, all tokens, all
@@ -118,31 +96,29 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, ta
     """Check the inputs, then run the kernel over every document: a sweep
     that draws one uniform per document from rng, or, without rng, the theta
     of the current state, which is returned."""
-    kernel = native._kernel().dmm_sweep
-    if counts is None:
-        counts = doc_word_counts(corpus.docs)
-    if tables is None:
-        tables = _chain_tables(corpus, state, hp)
+    uwords, ucounts, uoffsets = doc_word_counts(corpus) if counts is None else counts
+    lnum, lden, lpri = _chain_tables(corpus, state, hp) if tables is None else tables
     n_docs, n_topics, n_vocab = corpus.n_docs, hp.ntopics, corpus.vocab.size
-    _check_sweep_inputs(who, corpus, state, counts, n_topics, n_vocab)
-    lnum, lden, lpri = tables
-    if not (all(isinstance(t, np.ndarray) and t.dtype == np.float64 and t.ndim == 1
-                and t.flags.c_contiguous for t in tables) and lpri.size == n_docs):
-        raise ToolError(f"{who}: log tables are not C-contiguous float64 vectors with "
-                        f"{n_docs} prior terms")
-    uniforms = theta = None
-    if rng is None:
-        theta = np.empty((n_docs, n_topics))
-    else:
-        uniforms = rng.random(n_docs)
-    uwords, ucounts, uoffsets = counts
-    scratch = np.empty(n_topics)
-    bad = kernel(n_docs, uoffsets.ctypes.data, uwords.ctypes.data, ucounts.ctypes.data,
-                 state.z.ctypes.data, state.mk.ctypes.data, state.nkw.ctypes.data,
-                 state.nk.ctypes.data, n_topics, n_vocab, lnum.ctypes.data, lnum.size,
-                 lden.ctypes.data, lden.size, lpri.ctypes.data,
-                 None if uniforms is None else uniforms.ctypes.data, scratch.ctypes.data,
-                 None if theta is None else theta.ctypes.data)
+    n_unique = np.size(uwords)
+    native.check(who, ("word-count offsets", uoffsets, np.int64, (n_docs + 1,), False),
+                 ("word ids", uwords, np.int64, (n_unique,), False),
+                 ("word counts", ucounts, np.int64, (n_unique,), False),
+                 ("topic assignments", state.z, np.int64, (n_docs,), True),
+                 ("mk", state.mk, np.int64, (n_topics,), True),
+                 ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
+                 ("nk", state.nk, np.int64, (n_topics,), True),
+                 ("lnum", lnum, np.float64, (np.size(lnum),), False),
+                 ("lden", lden, np.float64, (np.size(lden),), False),
+                 ("lpri", lpri, np.float64, (n_docs,), False))
+    native.check_offsets(who, "word-count offsets", uoffsets, n_unique)
+    native.check_range(who, "word ids", uwords, 0, n_vocab)
+    native.check_range(who, "word counts", ucounts, 1, corpus.n_tokens + 1)
+    native.check_range(who, "topics", state.z, 0, n_topics)
+    theta = np.empty((n_docs, n_topics)) if rng is None else None
+    uniforms = None if rng is None else rng.random(n_docs)
+    bad = native.call("dmm_sweep", n_docs, uoffsets, uwords, ucounts, state.z, state.mk,
+                      state.nkw, state.nk, n_topics, n_vocab, lnum, lnum.size, lden, lden.size,
+                      lpri, uniforms, np.empty(n_topics), theta)
     if bad >= 0:
         raise ToolError(f"{who}: count outside the log tables or non-finite log-weight at "
                         f"document {bad}, count bookkeeping corrupt")
@@ -154,7 +130,7 @@ def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     """One full pass: each document's counts removed, topic resampled from the
     log-space conditional, counts restored under the new topic. The sweep's
     uniforms are drawn up front, one per document. counts is
-    doc_word_counts(corpus.docs) and tables the chain's log tables, each
+    doc_word_counts(corpus) and tables the chain's log tables, each
     computed when not given."""
     _run_kernel("dmm_sweep", corpus, state, hp, counts, tables, rng)
     return state
@@ -171,7 +147,7 @@ def dmm_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     """The sweep and theta callables of a chain from state, whose counts
     (frozen training counts included) must be complete: the word counts and
     log tables they share are built once here."""
-    counts = doc_word_counts(corpus.docs)
+    counts = doc_word_counts(corpus)
     tables = _chain_tables(corpus, state, hp)
     return (partial(dmm_sweep, corpus, state, hp, rng, counts=counts, tables=tables),
             partial(estimate_theta_dmm, state, corpus, hp, counts=counts, tables=tables))

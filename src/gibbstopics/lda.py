@@ -40,42 +40,25 @@ def lda_conditional(state: CountState, hp: Hyperparams, d: int, word: int, n_voc
     return weights
 
 
-def _check_sweep_inputs(corpus, state: CountState, n_topics: int, n_vocab: int):
-    """Everything the kernel reads or writes must be in bounds: it has no checks."""
-    words, offsets, z = corpus.words, corpus.offsets, state.z
-    n_tokens, n_docs = np.size(words), np.size(offsets) - 1
-    if not (native.c_int64(words, (n_tokens,))
-            and (n_tokens == 0 or 0 <= words.min() <= words.max() < n_vocab)):
-        raise ToolError(f"lda_sweep: word ids are not a C-contiguous int64 array in [0, {n_vocab})")
-    if not (native.c_int64(offsets, (n_docs + 1,)) and n_docs >= 0 and offsets[0] == 0
-            and offsets[-1] == n_tokens and (np.diff(offsets) >= 0).all()):
-        raise ToolError(f"lda_sweep: document offsets are not C-contiguous int64 non-decreasing "
-                        f"from 0 to the token count {n_tokens}")
-    tables = ((state.ndk, (n_docs, n_topics)), (state.nkw, (n_topics, n_vocab)),
-              (state.nk, (n_topics,)))
-    if not all(native.c_int64(t, shape) for t, shape in tables):
-        raise ToolError(f"lda_sweep: count tables are not C-contiguous int64 of shapes "
-                        f"({n_docs}, {n_topics}), ({n_topics}, {n_vocab}) and ({n_topics},)")
-    if not (native.c_int64(z, (n_tokens,)) and z.flags.writeable):
-        raise ToolError(f"lda_sweep: topic assignments are not a writable C-contiguous int64 "
-                        f"array of one topic per token ({n_tokens})")
-    if n_tokens and not 0 <= z.min() <= z.max() < n_topics:
-        raise ToolError(f"lda_sweep: topics are not in [0, {n_topics})")
-
-
 def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
     """One full pass: every token visited in (document, position) order,
     decremented, resampled from its conditional and re-incremented. The
     sweep's uniforms are drawn up front, one per token in visiting order."""
-    sweep = native._kernel().lda_sweep
+    n_docs, n_tokens = np.size(corpus.offsets) - 1, np.size(corpus.words)
     n_topics, n_vocab = hp.ntopics, corpus.vocab.size
-    _check_sweep_inputs(corpus, state, n_topics, n_vocab)
-    uniforms = rng.random(corpus.n_tokens)
-    scratch = np.empty(n_topics)
-    bad = sweep(corpus.n_docs, corpus.offsets.ctypes.data, corpus.words.ctypes.data,
-                state.z.ctypes.data, state.ndk.ctypes.data, state.nkw.ctypes.data,
-                state.nk.ctypes.data, n_topics, n_vocab, float(hp.alpha), float(hp.beta),
-                uniforms.ctypes.data, scratch.ctypes.data)
+    native.check("lda_sweep", ("document offsets", corpus.offsets, np.int64, (n_docs + 1,), False),
+                 ("word ids", corpus.words, np.int64, (n_tokens,), False),
+                 ("topic assignments", state.z, np.int64, (n_tokens,), True),
+                 ("ndk", state.ndk, np.int64, (n_docs, n_topics), True),
+                 ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
+                 ("nk", state.nk, np.int64, (n_topics,), True))
+    native.check_offsets("lda_sweep", "document offsets", corpus.offsets, n_tokens)
+    native.check_range("lda_sweep", "word ids", corpus.words, 0, n_vocab)
+    native.check_range("lda_sweep", "topics", state.z, 0, n_topics)
+    uniforms = rng.random(n_tokens)
+    bad = native.call("lda_sweep", n_docs, corpus.offsets, corpus.words, state.z, state.ndk,
+                      state.nkw, state.nk, n_topics, n_vocab, float(hp.alpha), float(hp.beta),
+                      uniforms, np.empty(n_topics))
     if bad >= 0:
         raise ToolError(f"lda_sweep: nonpositive weight at token {bad}, count bookkeeping corrupt")
     return state

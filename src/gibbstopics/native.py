@@ -3,9 +3,14 @@ the sweeps of both samplers, and format_matrix, the matrix writer's
 formatter.
 
 It is compiled with the system `cc` on first use and cached under
-$XDG_CACHE_HOME/gibbstopics, one library per source and flags, and loaded
-through ctypes. The kernels read and write through raw pointers, so every
-caller checks its arrays first (the sweeps with c_int64).
+$XDG_CACHE_HOME/gibbstopics (~/.cache/gibbstopics when that is unset or
+relative), one library per source and flags, and loaded through ctypes.
+
+This module is the only way into the library. Its kernels check no array, so
+a caller passes every array a kernel reads or writes to check (exact dtype and
+shape, C-contiguous, writable if written) and its ids, counts and offsets to
+check_range and check_offsets, then runs the kernel with call, which passes
+each ndarray as its .ctypes object, keeping the array alive for the call.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ def _kernel():
     except OSError as exc:
         raise ToolError(f"cannot read the kernel source {_SOURCE}: {exc}") from exc
     digest = hashlib.sha256(source + " ".join(_BUILD).encode()).hexdigest()[:16]
-    cache_home = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache_home = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache_home):  # the XDG spec: relative values are ignored
+        cache_home = os.path.join(os.path.expanduser("~"), ".cache")
     lib_path = os.path.join(cache_home, "gibbstopics", f"sweeps-{digest}.so")
     if not os.path.isfile(lib_path):
         _build(lib_path)
@@ -82,7 +89,31 @@ def _kernel():
     return lib
 
 
-def c_int64(a, shape) -> bool:
-    """Whether a is a C-contiguous int64 ndarray of exactly this shape."""
-    return (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.flags.c_contiguous
-            and a.shape == shape)
+def check(who: str, *arrays):
+    """Refuse, with a ToolError naming who, each (what, array, dtype, shape,
+    written) whose array is not an ndarray of exactly that dtype and shape,
+    C-contiguous, and writable if the kernel writes it."""
+    for what, a, dtype, shape, written in arrays:
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+                and a.flags.c_contiguous and (a.flags.writeable or not written)):
+            raise ToolError(f"{who}: {what} is not a {'writable ' if written else ''}"
+                            f"C-contiguous {np.dtype(dtype)} array of shape {shape}")
+
+
+def check_range(who: str, what: str, a: np.ndarray, lo: int, hi: int):
+    """Refuse a checked array holding a value outside [lo, hi)."""
+    if a.size and not lo <= a.min() <= a.max() < hi:
+        raise ToolError(f"{who}: {what} are not in [{lo}, {hi})")
+
+
+def check_offsets(who: str, what: str, offsets: np.ndarray, n: int):
+    """Refuse checked offsets that do not rise (non-strictly) from 0 to n."""
+    if not (offsets.size and offsets[0] == 0 and offsets[-1] == n
+            and (np.diff(offsets) >= 0).all()):
+        raise ToolError(f"{who}: {what} do not rise from 0 to {n}")
+
+
+def call(name: str, *args) -> int:
+    """Run the kernel name on args, each ndarray passed as its .ctypes object
+    (which holds the array until the call returns) and None as NULL."""
+    return getattr(_kernel(), name)(*[a.ctypes if isinstance(a, np.ndarray) else a for a in args])

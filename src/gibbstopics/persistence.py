@@ -41,16 +41,21 @@ class ParasRecord:
 
 
 def read_lines(path, what: str) -> list[str]:
-    """The lines of a UTF-8 input file. Every input format is read here, so an
-    unreadable or undecodable file is a ToolError naming it."""
+    """The lines of a UTF-8 input file, each ended by LF, CR LF or CR only:
+    the other breaks of str.splitlines (form feed, U+2028, ...) stay inside
+    their line, so corpus and label lines stay aligned. Every input format
+    is read here, so an unreadable or undecodable file is a ToolError naming
+    it."""
     try:
         with open(path, "rb") as f:
             data = f.read()
-        return data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        return lines[:-1] if lines[-1] == "" else lines
     except OSError as exc:
         raise ToolError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        head = exc.object[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ToolError(f"invalid UTF-8 at line {line} in {what} {path}") from exc
 
 
@@ -87,7 +92,7 @@ def write_matrix(matrix, path: str):
     rows, cols = matrix.shape
     # At most 13 bytes per "%.6g" value, plus its space or newline.
     out = np.empty(rows * (14 * cols + 1), np.uint8)
-    size = native._kernel().format_matrix(rows, cols, matrix.ctypes.data, out.ctypes.data)
+    size = native.call("format_matrix", rows, cols, matrix, out)
     _atomic_write(path, out[:size])
 
 

@@ -103,7 +103,7 @@ def test_criterion_1_count_conservation_suite():
         rng, _ = make_rng(101)
         state = init_dmm(corpus, hp_dmm, rng)
         from gibbstopics.dmm import doc_word_counts
-        counts = doc_word_counts(corpus.docs)
+        counts = doc_word_counts(corpus)
         for _ in range(200):
             dmm_sweep(corpus, state, hp_dmm, rng, counts=counts)
             check_state(state, corpus, "DMM")
@@ -158,7 +158,7 @@ def test_criterion_3_dmm_exact_posterior():
         rng, _ = make_rng(556)
         state = init_dmm(corpus, hp, rng)
         from gibbstopics.dmm import doc_word_counts
-        counts = doc_word_counts(corpus.docs)
+        counts = doc_word_counts(corpus)
         for _ in range(1000):
             dmm_sweep(corpus, state, hp, rng, counts=counts)
         tally = Counter()

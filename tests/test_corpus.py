@@ -85,3 +85,16 @@ def test_blank_label_is_fatal(tmp_path):
     path = write(tmp_path, "A\n\nB\n", name="l")
     with pytest.raises(ToolError, match="blank label at line 2"):
         load_labels(path)
+
+
+def test_only_lf_crlf_and_cr_end_a_line(tmp_path):
+    # str.splitlines also breaks at form feed, U+2028 and other separators,
+    # which would shift every later document off its label's line.
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_bytes("a\u2028b c\r\nd\x0ce\x85f\r".encode())
+    corpus = load_corpus(corpus_path)
+    assert corpus.n_docs == 2
+    assert [list(d) for d in corpus.docs] == [[0, 1, 2], [3, 4, 5]]
+    labels_path = tmp_path / "corpus.LABEL"
+    labels_path.write_bytes("x\u2029y\nz\x1cw\n".encode())
+    assert load_labels(labels_path) == ("x\u2029y", "z\x1cw")

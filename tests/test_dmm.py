@@ -266,8 +266,8 @@ def test_train_deterministic_given_seed(tmp_path):
 
 
 def test_word_counts_flat_per_document():
-    docs = (np.array([3, 1, 3]), np.array([], dtype=np.int64), np.array([0, 2, 2, 0, 2]))
-    uwords, ucounts, uoffsets = doc_word_counts(docs)
+    corpus = make_corpus([[3, 1, 3], [], [0, 2, 2, 0, 2]], 4)
+    uwords, ucounts, uoffsets = doc_word_counts(corpus)
     assert uwords.tolist() == [1, 3, 0, 2]
     assert ucounts.tolist() == [1, 2, 2, 3]
     assert uoffsets.tolist() == [0, 2, 2, 4]
@@ -314,7 +314,8 @@ def test_kernel_matches_numpy_oracle(ntopics, alpha, beta, frozen):
 
 
 @pytest.mark.parametrize("case", ["word V", "topic K", "float64 nkw", "short mk",
-                                  "uoffsets past uwords", "strided z", "short lpri"])
+                                  "uoffsets past uwords", "strided z", "short lpri",
+                                  "read-only nkw", "read-only mk", "read-only nk"])
 def test_sweep_rejects_out_of_bounds_input(case):
     # The kernel reads and writes through raw pointers, so each of these must
     # be refused before the first draw.
@@ -323,7 +324,7 @@ def test_sweep_rejects_out_of_bounds_input(case):
     rng, _ = make_rng(9)
     corpus = make_corpus(docs, 3)
     state = init_dmm(corpus, hp, rng)
-    uwords, ucounts, uoffsets = doc_word_counts(corpus.docs)
+    uwords, ucounts, uoffsets = doc_word_counts(corpus)
     tables = None
     if case == "word V":
         uwords[2] = 3
@@ -340,14 +341,34 @@ def test_sweep_rejects_out_of_bounds_input(case):
     elif case == "short lpri":  # the kernel checks m < D, not the table's size
         lnum, lden, lpri = _chain_tables(corpus, state, hp)
         tables = (lnum, lden, lpri[:-1].copy())
-    nkw, rng_state = state.nkw.copy(), rng.bit_generator.state
+    elif case.startswith("read-only"):
+        getattr(state, case.split()[1]).flags.writeable = False
+    before = [t.copy() for t in (state.z, state.mk, state.nkw, state.nk)]
+    rng_state = rng.bit_generator.state
+
+    def unchanged():
+        return all(np.array_equal(a, b)
+                   for a, b in zip((state.z, state.mk, state.nkw, state.nk), before))
     with pytest.raises(ToolError, match="dmm_sweep"):
         dmm_sweep(corpus, state, hp, rng, counts=(uwords, ucounts, uoffsets), tables=tables)
-    assert np.array_equal(state.nkw, nkw)
+    assert unchanged()
     assert rng.bit_generator.state == rng_state
     with pytest.raises(ToolError, match="estimate_theta_dmm"):
         estimate_theta_dmm(state, corpus, hp, counts=(uwords, ucounts, uoffsets), tables=tables)
-    assert np.array_equal(state.nkw, nkw)
+    assert unchanged()
+
+
+@pytest.mark.parametrize("case, error", [
+    # Key doc * V + w of word V in document 0 would be word 0 of document 1.
+    ("word V", r"word ids are not in \[0, 3\)"),
+    ("offsets past words", "document offsets do not rise from 0 to 3"),
+])
+def test_word_counts_refuse_corrupt_corpus(case, error):
+    corpus = make_corpus([[0, 3 if case == "word V" else 2], [1]], 3)
+    if case == "offsets past words":
+        corpus = replace(corpus, offsets=corpus.offsets + [0, 0, 1])
+    with pytest.raises(ToolError, match=f"^doc_word_counts: {error}"):
+        doc_word_counts(corpus)
 
 
 @pytest.mark.parametrize("table", ["mk", "nkw"])

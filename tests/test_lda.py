@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,7 +247,8 @@ def test_sweep_total_is_numpy_pairwise_sum():
 
 
 @pytest.mark.parametrize("case", ["topic K", "word V", "float64 nkw", "short ndk",
-                                  "offsets past words", "short z", "strided z"])
+                                  "offsets past words", "empty offsets", "short z", "strided z",
+                                  "read-only nkw", "read-only ndk", "read-only nk"])
 def test_sweep_rejects_out_of_bounds_input(case):
     # The kernel reads and writes through raw pointers, so each of these must
     # be refused before the first draw.
@@ -266,14 +268,42 @@ def test_sweep_rejects_out_of_bounds_input(case):
         state.z = state.z[:-1].copy()
     elif case == "strided z":
         state.z = state.z.repeat(2)[::2]  # same topics, every other int64
+    elif case.startswith("read-only"):
+        getattr(state, case.split()[1]).flags.writeable = False
     corpus = make_corpus(docs, 3)
     if case == "offsets past words":
         corpus = replace(corpus, offsets=corpus.offsets + [0, 0, 1])
-    nkw, rng_state = state.nkw.copy(), rng.bit_generator.state
+    elif case == "empty offsets":
+        corpus = replace(corpus, offsets=np.empty(0, np.int64))
+    before = [t.copy() for t in (state.z, state.ndk, state.nkw, state.nk)]
+    rng_state = rng.bit_generator.state
     with pytest.raises(ToolError, match="lda_sweep"):
         lda_sweep(corpus, state, hp, rng)
-    assert np.array_equal(state.nkw, nkw)
+    after = (state.z, state.ndk, state.nkw, state.nk)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
     assert rng.bit_generator.state == rng_state
+
+
+@pytest.mark.parametrize("value, error", [
+    ([0, 1], "offsets is not a C-contiguous int64 array of shape \\(2,\\)"),
+    (np.empty(0, np.int64), "offsets do not rise from 0 to 1"),
+    (np.array([0, 2, 1]), "offsets do not rise from 0 to 1"),
+    (np.array([1, 1]), "offsets do not rise from 0 to 1"),
+])
+def test_native_checks_refuse_bad_offsets(value, error):
+    # Not a TypeError or an IndexError: every refusal is a ToolError naming the caller.
+    with pytest.raises(ToolError, match=f"^who: {error}"):
+        native.check("who", ("offsets", value, np.int64, np.shape(value), False))
+        native.check_offsets("who", "offsets", value, 1)
+
+
+def test_only_native_mentions_ctypes():
+    # native.py is the one checked boundary to the compiled library: every
+    # other module reaches it through native.check and native.call.
+    package = Path(native.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "native.py" and "ctypes" in path.read_text()]
+    assert offenders == []
 
 
 def test_sweep_detects_corrupt_counts():
@@ -333,6 +363,17 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
              "-o", str(tmp_path / "sweeps.so"), native._SOURCE]
     result = subprocess.run(build, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_relative_xdg_cache_home_is_ignored(empty_kernel_cache, monkeypatch, tmp_path):
+    # The XDG Base Directory spec says relative values are to be ignored:
+    # one cache under $HOME, not one per working directory.
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative-cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    native._kernel()
+    assert len(list((tmp_path / "home" / ".cache" / "gibbstopics").glob("sweeps-*.so"))) == 1
+    assert not (tmp_path / "relative-cache").exists()
 
 
 def test_import_and_corpus_load_build_nothing(tmp_path):

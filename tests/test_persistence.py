@@ -266,6 +266,8 @@ def test_failed_write_removes_temp_file(tmp_path):
 # a valid first line, then an invalid UTF-8 byte on line 2
 @pytest.mark.parametrize("read,data,what", [
     (load_corpus, b"a b\nc \xff d\n", "corpus file"),
+    (load_corpus, b"a b\rc \xff d\r", "corpus file"),
+    (load_labels, b"X\r\n\xffY\r\n", "label file"),
     (load_labels, b"X\n\xffY\n", "label file"),
     (read_matrix, b"0.5 0.5\n0.5 \xff\n", "matrix file"),
     (lambda path: read_assignments(path), b"0 1\n1 \xff\n", "assignments file"),
