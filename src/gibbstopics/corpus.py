@@ -3,6 +3,7 @@ vocabulary ids assigned in first-occurrence order."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,16 +59,22 @@ def load_corpus(path) -> Corpus:
     if not lines:
         raise ToolError(f"corpus file {path} is empty")
 
-    index: dict[str, int] = {}
+    # A missing word gets the next id: default_factory is called, then its
+    # result stored, so the per-token lookup runs no bytecode.
+    ids_of = defaultdict()
+    ids_of.default_factory = ids_of.__len__
     ids: list[int] = []
     offsets = [0]
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens:
-            raise ToolError(f"blank document at line {lineno} in {path}")
-        ids += [index.setdefault(tok, len(index)) for tok in tokens]
+    for line in lines:
+        ids += map(ids_of.__getitem__, line.split())
         offsets.append(len(ids))
-    return Corpus(words=np.array(ids, dtype=np.int64), offsets=np.array(offsets, dtype=np.int64),
+    offsets = np.array(offsets, dtype=np.int64)
+    blank = np.flatnonzero(offsets[1:] == offsets[:-1])
+    if blank.size:
+        raise ToolError(f"blank document at line {blank[0] + 1} in {path}")
+    # a plain dict: a defaultdict would add every word looked up and missed
+    index = dict(ids_of)
+    return Corpus(words=np.array(ids, dtype=np.int64), offsets=offsets,
                   vocab=Vocabulary(words=tuple(index), index=index), source_path=path)
 
 

@@ -18,9 +18,8 @@ from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
+    _topic_word_counts,
     estimate_theta_lda,
-    recount_dmm,
-    recount_lda,
 )
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus
 from gibbstopics.dmm import dmm_chain, init_dmm
@@ -66,9 +65,9 @@ def load_pretrained(paras_path) -> PretrainedModel:
     bad = z[(z < 0) | (z >= hp.ntopics)]
     if bad.size:
         raise ToolError(f"topic id {bad[0]} out of range in {assign_path}")
-    recount = recount_lda if hp.model == "LDA" else recount_dmm
-    state = recount(corpus, z, hp.ntopics)
-    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=state.nkw, nk=state.nk,
+    nkw = _topic_word_counts(z if hp.model == "LDA" else z.repeat(np.diff(corpus.offsets)),
+                             corpus, hp.ntopics)
+    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, nk=nkw.sum(axis=1),
                            paras_path=paras_path)
 
 

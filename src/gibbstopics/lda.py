@@ -46,13 +46,14 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     sweep's uniforms are drawn up front, one per token in visiting order."""
     n_docs, n_tokens = np.size(corpus.offsets) - 1, np.size(corpus.words)
     n_topics, n_vocab = hp.ntopics, corpus.vocab.size
+    # The offsets first: n_docs is only a count once they are known to rise from 0.
     native.check("lda_sweep", ("document offsets", corpus.offsets, np.int64, (n_docs + 1,), False),
-                 ("word ids", corpus.words, np.int64, (n_tokens,), False),
-                 ("topic assignments", state.z, np.int64, (n_tokens,), True),
+                 ("word ids", corpus.words, np.int64, (n_tokens,), False))
+    native.check_offsets("lda_sweep", "document offsets", corpus.offsets, n_tokens)
+    native.check("lda_sweep", ("topic assignments", state.z, np.int64, (n_tokens,), True),
                  ("ndk", state.ndk, np.int64, (n_docs, n_topics), True),
                  ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
                  ("nk", state.nk, np.int64, (n_topics,), True))
-    native.check_offsets("lda_sweep", "document offsets", corpus.offsets, n_tokens)
     native.check_range("lda_sweep", "word ids", corpus.words, 0, n_vocab)
     native.check_range("lda_sweep", "topics", state.z, 0, n_topics)
     uniforms = rng.random(n_tokens)

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import hashlib
 import os
-import secrets
 from functools import cache
 
 import numpy as np
@@ -38,7 +36,7 @@ def _build(lib_path: str):
     load a half-written library."""
     import subprocess  # here, not at the top: only a build needs it, every import would pay
 
-    tmp = f"{lib_path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{lib_path}.{os.urandom(8).hex()}.tmp"
     created = False
     try:
         os.makedirs(os.path.dirname(lib_path), exist_ok=True)
@@ -64,6 +62,8 @@ def _build(lib_path: str):
 def _kernel():
     """The compiled library, built on first use, with the argument types of
     every kernel set."""
+    import hashlib  # here, not at the top: Eval and corpus loading never need it
+
     try:
         with open(_SOURCE, "rb") as f:
             source = f.read()

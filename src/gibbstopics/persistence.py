@@ -13,10 +13,8 @@ Eval runs without one.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import os
-import secrets
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -31,6 +29,9 @@ PARAS_KEYS = ("model", "corpus", "corpus_abs") + tuple(
 # Parsers of the Hyperparams fields, keyed by their annotation strings.
 _PARSE = {"str": str, "int": int, "float": float,
           "int | None": lambda v: None if v == "None" else int(v)}
+# translate deletes every character a .topicAssignments file may hold
+_ID_CHARS = str.maketrans("", "", "0123456789 -\n")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -64,7 +65,7 @@ def _atomic_write(path: str, data):
     # A fresh random name per write keeps concurrent runs off each other's temp
     # file; O_EXCL refuses an existing one. Unlike mkstemp's fixed 0600, the
     # file gets the umask's mode, as the artifacts always had.
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     created = False
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -98,25 +99,52 @@ def write_matrix(matrix, path: str):
 
 def read_matrix(path: str) -> np.ndarray:
     """Read a .theta or .phi file: rectangular, finite, non-negative rows that
-    each sum to 1 within 1e-4, the precision of the 6-digit format."""
-    rows = []
-    for lineno, line in enumerate(read_lines(path, "matrix file"), start=1):
-        try:
-            rows.append(np.array([float(v) for v in line.split()], dtype=np.float64))
-        except ValueError as exc:
-            raise ToolError(f"bad numeric row at line {lineno} in {path}") from exc
-    if not rows:
+    each sum to 1 within 1e-4, the precision of the 6-digit format. Values
+    are split on whitespace and parsed as ASCII decimals (no "_"), bit for
+    bit as float() parses them."""
+    lines = read_lines(path, "matrix file")
+    if not lines:
         raise ToolError(f"{path} contains no rows")
-    ragged = [i for i, row in enumerate(rows, start=1) if len(row) != len(rows[0])]
-    if ragged:
-        raise ToolError(f"line {ragged[0]} in {path} has {len(rows[ragged[0] - 1])} values, "
-                        f"line 1 has {len(rows[0])}")
-    matrix = np.vstack(rows)
+    # loadtxt skips a line that is blank or holds only whitespace (str.isspace,
+    # as it splits on), so such a line must not reach it.
+    matrix = None
+    if all(map(str.strip, lines)):
+        with contextlib.suppress(ValueError):
+            matrix = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    if matrix is None:
+        _refuse_matrix_lines(lines, path)
     bad = ~np.isfinite(matrix).all(1) | (matrix < 0).any(1) | (abs(matrix.sum(1) - 1) > 1e-4)
     if bad.any():
-        raise ToolError(f"row at line {np.argmax(bad) + 1} in {path} is not a distribution "
-                        "(finite, non-negative values summing to 1 within 1e-4)")
+        raise ToolError(_not_a_distribution(np.argmax(bad) + 1, path))
     return matrix
+
+
+def _not_a_distribution(lineno, path) -> str:
+    return (f"row at line {lineno} in {path} is not a distribution "
+            "(finite, non-negative values summing to 1 within 1e-4)")
+
+
+def _refuse_matrix_lines(lines, path):
+    """Raise the ToolError naming the first line that breaks the rules
+    read_matrix parses by: a value that is not an ASCII decimal float()
+    reads, then a line whose value count differs from line 1's, then, when
+    every line is blank, line 1 as an empty distribution."""
+    widths = []
+    for lineno, line in enumerate(lines, start=1):
+        values = line.split()
+        try:
+            for v in values:
+                if not v.isascii() or "_" in v:
+                    raise ValueError(f"{v!r} is not an ASCII decimal")
+                float(v)
+        except ValueError as exc:
+            raise ToolError(f"bad numeric row at line {lineno} in {path}") from exc
+        widths.append(len(values))
+    ragged = next((i for i, w in enumerate(widths, start=1) if w != widths[0]), None)
+    if ragged:
+        raise ToolError(f"line {ragged} in {path} has {widths[ragged - 1]} values, "
+                        f"line 1 has {widths[0]}")
+    raise ToolError(_not_a_distribution(1, path))
 
 
 def write_top_words(phi, vocab, twords: int, path: str):
@@ -140,25 +168,46 @@ def write_assignments(z, path: str, kind: str):
 
 def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The topic ids of a .topicAssignments file as one flat int64 array, and
-    the int64 offsets (lines + 1, from 0) where each line's ids start."""
-    topics: list[int] = []
-    offsets = [0]
-    for lineno, line in enumerate(read_lines(path, "assignments file"), start=1):
-        # int() also takes "+", "_" and non-ASCII digits, which are never
-        # written; on the rest it takes exactly the ids -?[0-9]+.
+    the int64 offsets (lines + 1, from 0) where each line's ids start. Each
+    line is empty or holds int64 ids -?[0-9]+ separated by single spaces, as
+    write_assignments writes them."""
+    lines = read_lines(path, "assignments file")
+    text = "\n".join(lines)
+    # A line of ids separated by single spaces holds one id more than spaces.
+    offsets = np.cumsum([0] + [line.count(" ") + (line != "") for line in lines], dtype=np.int64)
+    valid = not text.translate(_ID_CHARS) and _minus_starts_ids(text)
+    topics = np.empty(0, np.int64)
+    if valid and offsets[-1]:
+        topics = np.fromstring(text, np.int64, sep=" ")
+    # fromstring takes any run of whitespace as one separator, so a run of
+    # spaces or an edge space shows as fewer ids than counted; it saturates
+    # past int64, so an id read as a limit is checked exactly.
+    if not valid or topics.size != offsets[-1] or (
+            topics.size and (topics.min() == _INT64.min or topics.max() == _INT64.max)):
+        _refuse_id_lines(lines, path)
+    return topics, offsets
+
+
+def _minus_starts_ids(text: str) -> bool:
+    """Whether every "-" in text starts a line or follows a space, and is
+    followed by a digit."""
+    return "-" not in text or (
+        text.count("-") == text.count(" -") + text.count("\n-") + text.startswith("-")
+        and "- " not in text and "-\n" not in text and not text.endswith("-"))
+
+
+def _refuse_id_lines(lines, path):
+    """Raise the ToolError naming the first line that is not empty or int64
+    ids -?[0-9]+ separated by single spaces; return if there is none (an id
+    at an int64 limit is valid)."""
+    for lineno, line in enumerate(lines, start=1):
         try:
-            if not line.isascii() or "+" in line or "_" in line:
-                raise ValueError(f"{line!r} holds +, _ or a non-ASCII character")
-            topics += map(int, line.split())
-        except ValueError as exc:
+            for v in line.split(" ") if line else ():
+                digits = v[1:] if v.startswith("-") else v
+                if not (digits.isascii() and digits.isdigit() and -2**63 <= int(v) < 2**63):
+                    raise ValueError(f"{v!r} is not an int64 id")
+        except ValueError as exc:  # also int()'s limit on the number of digits
             raise ToolError(f"bad topic assignment at line {lineno} in {path}") from exc
-        offsets.append(len(topics))
-    try:
-        return np.array(topics, dtype=np.int64), np.array(offsets, dtype=np.int64)
-    except OverflowError as exc:
-        first = next(i for i, t in enumerate(topics) if not -2**63 <= t < 2**63)
-        raise ToolError(f"bad topic assignment at line {bisect.bisect_right(offsets, first)} "
-                        f"in {path}") from exc
 
 
 def write_paras(hp: Hyperparams, corpus_path: str, path: str):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,6 +114,20 @@ class TestDispatch:
                      "-dir", str(tmp_path), "-prob", "theta"]) == 0
         assert capsys.readouterr().out.startswith("m.theta\tpurity=1")
         assert not empty_kernel_cache.exists()
+
+    def test_import_and_eval_load_no_hashing_modules(self, tmp_path):
+        # secrets (with hmac and _hashlib) costs ~3 ms of start-up that
+        # neither Eval nor loading a corpus uses.
+        (tmp_path / "corpus.LABEL").write_text("X\nY\n")
+        (tmp_path / "m.theta").write_text("0.9 0.1\n0.2 0.8\n")
+        code = ("import sys, gibbstopics.cli; "
+                "assert gibbstopics.cli.main(sys.argv[1:]) == 0; "
+                "loaded = {'secrets', 'hmac', '_hashlib'} & set(sys.modules); "
+                "assert not loaded, loaded")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code, "-model", "Eval",
+                        "-label", str(tmp_path / "corpus.LABEL"), "-dir", str(tmp_path),
+                        "-prob", "theta"], check=True, env=env, capture_output=True)
 
     def test_unreadable_corpus_diagnostic(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"

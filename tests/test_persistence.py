@@ -117,7 +117,11 @@ def test_read_matrix_errors(tmp_path):
                        ("0.5 0.5\n0.2 0.3 0.5\n0.5 0.5\n", 2),
                        ("0.5 0.5\n0.5 0.5\n-1 2\n", 3),
                        ("0.5 0.5\n0.5 0.4998\n", 2),
-                       ("0.5 0.5\n\n", 2)]:
+                       ("0.5 0.5\n\n", 2),
+                       ("0.5 0.5\n \n", 2),  # loadtxt skips whitespace-only lines
+                       ("0.5 0.5\n\x1d\n", 2),
+                       ("0.5 0.5\n0.2_5 0.75\n", 2),  # float() reads "_" and other digits
+                       ("0.5 0.5\n\u0660.5 0.5\n", 2)]:
         bad.write_text(text)
         with pytest.raises(ToolError, match=f"line {line} in .*bad"):
             read_matrix(str(bad))
@@ -169,10 +173,14 @@ def test_read_assignments_errors(tmp_path):
             read_assignments(str(path))
 
 
-@pytest.mark.parametrize("bad", ["1_0", "+1", "\u0663", "1-2", "--1", "x", "99999999999999999999"])
+@pytest.mark.parametrize("bad", ["1_0", "+1", "\u0663", "1-2", "--1", "x", "99999999999999999999",
+                                 "9223372036854775808", "-9223372036854775809", "1\t0", "1  0",
+                                 "-", "1-", "- 1"])
 def test_read_assignments_accepts_only_written_ids(tmp_path, bad):
     # int() would read "1_0" as 10, "+1" as 1 and an Arabic-Indic digit as 3;
-    # the writer never writes those, so they are errors naming their line.
+    # the writer never writes those, nor tabs or runs of spaces, so they are
+    # errors naming their line. Past int64, the parse saturates; the id is
+    # still refused.
     path = tmp_path / "m.topicAssignments"
     path.write_text(f"0 1\n1 {bad} 0\n", encoding="utf-8")
     message = re.escape(f"bad topic assignment at line 2 in {path}") + "$"
