@@ -2,6 +2,7 @@
 Dirichlet Multinomial Mixture, plus topic inference on unseen corpora and a
 document-clustering evaluation (Purity, NMI)."""
 
+from gibbstopics.chain import train_dmm, train_lda
 from gibbstopics.core import (
     CountState,
     Hyperparams,
@@ -12,10 +13,10 @@ from gibbstopics.core import (
     top_words,
 )
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus, load_labels
-from gibbstopics.dmm import dmm_conditional, dmm_sweep, estimate_theta_dmm, init_dmm, train_dmm
-from gibbstopics.evaluation import argmax_cluster, evaluate_files, nmi, purity
+from gibbstopics.dmm import dmm_conditional, dmm_sweep, estimate_theta_dmm, init_dmm
+from gibbstopics.evaluation import evaluate_files, nmi, purity
 from gibbstopics.inference import PretrainedModel, infer, load_pretrained
-from gibbstopics.lda import init_lda, lda_conditional, lda_sweep, train_lda
+from gibbstopics.lda import init_lda, lda_conditional, lda_sweep
 
 __all__ = [
     "Corpus",
@@ -24,7 +25,6 @@ __all__ = [
     "PretrainedModel",
     "ToolError",
     "Vocabulary",
-    "argmax_cluster",
     "dmm_conditional",
     "dmm_sweep",
     "estimate_phi",

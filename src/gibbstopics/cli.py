@@ -23,12 +23,11 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 
-from gibbstopics.core import Hyperparams, ToolError, make_rng
+from gibbstopics.chain import train_dmm, train_lda
+from gibbstopics.core import Hyperparams, ToolError
 from gibbstopics.corpus import load_corpus, load_labels
-from gibbstopics.dmm import train_dmm
 from gibbstopics.evaluation import evaluate_files
 from gibbstopics.inference import infer, load_pretrained
-from gibbstopics.lda import train_lda
 
 MODES = ("LDA", "DMM", "LDAinf", "DMMinf", "Eval")
 
@@ -114,23 +113,12 @@ def parse_args(argv) -> CliCommand:
 
 def dispatch(cmd: CliCommand) -> int:
     try:
-        if cmd.mode in ("LDA", "DMM"):
-            corpus = load_corpus(cmd.corpus)
-            rng, seed = make_rng(cmd.hp.seed)
-            cmd.hp.seed = seed
-            trainer = train_lda if cmd.mode == "LDA" else train_dmm
-            trainer(corpus, cmd.hp, rng)
+        if cmd.mode == "LDA":
+            train_lda(load_corpus(cmd.corpus), cmd.hp)
+        elif cmd.mode == "DMM":
+            train_dmm(load_corpus(cmd.corpus), cmd.hp)
         elif cmd.mode in ("LDAinf", "DMMinf"):
-            model = load_pretrained(cmd.paras)
-            expected = "LDA" if cmd.mode == "LDAinf" else "DMM"
-            if model.hp.model != expected:
-                raise ToolError(
-                    f"paras file {cmd.paras} is from a {model.hp.model} model, "
-                    f"but -model {cmd.mode} was requested"
-                )
-            hp = cmd.hp
-            rng, seed = make_rng(hp.seed)
-            infer(model, cmd.corpus, hp.niters, hp.twords, hp.name, hp.sstep, rng, seed)
+            infer(load_pretrained(cmd.paras), cmd.corpus, cmd.hp)
         else:
             labels = load_labels(cmd.label)
             summary = evaluate_files(cmd.dir, cmd.prob, labels)

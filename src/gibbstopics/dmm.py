@@ -11,6 +11,9 @@ Full conditional for document d, with its counts removed from the tables
 Evaluated in log space: the rising-factorial products underflow for long
 documents. A sweep, and the theta estimate, run in a compiled C kernel
 (native.py, sweeps.c) that sums dmm_conditional's terms in the same order.
+
+This module is the sampler only: init, sweep and theta. chain.run_chain
+seeds, runs and saves a DMM or DMMinf chain with them.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from functools import partial
 import numpy as np
 
 from gibbstopics import native
-from gibbstopics.chain import run_chain
-from gibbstopics.core import (
-    CountState,
-    Hyperparams,
-    ToolError,
-    recount_dmm,
-)
+from gibbstopics.core import CountState, Hyperparams, ToolError, recount_dmm
 
 
 def doc_word_counts(corpus):
@@ -151,12 +148,3 @@ def dmm_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     tables = _chain_tables(corpus, state, hp)
     return (partial(dmm_sweep, corpus, state, hp, rng, counts=counts, tables=tables),
             partial(estimate_theta_dmm, state, corpus, hp, counts=counts, tables=tables))
-
-
-def train_dmm(corpus, hp: Hyperparams, rng: np.random.Generator,
-              quiet: bool = False) -> CountState:
-    """Run init plus niters sweeps with the same save schedule as LDA training;
-    .topicAssignments holds one topic per document."""
-    hp.validate()
-    state = init_dmm(corpus, hp, rng)
-    return run_chain(corpus, state, hp, *dmm_chain(corpus, state, hp, rng), quiet=quiet)

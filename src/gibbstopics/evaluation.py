@@ -9,8 +9,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from gibbstopics.core import ToolError
 from gibbstopics.persistence import read_matrix
 
@@ -29,14 +27,6 @@ class EvalSummary:
     purity_std: float
     nmi_mean: float
     nmi_std: float
-
-
-def argmax_cluster(theta_row) -> int:
-    """Index of the highest probability; ties broken by lowest index."""
-    row = np.asarray(theta_row, dtype=np.float64)
-    if row.size == 0:
-        raise ToolError("argmax_cluster: empty distribution row")
-    return int(np.argmax(row))
 
 
 def _check_lengths(clusters, labels):

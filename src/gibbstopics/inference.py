@@ -1,29 +1,21 @@
 """Topic inference on an unseen corpus by folding-in: new-document assignments
 are Gibbs-sampled against the trained model's topic-word counts, which stay
 frozen. Out-of-vocabulary tokens are dropped so phi keeps the trained
-dimensions."""
+dimensions. This module loads the trained model and folds the corpus;
+chain.run_chain runs the LDAinf or DMMinf chain."""
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
 from gibbstopics import persistence
 from gibbstopics.chain import run_chain
-from gibbstopics.core import (
-    CountState,
-    Hyperparams,
-    ToolError,
-    _topic_word_counts,
-    estimate_theta_lda,
-)
+from gibbstopics.core import CountState, Hyperparams, ToolError, _topic_word_counts
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus
-from gibbstopics.dmm import dmm_chain, init_dmm
-from gibbstopics.lda import init_lda, lda_sweep
 
 
 @dataclass
@@ -88,29 +80,18 @@ def fold_corpus(model: PretrainedModel, new_corpus_path) -> Corpus:
     return folded
 
 
-def infer(model: PretrainedModel, new_corpus_path, niters: int, twords: int,
-          name: str, sstep: int, rng: np.random.Generator, seed: int,
-          quiet: bool = False) -> CountState:
+def infer(model: PretrainedModel, new_corpus_path, hp: Hyperparams) -> CountState:
     """Sample topic assignments for the unseen corpus with the training counts
-    frozen, writing the usual five artifacts next to the unseen corpus. A name
-    whose outputs would replace the model's own files is refused up front."""
-    kind = "LDAinf" if model.hp.model == "LDA" else "DMMinf"
-    hp = replace(model.hp, model=kind, niters=niters, twords=twords, name=name,
-                 sstep=sstep, seed=seed).validate()
+    frozen, writing the usual five artifacts next to the unseen corpus.
+    hp.model must be the model's kind plus "inf"; K, alpha and beta are set
+    from the model. A name whose outputs would replace the model's own files
+    is refused up front."""
+    if hp.model != model.hp.model + "inf":
+        raise ToolError(f"paras file {model.paras_path} is from a {model.hp.model} model, "
+                        f"but -model {hp.model} was requested")
+    hp.ntopics, hp.alpha, hp.beta = model.hp.ntopics, model.hp.alpha, model.hp.beta
     trained = persistence.output_base(model.paras_path, model.hp.name)
-    if os.path.realpath(persistence.output_base(new_corpus_path, name)) == os.path.realpath(trained):
-        raise ToolError(f"-name {name} would overwrite the model of {model.paras_path} "
+    if os.path.realpath(persistence.output_base(new_corpus_path, hp.name)) == os.path.realpath(trained):
+        raise ToolError(f"-name {hp.name} would overwrite the model of {model.paras_path} "
                         f"({trained}.*); choose another -name")
-    folded = fold_corpus(model, new_corpus_path)
-    state = (init_lda if kind == "LDAinf" else init_dmm)(folded, hp, rng)
-    # Adding the frozen counts makes the training sweeps reusable verbatim:
-    # the topic-word factor sees training + new counts, while ndk/mk cover
-    # only the new documents.
-    state.nkw += model.nkw
-    state.nk += model.nk
-    if kind == "LDAinf":
-        sweep = partial(lda_sweep, folded, state, hp, rng)
-        theta = partial(estimate_theta_lda, state, hp)
-    else:
-        sweep, theta = dmm_chain(folded, state, hp, rng)
-    return run_chain(folded, state, hp, sweep, theta, quiet=quiet)
+    return run_chain(fold_corpus(model, new_corpus_path), hp, model)

@@ -7,23 +7,17 @@ already removed from the tables:
 
 A sweep runs in a compiled C kernel (native.py, sweeps.c) that does the
 arithmetic of lda_conditional and core.draw in the same order.
+
+This module is the sampler only: init and sweep. chain.run_chain seeds,
+runs and saves an LDA or LDAinf chain with them.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from gibbstopics import native
-from gibbstopics.chain import run_chain
-from gibbstopics.core import (
-    CountState,
-    Hyperparams,
-    ToolError,
-    estimate_theta_lda,
-    recount_lda,
-)
+from gibbstopics.core import CountState, Hyperparams, ToolError, recount_lda
 
 
 def init_lda(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
@@ -63,13 +57,3 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     if bad >= 0:
         raise ToolError(f"lda_sweep: nonpositive weight at token {bad}, count bookkeeping corrupt")
     return state
-
-
-def train_lda(corpus, hp: Hyperparams, rng: np.random.Generator,
-              quiet: bool = False) -> CountState:
-    """Run init plus niters sweeps, persisting the five artifacts at each save
-    point (every sstep iterations when sstep > 0) and always at the end."""
-    hp.validate()
-    state = init_lda(corpus, hp, rng)
-    return run_chain(corpus, state, hp, partial(lda_sweep, corpus, state, hp, rng),
-                     partial(estimate_theta_lda, state, hp), quiet=quiet)

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from gibbstopics import train_dmm, train_lda
 from gibbstopics.cli import main
 from gibbstopics.core import (
     CountState,
@@ -20,10 +21,10 @@ from gibbstopics.core import (
     make_rng,
 )
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import dmm_conditional, dmm_sweep, init_dmm, train_dmm
+from gibbstopics.dmm import dmm_conditional, dmm_sweep, init_dmm
 from gibbstopics.evaluation import nmi, purity
 from gibbstopics.inference import infer, load_pretrained
-from gibbstopics.lda import init_lda, lda_conditional, lda_sweep, train_lda
+from gibbstopics.lda import init_lda, lda_conditional, lda_sweep
 
 from conftest import make_corpus, synthetic_lines, two_topic_lines
 from test_evaluation import brute_nmi, brute_purity
@@ -225,7 +226,7 @@ def test_criterion_7_normalization(tmp_path):
         corpus = load_corpus(corpus_path)
 
         hp = Hyperparams(model="LDA", ntopics=5, niters=40, name="nl", seed=1)
-        state = train_lda(corpus, hp, make_rng(1)[0], quiet=True)
+        state = train_lda(corpus, hp)
         from gibbstopics.core import estimate_phi
         theta = estimate_theta_lda(state, hp)
         phi = estimate_phi(state, hp)
@@ -233,7 +234,7 @@ def test_criterion_7_normalization(tmp_path):
         assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-9)
 
         hp = Hyperparams(model="DMM", ntopics=5, beta=0.1, niters=40, name="nd", seed=2)
-        state = train_dmm(corpus, hp, make_rng(2)[0], quiet=True)
+        state = train_dmm(corpus, hp)
         from gibbstopics.dmm import estimate_theta_dmm
         theta = estimate_theta_dmm(state, corpus, hp)
         phi = estimate_phi(state, hp)
@@ -241,12 +242,12 @@ def test_criterion_7_normalization(tmp_path):
         assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-9)
 
         hp = Hyperparams(model="DMM", ntopics=3, beta=0.1, niters=10, name="ni", seed=3)
-        train_dmm(corpus, hp, make_rng(3)[0], quiet=True)
+        train_dmm(corpus, hp)
         model = load_pretrained(tmp_path / "ni.paras")
         unseen = tmp_path / "unseen.txt"
         unseen.write_text("\n".join(synthetic_lines(gen, 8, 25, 4)) + "\n")
-        rng, seed = make_rng(4)
-        state = infer(model, unseen, 10, 5, "ninf", 0, rng, seed, quiet=True)
+        state = infer(model, unseen, Hyperparams(model="DMMinf", niters=10, twords=5,
+            name="ninf", seed=4))
         from gibbstopics.persistence import read_matrix
         for name in ("ninf.theta", "ninf.phi"):
             rows = read_matrix(str(tmp_path / name))
@@ -262,14 +263,14 @@ def test_criterion_8_inference_sanity(tmp_path):
         corpus_path.write_text("\n".join(train_lines) + "\n")
         corpus = load_corpus(corpus_path)
         hp = Hyperparams(model="LDA", ntopics=2, niters=200, name="sep", seed=5)
-        train_state = train_lda(corpus, hp, make_rng(5)[0], quiet=True)
+        train_state = train_lda(corpus, hp)
         model = load_pretrained(tmp_path / "sep.paras")
 
         # all-OOV document: exactly the symmetric prior
         oov = tmp_path / "oov.txt"
         oov.write_text("zz yy\nxx\n")
-        rng, seed = make_rng(6)
-        state = infer(model, oov, 20, 5, "oovinf", 0, rng, seed, quiet=True)
+        state = infer(model, oov, Hyperparams(model="LDAinf", niters=20, twords=5,
+            name="oovinf", seed=6))
         theta = estimate_theta_lda(state, Hyperparams(model="LDAinf", ntopics=2,
                                                       alpha=hp.alpha, beta=hp.beta))
         assert np.allclose(theta, 0.5, atol=1e-12)
@@ -285,8 +286,8 @@ def test_criterion_8_inference_sanity(tmp_path):
         heldout_lines, heldout_topics = two_topic_lines(gen, 40, 8)
         unseen = tmp_path / "unseen.txt"
         unseen.write_text("\n".join(heldout_lines) + "\n")
-        rng, seed = make_rng(7)
-        state = infer(model, unseen, 150, 5, "hinf", 0, rng, seed, quiet=True)
+        state = infer(model, unseen, Hyperparams(model="LDAinf", niters=150, twords=5,
+            name="hinf", seed=7))
         inf_theta = estimate_theta_lda(state, Hyperparams(model="LDAinf", ntopics=2,
                                                           alpha=hp.alpha, beta=hp.beta))
         hits = sum(mapping[int(np.argmax(row))] == t

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gibbstopics import train_dmm
 from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, draw, make_rng
 from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import (
@@ -13,7 +14,6 @@ from gibbstopics.dmm import (
     doc_word_counts,
     estimate_theta_dmm,
     init_dmm,
-    train_dmm,
 )
 
 from conftest import make_corpus
@@ -243,8 +243,8 @@ def test_train_writes_outputs_and_assignment_format(tmp_path):
     path.write_text("a b\nc a\nb b c\n")
     from gibbstopics.corpus import load_corpus
     corpus = load_corpus(path)
-    hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=1, name="run")
-    train_dmm(corpus, hp, make_rng(5)[0], quiet=True)
+    hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=1, name="run", seed=5)
+    train_dmm(corpus, hp)
     assert len(list(tmp_path.glob("run.*"))) == 5
     lines = (tmp_path / "run.topicAssignments").read_text().splitlines()
     assert len(lines) == 3
@@ -259,7 +259,7 @@ def test_train_deterministic_given_seed(tmp_path):
     contents = []
     for _ in range(2):
         hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=15, name="run", seed=13)
-        train_dmm(corpus, hp, make_rng(13)[0], quiet=True)
+        train_dmm(corpus, hp)
         contents.append([(tmp_path / f"run.{s}").read_bytes()
                          for s in ("theta", "phi", "topWords", "topicAssignments", "paras")])
     assert contents[0] == contents[1]
@@ -398,7 +398,6 @@ def test_build_without_compiler_is_tool_error(empty_kernel_cache, monkeypatch, t
     corpus = load_corpus(path)
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     with pytest.raises(ToolError, match="cc -O2 -fPIC -shared -ffp-contract=off.*No such file"):
-        train_dmm(corpus, Hyperparams(model="DMM", ntopics=2, niters=1, name="run"),
-                  make_rng(5)[0], quiet=True)
+        train_dmm(corpus, Hyperparams(model="DMM", ntopics=2, niters=1, name="run", seed=5))
     assert not list(empty_kernel_cache.glob("*.tmp"))
     assert not list(tmp_path.glob("run.*"))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbstopics.core import ToolError
-from gibbstopics.evaluation import argmax_cluster, evaluate_files, nmi, purity
+from gibbstopics.evaluation import evaluate_files, nmi, purity
 
 
 def brute_purity(clusters, labels):
@@ -45,18 +45,36 @@ partitions = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=
 
 
 class TestArgmax:
-    def test_basic(self):
-        assert argmax_cluster([0.2, 0.8]) == 1
+    """Eval's cluster rule, the argmax of each .theta row with ties to the
+    lowest topic, seen through the purity and NMI evaluate_files reports.
+    Both scores ignore cluster names, so each case is built so that another
+    rule would group the documents differently."""
 
-    def test_tie_lowest_index(self):
-        assert argmax_cluster([0.5, 0.5]) == 0
+    @staticmethod
+    def score(tmp_path, rows, labels):
+        (tmp_path / "m.theta").write_text("".join(f"{row}\n" for row in rows))
+        result = evaluate_files(tmp_path, "m.theta", labels).results[0]
+        return result.purity, result.nmi
 
-    def test_singleton(self):
-        assert argmax_cluster([1.0]) == 0
+    def test_basic(self, tmp_path):
+        # argmax groups the three documents apart; argmin would group two
+        rows = ["0.2 0.7 0.1", "0.6 0.3 0.1", "0.1 0.2 0.7"]
+        assert self.score(tmp_path, rows, ("A", "B", "C")) == (1.0, 1.0)
 
-    def test_empty_fatal(self):
-        with pytest.raises(ToolError):
-            argmax_cluster([])
+    def test_tie_lowest_index(self, tmp_path):
+        # the tied row joins topic 0's document, not topic 1's
+        rows = ["0.5 0.5", "0.9 0.1", "0.1 0.9"]
+        assert self.score(tmp_path, rows, ("A", "A", "B")) == (1.0, 1.0)
+        purity_1, nmi_1 = self.score(tmp_path, rows, ("B", "A", "B"))
+        assert abs(purity_1 - 2 / 3) < 1e-12 and nmi_1 < 1.0
+
+    def test_singleton(self, tmp_path):
+        # one topic: a single cluster, so NMI is 0 against two classes
+        assert self.score(tmp_path, ["1", "1"], ("A", "B")) == (0.5, 0.0)
+
+    def test_empty_fatal(self, tmp_path):
+        with pytest.raises(ToolError, match="not a distribution"):
+            self.score(tmp_path, ["", ""], ("A", "B"))
 
 
 class TestPurity:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from gibbstopics.core import Hyperparams, ToolError, estimate_theta_lda, make_rng
+from gibbstopics import train_dmm, train_lda
+from gibbstopics.core import Hyperparams, ToolError, estimate_theta_lda
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import train_dmm
 from gibbstopics.inference import fold_corpus, infer, load_pretrained
-from gibbstopics.lda import train_lda
 
 from conftest import two_topic_lines
 
@@ -15,7 +14,7 @@ def train_small_lda(tmp_path, lines, name="m", ntopics=2, niters=30, seed=7):
     path.write_text("\n".join(lines) + "\n")
     corpus = load_corpus(path)
     hp = Hyperparams(model="LDA", ntopics=ntopics, niters=niters, name=name, seed=seed)
-    train_lda(corpus, hp, make_rng(seed)[0], quiet=True)
+    train_lda(corpus, hp)
     return corpus, tmp_path / f"{name}.paras"
 
 
@@ -33,7 +32,7 @@ def test_load_pretrained_dmm(tmp_path):
     path.write_text("a b\nc a\nb b\n")
     corpus = load_corpus(path)
     hp = Hyperparams(model="DMM", ntopics=3, beta=0.1, niters=10, name="dm", seed=5)
-    train_dmm(corpus, hp, make_rng(5)[0], quiet=True)
+    train_dmm(corpus, hp)
     model = load_pretrained(tmp_path / "dm.paras")
     assert model.hp.model == "DMM"
     assert model.nkw.sum() == corpus.n_tokens
@@ -54,7 +53,7 @@ def test_load_pretrained_finds_corpus_next_to_paras_not_in_cwd(tmp_path, monkeyp
         (tmp_path / folder / "data" / "c.txt").write_text(text)
     monkeypatch.chdir(tmp_path / "A")
     hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=2, name="m", seed=1)
-    train_dmm(load_corpus("data/c.txt"), hp, make_rng(1)[0], quiet=True)
+    train_dmm(load_corpus("data/c.txt"), hp)
     (tmp_path / "B").mkdir()
     (tmp_path / "A" / "data").rename(tmp_path / "B" / "data")
     monkeypatch.chdir(tmp_path / "C")
@@ -73,7 +72,7 @@ def test_load_pretrained_assignment_mismatch(tmp_path):
     # DMM: exactly one topic per document
     path = tmp_path / "corpus.txt"
     hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=1, name="dm", seed=5)
-    train_dmm(load_corpus(path), hp, make_rng(5)[0], quiet=True)
+    train_dmm(load_corpus(path), hp)
     (tmp_path / "dm.topicAssignments").write_text("0\n1 0\n")
     with pytest.raises(ToolError, match="assignment length mismatch at document 2"):
         load_pretrained(tmp_path / "dm.paras")
@@ -103,8 +102,8 @@ def test_all_oov_document_gets_uniform_theta(tmp_path):
     model = load_pretrained(paras)
     unseen = tmp_path / "unseen.txt"
     unseen.write_text("a c\nzzz qqq\n")
-    rng, seed = make_rng(3)
-    state = infer(model, unseen, 20, 10, "inf", 0, rng, seed, quiet=True)
+    state = infer(model, unseen, Hyperparams(model="LDAinf", niters=20, twords=10,
+        name="inf", seed=3))
     hp = Hyperparams(model="LDAinf", ntopics=4, alpha=model.hp.alpha, beta=model.hp.beta)
     theta = estimate_theta_lda(state, hp)
     assert np.allclose(theta[1], 0.25, atol=1e-12)
@@ -116,8 +115,8 @@ def test_frozen_counts_not_mutated(tmp_path):
     frozen_nkw = model.nkw.copy()
     unseen = tmp_path / "unseen.txt"
     unseen.write_text("a c b\nb b\n")
-    rng, seed = make_rng(9)
-    state = infer(model, unseen, 25, 10, "inf", 0, rng, seed, quiet=True)
+    state = infer(model, unseen, Hyperparams(model="LDAinf", niters=25, twords=10,
+        name="inf", seed=9))
     assert np.array_equal(model.nkw, frozen_nkw)
     # state tables = frozen + new-corpus contributions, conserving totals
     new_tokens = 5
@@ -133,8 +132,8 @@ def test_assignment_count_equals_in_vocab_tokens(tmp_path):
     model = load_pretrained(paras)
     unseen = tmp_path / "unseen.txt"
     unseen.write_text("a xx b\nc yy zz\n")
-    rng, seed = make_rng(4)
-    infer(model, unseen, 10, 5, "inf", 0, rng, seed, quiet=True)
+    infer(model, unseen, Hyperparams(model="LDAinf", niters=10, twords=5,
+        name="inf", seed=4))
     lines = (tmp_path / "inf.topicAssignments").read_text().splitlines()
     assert [len(line.split()) for line in lines] == [2, 1]
 
@@ -144,12 +143,12 @@ def test_dmm_inference_outputs(tmp_path):
     path.write_text("a b b\nc c a\nb a\n")
     corpus = load_corpus(path)
     hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=20, name="dm", seed=5)
-    train_dmm(corpus, hp, make_rng(5)[0], quiet=True)
+    train_dmm(corpus, hp)
     model = load_pretrained(tmp_path / "dm.paras")
     unseen = tmp_path / "unseen.txt"
     unseen.write_text("a b\nc\n")
-    rng, seed = make_rng(8)
-    infer(model, unseen, 20, 5, "dminf", 0, rng, seed, quiet=True)
+    infer(model, unseen, Hyperparams(model="DMMinf", niters=20, twords=5,
+        name="dminf", seed=8))
     for suffix in ("theta", "phi", "topWords", "topicAssignments", "paras"):
         assert (tmp_path / f"dminf.{suffix}").is_file()
     lines = (tmp_path / "dminf.topicAssignments").read_text().splitlines()
@@ -178,8 +177,8 @@ def test_inference_recovers_topics_on_separated_corpus(tmp_path):
     heldout_lines, heldout_topics = two_topic_lines(gen, 30, 8)
     unseen = tmp_path / "unseen.txt"
     unseen.write_text("\n".join(heldout_lines) + "\n")
-    rng, seed = make_rng(23)
-    infer(model, unseen, 100, 5, "inf", 0, rng, seed, quiet=True)
+    infer(model, unseen, Hyperparams(model="LDAinf", niters=100, twords=5,
+        name="inf", seed=23))
     inf_theta = [[float(v) for v in line.split()]
                  for line in (tmp_path / "inf.theta").read_text().splitlines()]
     hits = sum(mapping[int(np.argmax(row))] == t for row, t in zip(inf_theta, heldout_topics))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbstopics import native
+from gibbstopics import native, train_dmm, train_lda
 from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, draw, make_rng
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import train_dmm
-from gibbstopics.lda import init_lda, lda_conditional, lda_sweep, train_lda
+from gibbstopics.lda import init_lda, lda_conditional, lda_sweep
 
 from conftest import make_corpus
 
@@ -143,8 +143,8 @@ def test_train_writes_one_output_set(tmp_path):
     path.write_text("a b\nc a\n")
     from gibbstopics.corpus import load_corpus
     corpus = load_corpus(path)
-    hp = Hyperparams(model="LDA", ntopics=2, niters=1, name="run")
-    train_lda(corpus, hp, make_rng(5)[0], quiet=True)
+    hp = Hyperparams(model="LDA", ntopics=2, niters=1, name="run", seed=5)
+    train_lda(corpus, hp)
     for suffix in ("theta", "phi", "topWords", "topicAssignments", "paras"):
         assert (tmp_path / f"run.{suffix}").is_file()
     assert len(list(tmp_path.glob("run.*"))) == 5
@@ -155,8 +155,8 @@ def test_train_save_schedule(tmp_path):
     path.write_text("a b\nc a\n")
     from gibbstopics.corpus import load_corpus
     corpus = load_corpus(path)
-    hp = Hyperparams(model="LDA", ntopics=2, niters=4, sstep=2, name="run")
-    train_lda(corpus, hp, make_rng(5)[0], quiet=True)
+    hp = Hyperparams(model="LDA", ntopics=2, niters=4, sstep=2, name="run", seed=5)
+    train_lda(corpus, hp)
     # saves at iteration 2 plus final; the iteration-4 save IS the final one
     assert (tmp_path / "run.theta.2").is_file()
     assert (tmp_path / "run.theta").is_file()
@@ -171,7 +171,7 @@ def test_train_deterministic_given_seed(tmp_path):
     contents = []
     for _ in range(2):
         hp = Hyperparams(model="LDA", ntopics=2, niters=15, name="run", seed=11)
-        train_lda(corpus, hp, make_rng(11)[0], quiet=True)
+        train_lda(corpus, hp)
         contents.append((tmp_path / "run.theta").read_bytes())
     assert contents[0] == contents[1]
 
@@ -308,6 +308,21 @@ def test_only_native_mentions_ctypes():
     assert offenders == []
 
 
+def test_samplers_import_no_chain_runner():
+    # lda.py and dmm.py are pure samplers: chain.run_chain drives them, and
+    # neither reaches back into the chain, inference or the CLI.
+    package = Path(native.__file__).parent
+    banned = {f"gibbstopics.{m}" for m in ("chain", "inference", "cli")}
+    for name in ("lda.py", "dmm.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+        assert imported & banned == set(), name
+
+
 def test_sweep_detects_corrupt_counts():
     corpus = make_corpus([[0, 1], [1]], 2)
     hp = Hyperparams(ntopics=2)
@@ -321,8 +336,8 @@ def test_sweep_detects_corrupt_counts():
 def _train(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\nc a\n")
-    hp = Hyperparams(model="LDA", ntopics=2, niters=1, name="run")
-    train_lda(load_corpus(path), hp, make_rng(5)[0], quiet=True)
+    hp = Hyperparams(model="LDA", ntopics=2, niters=1, name="run", seed=5)
+    train_lda(load_corpus(path), hp)
 
 
 def test_build_without_compiler_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
@@ -354,7 +369,7 @@ def test_second_load_reuses_cached_library(empty_kernel_cache, tmp_path):
     # DMM runs in the same library: it loads the cached file, builds nothing.
     native._kernel.cache_clear()
     train_dmm(load_corpus(tmp_path / "c.txt"), Hyperparams(model="DMM", ntopics=2, niters=1,
-                                                          name="dmm"), make_rng(5)[0], quiet=True)
+                                                          name="dmm", seed=5))
     assert (tmp_path / "dmm.theta").exists()
     assert list(empty_kernel_cache.iterdir()) == [lib]
     assert lib.stat().st_mtime_ns == 10**18
