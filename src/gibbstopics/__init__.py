@@ -13,10 +13,10 @@ from gibbstopics.core import (
     top_words,
 )
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus, load_labels
-from gibbstopics.dmm import dmm_conditional, dmm_sweep, estimate_theta_dmm, init_dmm
+from gibbstopics.dmm import dmm_sweep, estimate_theta_dmm, init_dmm
 from gibbstopics.evaluation import evaluate_files, nmi, purity
 from gibbstopics.inference import PretrainedModel, infer, load_pretrained
-from gibbstopics.lda import init_lda, lda_conditional, lda_sweep
+from gibbstopics.lda import init_lda, lda_sweep
 
 __all__ = [
     "Corpus",
@@ -25,7 +25,6 @@ __all__ = [
     "PretrainedModel",
     "ToolError",
     "Vocabulary",
-    "dmm_conditional",
     "dmm_sweep",
     "estimate_phi",
     "estimate_theta_dmm",
@@ -34,7 +33,6 @@ __all__ = [
     "infer",
     "init_dmm",
     "init_lda",
-    "lda_conditional",
     "lda_sweep",
     "load_corpus",
     "load_labels",

@@ -3,6 +3,7 @@ the theta/phi estimators used by both samplers."""
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -29,6 +30,15 @@ class Hyperparams:
     def validate(self):
         if self.model not in MODEL_KINDS:
             raise ToolError(f"unknown model kind {self.model!r}")
+        # Refused before any range check: 2.5 topics, or a bool, would pass those.
+        kinds = {"alpha": (numbers.Real, "a number"), "beta": (numbers.Real, "a number"),
+                 "name": (str, "a string")}
+        for field in ("ntopics", "alpha", "beta", "niters", "twords", "sstep", "seed", "name"):
+            value = getattr(self, field)
+            kind, what = kinds.get(field, (numbers.Integral, "an integer"))
+            if (isinstance(value, bool) or not isinstance(value, kind)) and not (
+                    field == "seed" and value is None):
+                raise ToolError(f"{field} must be {what}, got {value!r}")
         if self.ntopics < 1:
             raise ToolError(f"ntopics must be >= 1, got {self.ntopics}")
         if not 0 < self.alpha < np.inf:
@@ -75,13 +85,6 @@ def make_rng(seed: int | None = None) -> tuple[np.random.Generator, int]:
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     return np.random.Generator(np.random.PCG64(seed)), seed
-
-
-def draw(weights: np.ndarray, u: float) -> int:
-    """Map a uniform u in [0, 1) to an index drawn proportionally to the
-    weights, which the caller has checked: finite, nonnegative, not all zero."""
-    idx = int(weights.cumsum().searchsorted(u * weights.sum(), "right"))
-    return min(idx, weights.size - 1)
 
 
 def estimate_theta_lda(state: CountState, hp: Hyperparams) -> np.ndarray:
@@ -132,26 +135,3 @@ def recount_dmm(corpus, z, ntopics: int) -> CountState:
     return CountState(ndk=None, nkw=nkw, nk=nkw.sum(axis=1), z=z,
                       mk=np.bincount(z, minlength=ntopics))
 
-
-def check_state(state: CountState, corpus, kind: str):
-    """Assert the count-conservation invariants by recounting from z.
-
-    Raises ToolError on any mismatch; used by tests.
-    """
-    ntopics = state.nk.size
-    if kind in ("DMM", "DMMinf"):
-        ref = recount_dmm(corpus, state.z, ntopics)
-        if state.mk is None or not np.array_equal(ref.mk, state.mk):
-            raise ToolError("count invariant violated: mk does not match assignments")
-        if int(state.mk.sum()) != corpus.n_docs:
-            raise ToolError("count invariant violated: sum(mk) != D")
-    else:
-        ref = recount_lda(corpus, state.z, ntopics)
-        if not np.array_equal(ref.ndk, state.ndk):
-            raise ToolError("count invariant violated: ndk does not match assignments")
-    if not np.array_equal(ref.nkw, state.nkw):
-        raise ToolError("count invariant violated: nkw does not match assignments")
-    if not np.array_equal(ref.nk, state.nk):
-        raise ToolError("count invariant violated: nk does not match assignments")
-    if int(state.nk.sum()) != corpus.n_tokens:
-        raise ToolError("count invariant violated: sum(nk) != total tokens")

@@ -10,7 +10,8 @@ Full conditional for document d, with its counts removed from the tables
 
 Evaluated in log space: the rising-factorial products underflow for long
 documents. A sweep, and the theta estimate, run in a compiled C kernel
-(native.py, sweeps.c) that sums dmm_conditional's terms in the same order.
+(native.py, sweeps.c) that sums the terms left to right in the formula's
+order; the tests hold its NumPy oracle (tests/oracles.py).
 
 This module is the sampler only: init, sweep and theta. chain.run_chain
 seeds, runs and saves a DMM or DMMinf chain with them.
@@ -46,47 +47,18 @@ def init_dmm(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
     return recount_dmm(corpus, rng.integers(0, hp.ntopics, size=corpus.n_docs), hp.ntopics)
 
 
-def _log_tables(hp: Hyperparams, n_vocab: int, n_docs: int, n_num: int, n_den: int):
-    """The conditional's log terms by count m, for m below n_num, n_den and
-    n_docs: lnum[m] = log(m + beta), lden[m] = log(m + V*beta) and
-    lpri[m] = log(m + alpha) - log(D - 1 + K*alpha)."""
+def _chain_tables(corpus, state: CountState, hp: Hyperparams):
+    """The conditional's log terms by count m, as the kernel reads them:
+    lnum[m] = log(m + beta), lden[m] = log(m + V*beta) and
+    lpri[m] = log(m + alpha) - log(D - 1 + K*alpha). They are sized to what
+    the counts, frozen training counts included, can reach: a word's total
+    count, all tokens, all documents. Sweeps only move counts between
+    topics, so these sizes, and the tables, hold for the whole chain."""
+    n_num = int(state.nkw.sum(axis=0).max(initial=0)) + 1
+    n_den = int(state.nk.sum()) + 1
+    n_docs, n_vocab = corpus.n_docs, corpus.vocab.size
     return (np.log(np.arange(n_num) + hp.beta), np.log(np.arange(n_den) + n_vocab * hp.beta),
             np.log(np.arange(n_docs) + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha))
-
-
-def dmm_conditional(state: CountState, hp: Hyperparams, uwords, ucounts,
-                    n_vocab: int, n_docs: int) -> np.ndarray:
-    """Length-K log-weights for one document, whose counts must already be
-    removed from mk, nkw and nk.
-
-    The log prior and the rising-factorial log terms, read from _log_tables
-    as the kernel reads them, form one K x (1 + 2N) matrix, summed left to
-    right (cumsum, not numpy's pairwise sum) in the order of the formula's
-    factors."""
-    words = uwords.repeat(ucounts)
-    n = words.size
-    j = np.arange(n) - (ucounts.cumsum() - ucounts).repeat(ucounts)  # 0..c_w-1 per word
-    num = state.nkw[:, words] + j
-    den = state.nk[:, None] + np.arange(n)
-    if not (0 <= state.mk.min() <= state.mk.max() < n_docs
-            and num.min(initial=0) >= 0 and den.min(initial=0) >= 0):
-        raise ToolError("dmm_conditional: count outside the log tables, count bookkeeping corrupt")
-    lnum, lden, lpri = _log_tables(hp, n_vocab, n_docs, num.max(initial=0) + 1,
-                                   den.max(initial=0) + 1)
-    terms = np.concatenate((lpri[state.mk][:, None], lnum[num], -lden[den]), axis=1)
-    logw = terms.cumsum(axis=1)[:, -1]
-    if not np.isfinite(logw).all():
-        raise ToolError("dmm_conditional: non-finite log-weight, count bookkeeping corrupt")
-    return logw
-
-
-def _chain_tables(corpus, state: CountState, hp: Hyperparams):
-    """The kernel's _log_tables, sized to what the counts, frozen training
-    counts included, can reach: a word's total count, all tokens, all
-    documents. Sweeps only move counts between topics, so these sizes, and
-    the tables, hold for the whole chain."""
-    return _log_tables(hp, corpus.vocab.size, corpus.n_docs,
-                       int(state.nkw.sum(axis=0).max(initial=0)) + 1, int(state.nk.sum()) + 1)
 
 
 def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, tables, rng):

@@ -5,8 +5,8 @@ already removed from the tables:
 
     p(z = k) ~ (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)
 
-A sweep runs in a compiled C kernel (native.py, sweeps.c) that does the
-arithmetic of lda_conditional and core.draw in the same order.
+A sweep runs in a compiled C kernel (native.py, sweeps.c); the tests hold
+its NumPy oracle (tests/oracles.py), which the kernel matches bit for bit.
 
 This module is the sampler only: init and sweep. chain.run_chain seeds,
 runs and saves an LDA or LDAinf chain with them.
@@ -23,15 +23,6 @@ from gibbstopics.core import CountState, Hyperparams, ToolError, recount_lda
 def init_lda(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
     """Assign every token a uniformly random topic and build the count tables."""
     return recount_lda(corpus, rng.integers(0, hp.ntopics, size=corpus.n_tokens), hp.ntopics)
-
-
-def lda_conditional(state: CountState, hp: Hyperparams, d: int, word: int, n_vocab: int) -> np.ndarray:
-    """Unnormalized topic weights for one token, whose current assignment must
-    already be decremented from all tables."""
-    weights = (state.ndk[d] + hp.alpha) * (state.nkw[:, word] + hp.beta) / (state.nk + n_vocab * hp.beta)
-    if not 0 < weights.min() <= weights.max() < np.inf:  # also false on NaN
-        raise ToolError("lda_conditional: nonpositive weight, count bookkeeping corrupt")
-    return weights
 
 
 def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):

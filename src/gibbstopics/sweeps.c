@@ -4,10 +4,10 @@
  * dmm.estimate_theta_dmm) and format_matrix (called from
  * persistence.write_matrix).
  *
- * Each step does the arithmetic of the Python conditional (lda_conditional,
- * dmm_conditional) and core.draw in the same order, so z, the count tables
- * and the draws match the NumPy forms the tests keep, bit for bit. Build
- * without FMA contraction or fast-math: both change rounding. */
+ * Each step does the arithmetic of the NumPy oracles in tests/oracles.py
+ * (the conditional, then the draw) in the same order, so z, the count tables
+ * and the draws match them bit for bit. Build without FMA contraction or
+ * fast-math: both change rounding. */
 
 #include <math.h>
 #include <stdint.h>
@@ -93,13 +93,13 @@ static void shift_doc(int64_t k, int64_t sign, int64_t b, int64_t e, int64_t n,
 }
 
 /* For each document d in turn, with its counts removed from topic z[d]:
- * the log-weight of every topic, summed left to right as in
- * dmm_conditional (prior, word terms, then length terms) from the tables
+ * the log-weight of every topic, summed left to right in the formula's
+ * order (prior, word terms, then length terms) from the tables
  * lnum[m] = log(m + beta), lden[m] = log(m + V*beta) and
  * lpri[m] = log(m + alpha) - log(D - 1 + K*alpha), m < D; then the weights
- * exp(logw - max). With uniforms u, z[d] is drawn with u[d] as core.draw
- * does; without (u NULL), row d of the D x K theta is the normalized weights.
- * The counts go back under z[d]. w is K doubles of scratch.
+ * exp(logw - max). With uniforms u, z[d] is drawn with u[d] as the oracle's
+ * draw does; without (u NULL), row d of the D x K theta is the normalized
+ * weights. The counts go back under z[d]. w is K doubles of scratch.
  *
  * Every table index is checked, so corrupt (negative) counts never read
  * outside a table. Returns -1, or the first document whose index falls

@@ -1,0 +1,45 @@
+"""NumPy oracles of the compiled sampler steps in sweeps.c, and the count
+invariant every state must keep. The kernels are the only implementation in
+src/; these are the references the tests hold them to, bit for bit."""
+
+import numpy as np
+
+from gibbstopics.core import recount_dmm, recount_lda
+
+
+def draw(weights, u):
+    """Map a uniform u in [0, 1) to an index drawn proportionally to the
+    weights, which the caller has checked: finite, nonnegative, not all zero."""
+    idx = int(weights.cumsum().searchsorted(u * weights.sum(), "right"))
+    return min(idx, weights.size - 1)
+
+
+def lda_conditional(state, hp, d, word, n_vocab):
+    """Unnormalized topic weights for one token of document d, whose current
+    assignment must already be decremented from all tables:
+    (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)."""
+    return (state.ndk[d] + hp.alpha) * (state.nkw[:, word] + hp.beta) / (state.nk + n_vocab * hp.beta)
+
+
+def loop_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
+    """Length-K log-weights for one document, whose counts must already be
+    removed from mk, nkw and nk: accumulated one factor at a time, in the
+    formula's order: prior, then each (word, repeat) factor, then each length
+    factor. The DMM kernel must reproduce it bit for bit."""
+    logw = np.log(state.mk + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha)
+    for w, c in zip(uwords, ucounts):
+        for j in range(c):
+            logw = logw + np.log((state.nkw[:, w] + j) + hp.beta)
+    for i in range(int(sum(ucounts))):
+        logw = logw - np.log((state.nk + i) + n_vocab * hp.beta)
+    return logw
+
+
+def check_state(state, corpus, kind):
+    """Assert the count-conservation invariants: every table is exactly what
+    state.z recounts to."""
+    dmm = kind in ("DMM", "DMMinf")
+    ref = (recount_dmm if dmm else recount_lda)(corpus, state.z, state.nk.size)
+    for table in ("mk" if dmm else "ndk", "nkw", "nk"):
+        assert np.array_equal(getattr(state, table), getattr(ref, table)), \
+            f"count invariant violated: {table} does not match assignments"

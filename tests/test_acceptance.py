@@ -13,20 +13,15 @@ import pytest
 
 from gibbstopics import train_dmm, train_lda
 from gibbstopics.cli import main
-from gibbstopics.core import (
-    CountState,
-    Hyperparams,
-    check_state,
-    estimate_theta_lda,
-    make_rng,
-)
+from gibbstopics.core import CountState, Hyperparams, estimate_theta_lda, make_rng
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import dmm_conditional, dmm_sweep, init_dmm
+from gibbstopics.dmm import dmm_sweep, init_dmm
 from gibbstopics.evaluation import nmi, purity
 from gibbstopics.inference import infer, load_pretrained
-from gibbstopics.lda import init_lda, lda_conditional, lda_sweep
+from gibbstopics.lda import init_lda, lda_sweep
 
 from conftest import make_corpus, synthetic_lines, two_topic_lines
+from oracles import check_state, lda_conditional, loop_conditional
 from test_evaluation import brute_nmi, brute_purity
 
 
@@ -185,7 +180,7 @@ def test_criterion_4_conditional_spot_checks():
         state = CountState(ndk=np.zeros((1, 2), dtype=np.int64), nkw=nkw,
                            nk=nkw.sum(axis=1), z=np.zeros(1, dtype=np.int64),
                            mk=np.array([1, 1], dtype=np.int64))
-        logw = dmm_conditional(state, hp, np.array([0]), np.array([2]), 3, 3)
+        logw = loop_conditional(state, hp, np.array([0]), np.array([2]), 3, 3)
         weights = np.exp(logw - logw.max())
         assert np.allclose(weights / weights.sum(), [0.88590, 0.11410], atol=1e-4)
 

@@ -5,13 +5,15 @@ from gibbstopics.core import (
     CountState,
     Hyperparams,
     ToolError,
-    draw,
     estimate_phi,
     estimate_theta_lda,
     make_rng,
     top_words,
 )
-from gibbstopics.corpus import Vocabulary
+from gibbstopics.chain import train_lda
+from gibbstopics.corpus import Vocabulary, load_corpus
+
+from oracles import draw
 
 
 def make_vocab(words):
@@ -25,7 +27,7 @@ def lda_state(ndk, nkw):
 
 
 class TestSampleCategorical:
-    """Categorical draws through core.draw, each fed one explicit uniform."""
+    """Categorical draws through the oracle's draw, each fed one explicit uniform."""
 
     def test_single_weight(self, rng):
         assert all(draw(np.array([1.0]), u) == 0 for u in rng.random(20))
@@ -143,10 +145,36 @@ class TestHyperparams:
         {"beta": float("inf")},
         {"seed": -1},
         {"name": "a\nb"},
+        # Wrongly typed fields: a float count would run, then fail mid-save
+        # (twords) or write a .paras that cannot be replayed (sstep).
+        {"ntopics": 2.5},
+        {"ntopics": True},
+        {"niters": 2.5},
+        {"twords": 1.5},
+        {"sstep": 1.5},
+        {"seed": 1.5},
+        {"seed": "3"},
+        {"alpha": "0.1"},
+        {"beta": None},
+        {"beta": False},
+        {"name": 5},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ToolError):
+        field = next(iter(kwargs))
+        with pytest.raises(ToolError, match=f"^{field}|model kind"):
             Hyperparams(**kwargs).validate()
+
+    def test_numpy_scalars_accepted(self):
+        hp = Hyperparams(ntopics=np.int64(3), alpha=np.float64(0.5), niters=np.int32(2),
+                         seed=np.uint64(7), beta=1)
+        assert hp.validate() is hp
+
+    def test_float_twords_refused_before_any_file(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("a b\nc a\n")
+        with pytest.raises(ToolError, match="^twords must be an integer, got 1.5"):
+            train_lda(load_corpus(path), Hyperparams(ntopics=2, niters=1, twords=1.5, name="run"))
+        assert not list(tmp_path.glob("run.*"))
 
 
 def test_make_rng_records_entropy_seed():

@@ -5,18 +5,12 @@ import numpy as np
 import pytest
 
 from gibbstopics import train_dmm
-from gibbstopics.core import CountState, Hyperparams, ToolError, check_state, draw, make_rng
+from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import (
-    _chain_tables,
-    dmm_conditional,
-    dmm_sweep,
-    doc_word_counts,
-    estimate_theta_dmm,
-    init_dmm,
-)
+from gibbstopics.dmm import _chain_tables, dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
 
 from conftest import make_corpus
+from oracles import check_state, draw, loop_conditional
 
 
 def linear_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
@@ -33,19 +27,6 @@ def linear_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
     return out
 
 
-def loop_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
-    """The log conditional accumulated one factor at a time, in the formula's
-    order: prior, then each (word, repeat) factor, then each length factor.
-    dmm_conditional must reproduce it bit for bit."""
-    logw = np.log(state.mk + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha)
-    for w, c in zip(uwords, ucounts):
-        for j in range(c):
-            logw = logw + np.log((state.nkw[:, w] + j) + hp.beta)
-    for i in range(int(sum(ucounts))):
-        logw = logw - np.log((state.nk + i) + n_vocab * hp.beta)
-    return logw
-
-
 def _shift_doc(state, k, uwords, ucounts, sign):
     state.mk[k] += sign
     state.nkw[k, uwords] += sign * ucounts
@@ -60,14 +41,14 @@ def _leave_one_out(state, hp, corpus):
     for d, doc in enumerate(corpus.docs):
         uwords, ucounts = np.unique(doc, return_counts=True)
         _shift_doc(state, state.z[d], uwords, ucounts, -1)
-        logw = dmm_conditional(state, hp, uwords, ucounts, corpus.vocab.size, corpus.n_docs)
+        logw = loop_conditional(state, hp, uwords, ucounts, corpus.vocab.size, corpus.n_docs)
         yield d, np.array([math.exp(x) for x in logw - logw.max()])
         _shift_doc(state, state.z[d], uwords, ucounts, 1)
 
 
 def loop_sweep(corpus, state, hp, rng):
     """Reference sweep: dmm_sweep as a per-document NumPy loop over
-    dmm_conditional and core.draw."""
+    loop_conditional and draw."""
     uniforms = rng.random(corpus.n_docs).tolist()
     for d, weights in _leave_one_out(state, hp, corpus):
         state.z[d] = draw(weights, uniforms[d])
@@ -115,7 +96,7 @@ def test_init_deterministic():
 def test_conditional_symmetry_with_zero_counts():
     hp = Hyperparams(model="DMM", ntopics=3, alpha=0.4, beta=0.2)
     state = removed_state([0, 0, 0], np.zeros((3, 4)))
-    logw = dmm_conditional(state, hp, np.array([1]), np.array([1]), 4, 5)
+    logw = loop_conditional(state, hp, np.array([1]), np.array([1]), 4, 5)
     w = np.exp(logw - logw.max())
     assert np.allclose(w / w.sum(), [1 / 3] * 3, atol=1e-12)
 
@@ -125,7 +106,7 @@ def test_conditional_worked_example():
     # removed counts: mk=[1,1], nkw[:,0]=[2,0], nk=[4,1]
     hp = Hyperparams(model="DMM", ntopics=2, alpha=0.1, beta=0.1)
     state = removed_state([1, 1], [[2, 1, 1], [0, 1, 0]])
-    logw = dmm_conditional(state, hp, np.array([0]), np.array([2]), 3, 3)
+    logw = loop_conditional(state, hp, np.array([0]), np.array([2]), 3, 3)
     w = np.exp(logw)
     assert np.allclose(w, [0.14282580, 0.01839465], atol=1e-6)
     assert np.allclose(w / w.sum(), [0.88590, 0.11410], atol=1e-4)
@@ -134,7 +115,7 @@ def test_conditional_worked_example():
 def test_conditional_single_topic():
     hp = Hyperparams(model="DMM", ntopics=1, alpha=0.1, beta=0.1)
     state = removed_state([2], [[3, 1]])
-    logw = dmm_conditional(state, hp, np.array([0]), np.array([1]), 2, 3)
+    logw = loop_conditional(state, hp, np.array([0]), np.array([1]), 2, 3)
     w = np.exp(logw - logw.max())
     assert np.allclose(w / w.sum(), [1.0])
 
@@ -147,30 +128,9 @@ def test_log_space_matches_linear_space(rng):
         state = removed_state(rng.integers(0, 5, size=4), nkw)
         uwords, ucounts = np.unique(rng.integers(0, 7, size=rng.integers(1, 12)),
                                     return_counts=True)
-        logw = dmm_conditional(state, hp, uwords, ucounts, 7, 9)
+        logw = loop_conditional(state, hp, uwords, ucounts, 7, 9)
         expected = linear_conditional(state, hp, uwords, ucounts, 7, 9)
         assert np.allclose(np.exp(logw), expected, rtol=1e-9)
-
-
-@pytest.mark.parametrize("max_len", [0, 3, 40])
-def test_conditional_bit_identical_to_loop_form(rng, max_len):
-    # max_len 0 gives empty (all-OOV) documents; small vocabularies force
-    # repeated words
-    hp = Hyperparams(model="DMM", ntopics=6, alpha=0.3, beta=0.05)
-    for _ in range(30):
-        nkw = rng.integers(0, 50, size=(6, 5)).astype(np.int64)
-        state = removed_state(rng.integers(0, 20, size=6), nkw)
-        doc = rng.integers(0, 5, size=rng.integers(0, max_len + 1))
-        uwords, ucounts = np.unique(doc.astype(np.int64), return_counts=True)
-        logw = dmm_conditional(state, hp, uwords, ucounts, 5, 31)
-        assert np.array_equal(logw, loop_conditional(state, hp, uwords, ucounts, 5, 31))
-
-
-def test_conditional_detects_corrupt_counts():
-    hp = Hyperparams(model="DMM", ntopics=2, alpha=0.1, beta=0.1)
-    state = removed_state([1, -2], [[0, 0], [0, 0]])
-    with pytest.raises(ToolError):
-        dmm_conditional(state, hp, np.array([0]), np.array([1]), 2, 3)
 
 
 def test_sweep_single_topic_is_identity():
@@ -226,7 +186,7 @@ def test_theta_rows_sum_to_one():
 
 def test_theta_matches_conditional_worked_example():
     # full state whose leave-one-out removal of doc 0 reproduces the
-    # dmm_conditional worked example, so theta[0] = [0.88590, 0.11410]
+    # conditional worked example, so theta[0] = [0.88590, 0.11410]
     corpus = make_corpus([[0, 0], [0, 0, 1, 2], [1]], 3)
     hp = Hyperparams(model="DMM", ntopics=2, alpha=0.1, beta=0.1)
     z = np.array([0, 0, 1], dtype=np.int64)
@@ -275,9 +235,9 @@ def test_word_counts_flat_per_document():
 
 
 def _random_corpus(gen, n_docs, n_vocab):
-    # Lengths from 0 (an all-OOV document after folding) to 12 over a small
+    # Lengths from 0 (an all-OOV document after folding) to 40 over a small
     # vocabulary, so words repeat within documents.
-    return make_corpus([gen.integers(0, n_vocab, size=gen.integers(0, 13)).tolist()
+    return make_corpus([gen.integers(0, n_vocab, size=gen.integers(0, 41)).tolist()
                         for _ in range(n_docs)], n_vocab)
 
 
@@ -285,7 +245,7 @@ def _random_corpus(gen, n_docs, n_vocab):
 @pytest.mark.parametrize("alpha, beta", [(0.1, 0.1), (2.5, 0.01)])
 @pytest.mark.parametrize("ntopics", [1, 7, 8, 9, 50, 129])
 def test_kernel_matches_numpy_oracle(ntopics, alpha, beta, frozen):
-    # The kernel must sum dmm_conditional's terms, exponentiate and draw
+    # The kernel must sum loop_conditional's terms, exponentiate and draw
     # exactly as the NumPy loop does: same topics, counts, theta and uniforms.
     # With frozen > 0 the tables also hold training counts of up to that many
     # per cell, as in DMMinf, whose log tables must reach them.

@@ -1,10 +1,23 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from gibbstopics import train_dmm, train_lda
-from gibbstopics.core import Hyperparams, ToolError, estimate_theta_lda
+from gibbstopics.core import (
+    Hyperparams,
+    ToolError,
+    estimate_theta_lda,
+    make_rng,
+    recount_dmm,
+    recount_lda,
+)
 from gibbstopics.corpus import load_corpus
+from gibbstopics.dmm import dmm_sweep, doc_word_counts
 from gibbstopics.inference import fold_corpus, infer, load_pretrained
+from gibbstopics.lda import lda_sweep
 
 from conftest import two_topic_lines
 
@@ -183,3 +196,70 @@ def test_inference_recovers_topics_on_separated_corpus(tmp_path):
                  for line in (tmp_path / "inf.theta").read_text().splitlines()]
     hits = sum(mapping[int(np.argmax(row))] == t for row, t in zip(inf_theta, heldout_topics))
     assert hits / len(heldout_topics) >= 0.9
+
+
+def folded_posterior(kind, corpus, frozen_nkw, hp):
+    """The exact folding-in posterior p(z | w, frozen counts), enumerated:
+    the collapsed joint of the new documents (ndk for LDA, mk for DMM) with
+    the word term over frozen plus new counts, up to constants."""
+    lgamma = np.vectorize(math.lgamma)
+    recount = recount_lda if kind == "LDA" else recount_dmm
+    n = corpus.n_tokens if kind == "LDA" else corpus.n_docs
+    scores = {}
+    for z in itertools.product(range(hp.ntopics), repeat=n):
+        new = recount(corpus, np.array(z), hp.ntopics)
+        total = new.nkw + frozen_nkw
+        scores[z] = (lgamma((new.ndk if kind == "LDA" else new.mk) + hp.alpha).sum()
+                     + lgamma(total + hp.beta).sum()
+                     - lgamma(total.sum(axis=1) + corpus.vocab.size * hp.beta).sum())
+    mx = max(scores.values())
+    weights = {z: math.exp(v - mx) for z, v in scores.items()}
+    total = sum(weights.values())
+    return {z: w / total for z, w in weights.items()}
+
+
+def tv_distance(empirical, exact):
+    return 0.5 * sum(abs(empirical.get(s, 0.0) - p) for s, p in exact.items())
+
+
+@pytest.mark.parametrize("kind, unseen_text, seed", [
+    ("LDA", "a b\nc a\n", 11),             # 4 tokens: 81 states
+    ("DMM", "a b\nb c c\na\nc a\n", 21),  # 4 documents: 81 states
+], ids=["LDA", "DMM"])
+def test_folding_in_matches_exact_posterior(tmp_path, kind, unseen_text, seed):
+    # LDAinf and DMMinf sample the new documents against the frozen training
+    # counts; their sweeps must reach the enumerated posterior at K=3, as
+    # criteria 2 and 3 do for training.
+    path = tmp_path / "corpus.txt"
+    path.write_text("a a b\nb b c\nc c a\na a\nb c c\n")
+    train = train_lda if kind == "LDA" else train_dmm
+    train(load_corpus(path), Hyperparams(model=kind, ntopics=3, alpha=0.5, beta=0.5, niters=20,
+                                         name="m", seed=seed))
+    model = load_pretrained(tmp_path / "m.paras")
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text(unseen_text)
+    # One iteration through infer, so run_chain itself adds the frozen counts.
+    hp = Hyperparams(model=kind + "inf", niters=1, name="inf", seed=seed + 1)
+    state = infer(model, unseen, hp)
+    corpus = fold_corpus(model, unseen)
+    exact = folded_posterior(kind, corpus, model.nkw, hp)
+    # A chain that dropped the frozen counts would sample this one instead.
+    assert tv_distance(folded_posterior(kind, corpus, 0 * model.nkw, hp), exact) >= 0.2
+
+    rng, _ = make_rng(seed + 2)
+    if kind == "LDA":
+        def sweep():
+            lda_sweep(corpus, state, hp, rng)
+    else:
+        counts = doc_word_counts(corpus)
+
+        def sweep():
+            dmm_sweep(corpus, state, hp, rng, counts=counts)
+    for _ in range(200):
+        sweep()
+    n_samples, tally = 15000, Counter()
+    for _ in range(n_samples):
+        sweep()
+        tally[tuple(state.z.tolist())] += 1
+    tv = tv_distance({z: c / n_samples for z, c in tally.items()}, exact)
+    assert tv < 0.05, f"TV distance {tv:.4f}"
