@@ -1,16 +1,18 @@
 """Corpus and label loading: one document per line, whitespace tokens,
-vocabulary ids assigned in first-occurrence order."""
+vocabulary ids assigned in first-occurrence order. The tokenize kernel of
+the compiled library (native.py) splits a corpus, so loading one needs the
+library; loading labels does not."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from gibbstopics import native
 from gibbstopics.core import ToolError
-from gibbstopics.persistence import read_lines
+from gibbstopics.persistence import read_lines, read_text
 
 
 @dataclass(frozen=True)
@@ -51,31 +53,36 @@ def split_docs(flat: np.ndarray, offsets: np.ndarray) -> tuple:
 
 
 def load_corpus(path) -> Corpus:
-    """Load a UTF-8 corpus file: one document per line, tokens split on
-    whitespace. Blank lines are fatal so that line numbers stay aligned with
-    any gold-label file."""
+    """Load a UTF-8 corpus file: one document per line, each ended by LF,
+    CR LF or CR, and tokens split on the whitespace of str.split(). Blank
+    lines are fatal so that line numbers stay aligned with any gold-label
+    file."""
     path = str(path)
-    lines = read_lines(path, "corpus file")
-    if not lines:
+    data, _ = read_text(path, "corpus file")  # decoded once: invalid UTF-8 names its line
+    if not data:
         raise ToolError(f"corpus file {path} is empty")
-
-    # A missing word gets the next id: default_factory is called, then its
-    # result stored, so the per-token lookup runs no bytecode.
-    ids_of = defaultdict()
-    ids_of.default_factory = ids_of.__len__
-    ids: list[int] = []
-    offsets = [0]
-    for line in lines:
-        ids += map(ids_of.__getitem__, line.split())
-        offsets.append(len(ids))
-    offsets = np.array(offsets, dtype=np.int64)
+    text = np.frombuffer(data, np.uint8)
+    n = text.size
+    # Worst-case capacities, allocated but touched only as far as written.
+    words = np.empty((n + 1) // 2, np.int64)
+    offsets = np.empty(n + 1, np.int64)
+    vocab = np.empty(n + 1, np.uint8)
+    sizes = np.empty(3, np.int64)
+    native.check("tokenize", ("text", text, np.uint8, (n,), False),
+                 ("words", words, np.int64, ((n + 1) // 2,), True),
+                 ("offsets", offsets, np.int64, (n + 1,), True),
+                 ("vocab", vocab, np.uint8, (n + 1,), True), ("sizes", sizes, np.int64, (3,), True))
+    if native.call("tokenize", n, text, words, offsets, vocab, sizes) < 0:
+        raise ToolError(f"out of memory tokenizing corpus file {path}")
+    n_tokens, n_docs, n_vocab = sizes.tolist()
+    offsets = offsets[:n_docs + 1]
     blank = np.flatnonzero(offsets[1:] == offsets[:-1])
     if blank.size:
         raise ToolError(f"blank document at line {blank[0] + 1} in {path}")
-    # a plain dict: a defaultdict would add every word looked up and missed
-    index = dict(ids_of)
-    return Corpus(words=np.array(ids, dtype=np.int64), offsets=offsets,
-                  vocab=Vocabulary(words=tuple(index), index=index), source_path=path)
+    vocab_words = vocab[:n_vocab - 1].tobytes().decode().split("\n")
+    index = dict(zip(vocab_words, range(len(vocab_words))))
+    return Corpus(words=words[:n_tokens], offsets=offsets,
+                  vocab=Vocabulary(words=tuple(vocab_words), index=index), source_path=path)
 
 
 def load_labels(path) -> tuple:

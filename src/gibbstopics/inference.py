@@ -90,6 +90,7 @@ def infer(model: PretrainedModel, new_corpus_path, hp: Hyperparams) -> CountStat
         raise ToolError(f"paras file {model.paras_path} is from a {model.hp.model} model, "
                         f"but -model {hp.model} was requested")
     hp.ntopics, hp.alpha, hp.beta = model.hp.ntopics, model.hp.alpha, model.hp.beta
+    hp.validate()  # before hp.name makes a path
     trained = persistence.output_base(model.paras_path, model.hp.name)
     if os.path.realpath(persistence.output_base(new_corpus_path, hp.name)) == os.path.realpath(trained):
         raise ToolError(f"-name {hp.name} would overwrite the model of {model.paras_path} "

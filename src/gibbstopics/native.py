@@ -1,6 +1,7 @@
 """The compiled kernels (sweeps.c) in one library: lda_sweep and dmm_sweep,
-the sweeps of both samplers, and format_matrix, the matrix writer's
-formatter.
+the sweeps of both samplers, format_matrix, the matrix writer's formatter,
+and tokenize, the corpus loader's tokenizer. Every mode but Eval, which only
+reads matrices, loads the library.
 
 It is compiled with the system `cc` on first use and cached under
 $XDG_CACHE_HOME/gibbstopics (~/.cache/gibbstopics when that is unset or
@@ -62,7 +63,7 @@ def _build(lib_path: str):
 def _kernel():
     """The compiled library, built on first use, with the argument types of
     every kernel set."""
-    import hashlib  # here, not at the top: Eval and corpus loading never need it
+    import hashlib  # here, not at the top: import and Eval never need it
 
     try:
         with open(_SOURCE, "rb") as f:
@@ -85,7 +86,9 @@ def _kernel():
     lib.dmm_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64,
                               ptr, i64, ptr, i64, ptr, ptr, ptr, ptr)
     lib.format_matrix.argtypes = (i64, i64, ptr, ptr)
-    lib.lda_sweep.restype = lib.dmm_sweep.restype = lib.format_matrix.restype = i64
+    lib.tokenize.argtypes = (i64, ptr, ptr, ptr, ptr, ptr)
+    for kernel in (lib.lda_sweep, lib.dmm_sweep, lib.format_matrix, lib.tokenize):
+        kernel.restype = i64
     return lib
 
 

@@ -26,9 +26,26 @@ from gibbstopics.core import Hyperparams, ToolError, top_words
 # absolute path, then the other Hyperparams fields in declaration order.
 PARAS_KEYS = ("model", "corpus", "corpus_abs") + tuple(
     f.name for f in fields(Hyperparams) if f.name != "model")
+
+
+def _parse_int(v: str) -> int:
+    """An ASCII decimal integer -?[0-9]+, as str(int) writes one."""
+    digits = v[1:] if v.startswith("-") else v
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{v!r} is not an integer -?[0-9]+")
+    return int(v)
+
+
+def _parse_float(v: str) -> float:
+    """A float() of ASCII text with no "_", as str(float) writes one."""
+    if not v.isascii() or "_" in v:
+        raise ValueError(f"{v!r} is not an ASCII decimal")
+    return float(v)
+
+
 # Parsers of the Hyperparams fields, keyed by their annotation strings.
-_PARSE = {"str": str, "int": int, "float": float,
-          "int | None": lambda v: None if v == "None" else int(v)}
+_PARSE = {"str": str, "int": _parse_int, "float": _parse_float,
+          "int | None": lambda v: None if v == "None" else _parse_int(v)}
 # translate deletes every character a .topicAssignments file may hold
 _ID_CHARS = str.maketrans("", "", "0123456789 -\n")
 _INT64 = np.iinfo(np.int64)
@@ -41,23 +58,28 @@ class ParasRecord:
     corpus_abs: str
 
 
-def read_lines(path, what: str) -> list[str]:
-    """The lines of a UTF-8 input file, each ended by LF, CR LF or CR only:
-    the other breaks of str.splitlines (form feed, U+2028, ...) stay inside
-    their line, so corpus and label lines stay aligned. Every input format
-    is read here, so an unreadable or undecodable file is a ToolError naming
-    it."""
+def read_text(path, what: str) -> tuple[bytes, str]:
+    """The bytes of a UTF-8 input file and their text. Every input format is
+    read here, so an unreadable or undecodable file is a ToolError naming it,
+    and invalid UTF-8 names its line as read_lines counts lines."""
     try:
         with open(path, "rb") as f:
             data = f.read()
-        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        return lines[:-1] if lines[-1] == "" else lines
+        return data, data.decode("utf-8")
     except OSError as exc:
         raise ToolError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         head = exc.object[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ToolError(f"invalid UTF-8 at line {line} in {what} {path}") from exc
+
+
+def read_lines(path, what: str) -> list[str]:
+    """The lines of a UTF-8 input file, each ended by LF, CR LF or CR only:
+    the other breaks of str.splitlines (form feed, U+2028, ...) stay inside
+    their line, so corpus and label lines stay aligned."""
+    lines = read_text(path, what)[1].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _atomic_write(path: str, data):
@@ -203,8 +225,7 @@ def _refuse_id_lines(lines, path):
     for lineno, line in enumerate(lines, start=1):
         try:
             for v in line.split(" ") if line else ():
-                digits = v[1:] if v.startswith("-") else v
-                if not (digits.isascii() and digits.isdigit() and -2**63 <= int(v) < 2**63):
+                if not -2**63 <= _parse_int(v) < 2**63:
                     raise ValueError(f"{v!r} is not an int64 id")
         except ValueError as exc:  # also int()'s limit on the number of digits
             raise ToolError(f"bad topic assignment at line {lineno} in {path}") from exc

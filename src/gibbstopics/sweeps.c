@@ -1,10 +1,10 @@
-/* The collapsed Gibbs sweeps of both samplers and the matrix writer's
- * formatter, built and loaded by gibbstopics.native: lda_sweep (called from
- * lda.lda_sweep), dmm_sweep (called from dmm.dmm_sweep and
- * dmm.estimate_theta_dmm) and format_matrix (called from
- * persistence.write_matrix).
+/* The collapsed Gibbs sweeps of both samplers, the matrix writer's
+ * formatter and the corpus tokenizer, built and loaded by gibbstopics.native:
+ * lda_sweep (called from lda.lda_sweep), dmm_sweep (called from
+ * dmm.dmm_sweep and dmm.estimate_theta_dmm), format_matrix (called from
+ * persistence.write_matrix) and tokenize (called from corpus.load_corpus).
  *
- * Each step does the arithmetic of the NumPy oracles in tests/oracles.py
+ * Each sampler step does the arithmetic of the NumPy oracles in tests/oracles.py
  * (the conditional, then the draw) in the same order, so z, the count tables
  * and the draws match them bit for bit. Build without FMA contraction or
  * fast-math: both change rounding. */
@@ -12,6 +12,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The sum np.add.reduce computes for a contiguous float64 vector: pairwise,
@@ -264,4 +265,141 @@ int64_t format_matrix(int64_t rows, int64_t cols, const double *x, char *out)
             *p++ = '\n';
     }
     return p - out;
+}
+
+
+/* The bytes that start a separator: ASCII whitespace (1), a line end (2),
+ * or the lead byte of a multi-byte whitespace code point (3). */
+static const uint8_t SPACE[256] = {
+    ['\t'] = 1, ['\v'] = 1, ['\f'] = 1, [0x1c] = 1, [0x1d] = 1, [0x1e] = 1, [0x1f] = 1,
+    [' '] = 1, ['\n'] = 2, ['\r'] = 2, [0xc2] = 3, [0xe1] = 3, [0xe2] = 3, [0xe3] = 3,
+};
+
+/* The length of the whitespace code point str.split() splits on at text[i]
+ * (lead byte class 3), or 0 when the code point there is not one. Reads no
+ * byte at or past n. */
+static int64_t multibyte_space(const uint8_t *text, int64_t i, int64_t n)
+{
+    uint8_t a = text[i], b = i + 1 < n ? text[i + 1] : 0, c = i + 2 < n ? text[i + 2] : 0;
+    if (a == 0xc2)  /* U+0085, U+00A0 */
+        return b == 0x85 || b == 0xa0 ? 2 : 0;
+    if (a == 0xe1)  /* U+1680 */
+        return b == 0x9a && c == 0x80 ? 3 : 0;
+    if (a == 0xe3)  /* U+3000 */
+        return b == 0x80 && c == 0x80 ? 3 : 0;
+    if (b == 0x80)  /* U+2000-U+200A, U+2028, U+2029, U+202F */
+        return (c >= 0x80 && c <= 0x8a) || c == 0xa8 || c == 0xa9 || c == 0xaf ? 3 : 0;
+    return b == 0x81 && c == 0x9f ? 3 : 0;  /* U+205F */
+}
+
+/* A hash slot: a word's FNV-1a hash and its id + 1 (0: the slot is empty). */
+typedef struct {
+    uint64_t hash;
+    int64_t id1;
+} slot_t;
+
+/* Double the table's slots, rehashing every word. Returns 0 when out of
+ * memory, leaving the table as it was. */
+static int grow_table(slot_t **table, int64_t *cap)
+{
+    int64_t mask = 2 * *cap - 1;
+    slot_t *grown = calloc(2 * *cap, sizeof *grown);
+    if (!grown)
+        return 0;
+    for (int64_t s = 0; s < *cap; s++) {
+        if (!(*table)[s].id1)
+            continue;
+        int64_t t = (int64_t)((*table)[s].hash & (uint64_t)mask);
+        while (grown[t].id1)
+            t = (t + 1) & mask;
+        grown[t] = (*table)[s];
+    }
+    free(*table);
+    *table = grown;
+    *cap = mask + 1;
+    return 1;
+}
+
+/* Split the n bytes of a valid UTF-8 text into lines, ended by LF, CR LF or
+ * CR, and each line into tokens, separated by the 29 code points
+ * str.split() treats as whitespace. Each token's word id, given in order of
+ * first occurrence through an open-addressing hash table that doubles at
+ * half load, goes to words; offsets[0] = 0 and offsets[l + 1] is the token
+ * count after line l. Each distinct word, followed by '\n', goes to vocab.
+ * Capacities: words (n + 1) / 2 ids (rounded down), offsets n + 1, vocab
+ * n + 1 bytes. sizes gets the token, line and vocab byte counts. Returns
+ * the number of distinct words, or -1 when out of memory. */
+int64_t tokenize(int64_t n, const uint8_t *text, int64_t *words, int64_t *offsets,
+                 uint8_t *vocab, int64_t *sizes)
+{
+    int64_t cap = 256, n_words = 0, n_tokens = 0, n_lines = 0, n_vocab = 0, n_starts = 256;
+    slot_t *table = calloc(cap, sizeof *table);
+    /* where each word starts in vocab, then where the next one would */
+    int64_t *vstart = malloc(n_starts * sizeof *vstart);
+    if (!table || !vstart)
+        goto out_of_memory;
+    offsets[0] = 0;
+    vstart[0] = 0;
+    int64_t i = 0, line_start = 0;
+    while (i < n) {
+        /* the token at i, up to the next separator */
+        int64_t start = i, sep = 0;
+        uint64_t h = 14695981039346656037ULL;
+        for (; i < n; i++) {
+            uint8_t cls = SPACE[text[i]];
+            if (cls && (sep = cls < 3 ? 1 : multibyte_space(text, i, n)))
+                break;
+            h = (h ^ text[i]) * 1099511628211ULL;
+        }
+        if (i > start) {
+            int64_t len = i - start, j = (int64_t)(h & (uint64_t)(cap - 1)), id;
+            for (;; j = (j + 1) & (cap - 1)) {
+                id = table[j].id1 - 1;
+                if (id < 0 || (table[j].hash == h && vstart[id + 1] - vstart[id] - 1 == len
+                               && !memcmp(vocab + vstart[id], text + start, len)))
+                    break;
+            }
+            if (id < 0) {  /* a new word */
+                if (2 * (n_words + 1) > cap) {
+                    if (!grow_table(&table, &cap))
+                        goto out_of_memory;
+                    for (j = (int64_t)(h & (uint64_t)(cap - 1)); table[j].id1; j = (j + 1) & (cap - 1))
+                        ;
+                }
+                if (n_words + 1 == n_starts) {
+                    int64_t *more = realloc(vstart, 2 * n_starts * sizeof *vstart);
+                    if (!more)
+                        goto out_of_memory;
+                    vstart = more;
+                    n_starts *= 2;
+                }
+                id = n_words++;
+                table[j] = (slot_t){h, n_words};
+                memcpy(vocab + n_vocab, text + start, len);
+                n_vocab += len;
+                vocab[n_vocab++] = '\n';
+                vstart[n_words] = n_vocab;
+            }
+            words[n_tokens++] = id;
+        }
+        if (i < n && text[i] == '\r' && i + 1 < n && text[i + 1] == '\n')
+            sep = 2;
+        if (i < n && SPACE[text[i]] == 2) {
+            offsets[++n_lines] = n_tokens;
+            line_start = i + sep;
+        }
+        i += sep;
+    }
+    if (line_start < n)
+        offsets[++n_lines] = n_tokens;
+    free(table);
+    free(vstart);
+    sizes[0] = n_tokens;
+    sizes[1] = n_lines;
+    sizes[2] = n_vocab;
+    return n_words;
+out_of_memory:
+    free(table);
+    free(vstart);
+    return -1;
 }

@@ -41,6 +41,13 @@ def two_topic_lines(rng, n_docs, doc_len, words_per_topic=10):
     return lines, topics
 
 
+@pytest.fixture(scope="session", autouse=True)
+def compiled_kernels():
+    """Build or load the compiled library before any test, so that a first
+    build never counts against a hypothesis example's deadline."""
+    native._kernel()
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))

@@ -353,9 +353,8 @@ def test_kernel_detects_negative_counts(table, run):
 
 
 def test_build_without_compiler_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("a b\nc a\n")
-    corpus = load_corpus(path)
+    # Built in memory: loading a corpus file would build the library first.
+    corpus = make_corpus([[0, 1], [2, 0]], 3, source_path=str(tmp_path / "c.txt"))
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     with pytest.raises(ToolError, match="cc -O2 -fPIC -shared -ffp-contract=off.*No such file"):
         train_dmm(corpus, Hyperparams(model="DMM", ntopics=2, niters=1, name="run", seed=5))

@@ -151,6 +151,20 @@ def test_assignment_count_equals_in_vocab_tokens(tmp_path):
     assert [len(line.split()) for line in lines] == [2, 1]
 
 
+@pytest.mark.parametrize("name", [5, None, ["x"]])
+def test_infer_checks_hp_before_any_path(tmp_path, name):
+    # A name that is not a string is refused as such, before it can reach
+    # os.path.join, and nothing is written.
+    _, paras = train_small_lda(tmp_path, ["a b", "b c"])
+    model = load_pretrained(paras)
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text("a b\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(ToolError, match=r"name must be a string, got"):
+        infer(model, unseen, Hyperparams(model="LDAinf", niters=1, name=name))
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_dmm_inference_outputs(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("a b b\nc c a\nb a\n")

@@ -382,12 +382,19 @@ def test_relative_xdg_cache_home_is_ignored(empty_kernel_cache, monkeypatch, tmp
     assert not (tmp_path / "relative-cache").exists()
 
 
-def test_import_and_corpus_load_build_nothing(tmp_path):
-    code = ("import sys, gibbstopics; gibbstopics.load_corpus(sys.argv[1]); "
-            "assert 'subprocess' not in sys.modules")
-    corpus = tmp_path / "c.txt"
-    corpus.write_text("a b\n")
+def test_import_builds_nothing(tmp_path):
+    code = "import sys, gibbstopics; assert 'subprocess' not in sys.modules"
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "xdg"),
                PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code, str(corpus)], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
     assert not (tmp_path / "xdg").exists()
+
+
+def test_corpus_load_without_compiler_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
+    # The tokenizer is a kernel, so loading a corpus needs the library.
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\n")
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    with pytest.raises(ToolError, match="cc -O2 -fPIC -shared -ffp-contract=off.*No such file"):
+        load_corpus(corpus)
+    assert not list(empty_kernel_cache.glob("*.tmp"))

@@ -7,12 +7,14 @@ import bisect
 import os
 import re
 import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from gibbstopics import native
 from gibbstopics.core import MODEL_KINDS, Hyperparams, ToolError
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus, load_labels
 from gibbstopics.persistence import (
@@ -175,6 +177,7 @@ def _assert_same_result(kind, got, want):
     if kind == "corpus":
         assert type(got.vocab.index) is dict
         assert got.vocab == want.vocab and got.source_path == want.source_path
+        assert list(got.vocab.index.items()) == list(want.vocab.index.items())  # order too
         got, want = (got.words, got.offsets), (want.words, want.offsets)
     elif kind == "matrix":
         got, want = (got,), (want,)
@@ -203,11 +206,18 @@ def matrices(draw):
     return matrix
 
 
+# The 29 code points str.split() splits on, the same in Python 3.10 and 3.11;
+# LF and CR also end a line.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+              + "".join(map(chr, range(0x2000, 0x200b))) + "\u2028\u2029\u202f\u205f\u3000")
+INLINE_WHITESPACE = WHITESPACE.replace("\n", "").replace("\r", "")
+
+
 @st.composite
 def corpus_text(draw):
-    words = st.text(st.sampled_from("ab\u00e9\u4e2d\U0001f600.,-_0"), min_size=1, max_size=4)
-    spaces = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1d\x85\xa0\u2028\u3000"),
-                     min_size=1, max_size=3)
+    words = st.text(st.sampled_from("ab\u00e9\u4e2d\U0001f600\U00010348.,-_0\x00"),
+                    min_size=1, max_size=4)
+    spaces = st.text(st.sampled_from(INLINE_WHITESPACE), min_size=1, max_size=3)
     lines = draw(st.lists(st.lists(st.tuples(words, spaces), min_size=1, max_size=6),
                           min_size=1, max_size=6))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
@@ -297,3 +307,122 @@ def test_bulk_readers_agree_with_oracles_on_fuzzed_input(tmp_path, reader, data)
         re.escape(message).replace(r"\{\}", "(.+)"), want[1])
     line = min(stricter, int(found[1])) if found else stricter
     assert got == ("error", message.format(line, path))
+
+
+# The tokenize kernel behind load_corpus, held to loop_load_corpus.
+
+def _assert_loads_as_oracle(path, text):
+    """load_corpus and loop_load_corpus make the same of text: equal corpora,
+    or the same error message. Returns load_corpus's outcome."""
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+    got, want = _outcome(load_corpus, path), _outcome(loop_load_corpus, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        _assert_same_result("corpus", got[1], want[1])
+    else:
+        assert got[1] == want[1]
+    return got
+
+
+def test_whitespace_is_what_str_split_splits_on():
+    assert len(WHITESPACE) == 29
+    assert [c for c in map(chr, range(0x110000)) if len(f"a{c}b".split()) == 2] == list(WHITESPACE)
+
+
+@pytest.mark.parametrize("space", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_each_whitespace_code_point_separates_tokens(tmp_path, space):
+    # between, before and after tokens; as the file's last bytes, after a
+    # final token with no line end, and after a line end
+    for text in (f"a{space}b\n", f"{space}a b\n", f"a b{space}\n", f"a{space}{space}é\nb\n",
+                 f"a{space}b", f"a\nb{space}", f"a\nb{space}{space}", f"a\n{space}b\n"):
+        _assert_loads_as_oracle(tmp_path / "c.txt", text)
+    if space in INLINE_WHITESPACE:
+        corpus = load_corpus(tmp_path / "c.txt")
+        assert corpus.offsets.tolist() == [0, 1, 2] and corpus.vocab.words == ("a", "b")
+
+
+@pytest.mark.parametrize("text", ["a\rb\rc", "a\r\nb\r\n", "a\nb\r\nc\rd\n", "a\r\r\nb\n",
+                                  "a\n\rb", "a\r\n\r\nb", "a\r", "a\r\n", "\r\na", "a\n\n",
+                                  "a \r\n b\r c \n"])
+def test_line_ends(tmp_path, text):
+    _assert_loads_as_oracle(tmp_path / "c.txt", text)
+
+
+def test_crlf_is_one_line_end(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"a b\r\nc\r\nd\re\n")
+    assert load_corpus(path).offsets.tolist() == [0, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\u2028"])
+def test_other_line_breaks_stay_inside_a_line(tmp_path, brk):
+    # str.splitlines breaks at these; a corpus line does not
+    _, corpus = _assert_loads_as_oracle(tmp_path / "c.txt", f"a{brk}b\nc{brk}\n{brk}d")
+    assert corpus.offsets.tolist() == [0, 2, 3, 4]
+
+
+def test_non_ascii_and_nul_tokens(tmp_path):
+    text = ("é 中文 \U0001f600 a\x00b \x00 \U0001f600\U00010348\n"
+            "中文 \x00 a\x00b \U00010348\n")
+    _, corpus = _assert_loads_as_oracle(tmp_path / "c.txt", text)
+    assert corpus.vocab.words == ("é", "中文", "\U0001f600", "a\x00b", "\x00",
+                                  "\U0001f600\U00010348", "\U00010348")
+    assert corpus.words.tolist() == [0, 1, 2, 3, 4, 5, 1, 4, 3, 6]
+
+
+def test_vocabulary_past_the_initial_table(tmp_path):
+    # 20000 distinct words double the kernel's 256-slot table seven times;
+    # every word comes back in a shuffled second half, so a word the table
+    # lost while growing would get a second id.
+    words = [f"w{i}" for i in range(20000)]
+    order = np.random.default_rng(3).permutation(len(words))
+    again = [words[i] for i in order]
+    lines = [" ".join(ws[i:i + 10]) for ws in (words, again) for i in range(0, len(ws), 10)]
+    _, corpus = _assert_loads_as_oracle(tmp_path / "c.txt", "\n".join(lines) + "\n")
+    assert corpus.vocab.size == 20000
+
+
+def _fnv1a(data: bytes) -> int:
+    """The kernel's 64-bit FNV-1a hash."""
+    h = 14695981039346656037
+    for b in data:
+        h = ((h ^ b) * 1099511628211) % 2**64
+    return h
+
+
+def test_tokens_sharing_a_hash_slot(tmp_path):
+    # Words whose hashes start in one slot of the first 256 are told apart
+    # by their bytes; so are words that are prefixes of each other.
+    by_slot = defaultdict(list)
+    for word in (f"{p}{i}" for p in ("x", "é", "x\x00") for i in range(3000)):
+        by_slot[_fnv1a(word.encode()) % 256].append(word)
+    shared = max(by_slot.values(), key=len)[:60]
+    assert len(shared) >= 40
+    prefixes = ["a", "ab", "abc", "b", "ba", "a\x00", "a\x00\x00"]
+    lines = [" ".join(shared), " ".join(prefixes), " ".join(reversed(shared + prefixes))]
+    _, corpus = _assert_loads_as_oracle(tmp_path / "c.txt", "\n".join(lines))
+    assert corpus.vocab.size == len(shared) + len(prefixes)
+
+
+def _tokenize(text):
+    """The kernel's words, offsets and vocabulary bytes for the uint8 text."""
+    n = text.size
+    words, offsets = np.empty((n + 1) // 2, np.int64), np.empty(n + 1, np.int64)
+    vocab, sizes = np.empty(n + 1, np.uint8), np.empty(3, np.int64)
+    native.check("test", ("text", text, np.uint8, (n,), False))
+    native.call("tokenize", n, text, words, offsets, vocab, sizes)
+    n_tokens, n_lines, n_vocab = sizes.tolist()
+    return words[:n_tokens].tolist(), offsets[:n_lines + 1].tolist(), vocab[:n_vocab].tobytes()
+
+
+@pytest.mark.parametrize("data,n,want", [
+    (b"x y\xe2\x80\xa8", 5, ([0, 1], [0, 2], b"x\ny\xe2\x80\n")),
+    (b"x\xe1\x9a\x80", 3, ([0], [0, 1], b"x\xe1\x9a\n")),
+    (b"x \xe3\x80\x80", 3, ([0, 1], [0, 2], b"x\n\xe3\n")),
+    (b"x\xc2\x85", 2, ([0], [0, 1], b"x\xc2\n")),
+    (b"xy z", 1, ([0], [0, 1], b"x\n")),
+])
+def test_tokenize_reads_nothing_past_the_buffer(data, n, want):
+    # The first n bytes of a longer buffer: the bytes after them would make
+    # a whitespace code point of the last ones, or extend the last token.
+    assert _tokenize(np.frombuffer(data, np.uint8)[:n]) == want

@@ -243,6 +243,34 @@ def test_paras_alpha_exact(tmp_path):
     assert read_paras(path).hp.alpha == 0.1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("ntopics", "+0_3"), ("ntopics", "3_0"), ("ntopics", "+3"), ("ntopics", " 3"),
+    ("niters", "\u0662"), ("twords", "\uff15"), ("sstep", "-"), ("sstep", ""),
+    ("seed", "1_0"), ("seed", "none"), ("seed", "\u0967"),
+    ("alpha", "0_1"), ("alpha", "0.1_0"), ("beta", "\u0660.\u0661"), ("beta", "1e\u0662"),
+])
+def test_paras_numbers_are_ascii(tmp_path, key, value):
+    # int() and float() accept "_", a sign and non-ASCII digits, which
+    # write_paras never writes: such a value is refused, naming the file.
+    path = tmp_path / "m.paras"
+    write_paras(Hyperparams(model="LDA", seed=1), "c.txt", str(path))
+    lines = [f"{key}={value}" if l.startswith(f"{key}=") else l
+             for l in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ToolError, match=f"bad value in paras file {re.escape(str(path))}"):
+        read_paras(str(path))
+
+
+def test_paras_numbers_keep_their_written_forms(tmp_path):
+    path = tmp_path / "m.paras"
+    hp = Hyperparams(model="LDA", ntopics=3, alpha=1e-300, beta=5e-324, niters=10**30,
+                     seed=None)
+    write_paras(hp, "c.txt", str(path))
+    assert read_paras(str(path)).hp == hp
+    path.write_text(path.read_text().replace("alpha=1e-300", "alpha=-0.5E+3"))
+    assert read_paras(str(path)).hp.alpha == -500.0  # read; validate() refuses it
+
+
 def test_write_failure_names_path(tmp_path):
     with pytest.raises(ToolError, match="no_such_dir"):
         write_matrix([[1.0]], str(tmp_path / "no_such_dir" / "m.theta"))
