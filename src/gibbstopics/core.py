@@ -39,8 +39,8 @@ class Hyperparams:
             if (isinstance(value, bool) or not isinstance(value, kind)) and not (
                     field == "seed" and value is None):
                 raise ToolError(f"{field} must be {what}, got {value!r}")
-        if self.ntopics < 1:
-            raise ToolError(f"ntopics must be >= 1, got {self.ntopics}")
+        if not 1 <= self.ntopics < 2**63:  # topic ids are int64
+            raise ToolError(f"ntopics must be in [1, 2**63), got {self.ntopics}")
         if not 0 < self.alpha < np.inf:
             raise ToolError(f"alpha must be finite and > 0, got {self.alpha}")
         if not 0 < self.beta < np.inf:
@@ -110,28 +110,33 @@ def top_words(phi_row, vocab, t: int) -> list[tuple[str, float]]:
     return [(vocab.words[i], float(row[i])) for i in order]
 
 
-def _topic_word_counts(topics, corpus, ntopics: int) -> np.ndarray:
-    """K x V counts of the (topic, word) pairs of all tokens, given one topic
-    per token of corpus.words."""
-    n_vocab = corpus.vocab.size
-    cells = topics * n_vocab
-    cells += corpus.words
-    return np.bincount(cells, minlength=ntopics * n_vocab).reshape(ntopics, n_vocab)
+def _count_table(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
+    """Counts of the cells (rows[i], cols[i]) in an n_rows x n_cols table, D x K
+    or K x V. One that cannot be allocated is a ToolError naming ntopics."""
+    try:
+        if int(n_rows) * int(n_cols) > np.iinfo(np.intp).max // 8:  # numpy cannot size its bytes
+            raise MemoryError
+        cells = rows * n_cols
+        cells += cols
+        return np.bincount(cells, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+    except MemoryError as exc:
+        raise ToolError(f"ntopics is too large: its {n_rows} x {n_cols} count table "
+                        "cannot be allocated") from exc
 
 
 def recount_lda(corpus, z, ntopics: int) -> CountState:
     """Build all LDA count tables from the topic of every token."""
     z = np.asarray(z, dtype=np.int64)
     doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
-    ndk = np.bincount(doc_of * ntopics + z, minlength=corpus.n_docs * ntopics)
-    nkw = _topic_word_counts(z, corpus, ntopics)
-    return CountState(ndk=ndk.reshape(corpus.n_docs, ntopics), nkw=nkw, nk=nkw.sum(axis=1), z=z)
+    ndk = _count_table(doc_of, z, corpus.n_docs, ntopics)
+    nkw = _count_table(z, corpus.words, ntopics, corpus.vocab.size)
+    return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=z)
 
 
 def recount_dmm(corpus, z, ntopics: int) -> CountState:
     """Build all DMM count tables from the per-document topics."""
     z = np.asarray(z, dtype=np.int64)
-    nkw = _topic_word_counts(z.repeat(np.diff(corpus.offsets)), corpus, ntopics)
+    nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, corpus.vocab.size)
     return CountState(ndk=None, nkw=nkw, nk=nkw.sum(axis=1), z=z,
                       mk=np.bincount(z, minlength=ntopics))
 

@@ -1,7 +1,7 @@
 """Corpus and label loading: one document per line, whitespace tokens,
-vocabulary ids assigned in first-occurrence order. The tokenize kernel of
-the compiled library (native.py) splits a corpus, so loading one needs the
-library; loading labels does not."""
+vocabulary ids assigned in first-occurrence order. persistence.read_tokens
+splits a corpus, as it does a .topicAssignments file, with the tokenize kernel
+of the compiled library (native.py), so loading a corpus needs the library."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from gibbstopics import native
 from gibbstopics.core import ToolError
-from gibbstopics.persistence import read_lines, read_text
+from gibbstopics.persistence import read_lines, read_tokens
 
 
 @dataclass(frozen=True)
@@ -53,36 +52,18 @@ def split_docs(flat: np.ndarray, offsets: np.ndarray) -> tuple:
 
 
 def load_corpus(path) -> Corpus:
-    """Load a UTF-8 corpus file: one document per line, each ended by LF,
-    CR LF or CR, and tokens split on the whitespace of str.split(). Blank
-    lines are fatal so that line numbers stay aligned with any gold-label
-    file."""
+    """Load a UTF-8 corpus file, one document per line, as read_tokens splits
+    it. Blank lines are fatal so that line numbers stay aligned with any
+    gold-label file."""
     path = str(path)
-    data, _ = read_text(path, "corpus file")  # decoded once: invalid UTF-8 names its line
+    data, words, offsets, tokens = read_tokens(path, "corpus file")
     if not data:
         raise ToolError(f"corpus file {path} is empty")
-    text = np.frombuffer(data, np.uint8)
-    n = text.size
-    # Worst-case capacities, allocated but touched only as far as written.
-    words = np.empty((n + 1) // 2, np.int64)
-    offsets = np.empty(n + 1, np.int64)
-    vocab = np.empty(n + 1, np.uint8)
-    sizes = np.empty(3, np.int64)
-    native.check("tokenize", ("text", text, np.uint8, (n,), False),
-                 ("words", words, np.int64, ((n + 1) // 2,), True),
-                 ("offsets", offsets, np.int64, (n + 1,), True),
-                 ("vocab", vocab, np.uint8, (n + 1,), True), ("sizes", sizes, np.int64, (3,), True))
-    if native.call("tokenize", n, text, words, offsets, vocab, sizes) < 0:
-        raise ToolError(f"out of memory tokenizing corpus file {path}")
-    n_tokens, n_docs, n_vocab = sizes.tolist()
-    offsets = offsets[:n_docs + 1]
     blank = np.flatnonzero(offsets[1:] == offsets[:-1])
     if blank.size:
         raise ToolError(f"blank document at line {blank[0] + 1} in {path}")
-    vocab_words = vocab[:n_vocab - 1].tobytes().decode().split("\n")
-    index = dict(zip(vocab_words, range(len(vocab_words))))
-    return Corpus(words=words[:n_tokens], offsets=offsets,
-                  vocab=Vocabulary(words=tuple(vocab_words), index=index), source_path=path)
+    vocab = Vocabulary(words=tuple(tokens), index=dict(zip(tokens, range(len(tokens)))))
+    return Corpus(words=words, offsets=offsets, vocab=vocab, source_path=path)
 
 
 def load_labels(path) -> tuple:

@@ -14,7 +14,7 @@ import numpy as np
 
 from gibbstopics import persistence
 from gibbstopics.chain import run_chain
-from gibbstopics.core import CountState, Hyperparams, ToolError, _topic_word_counts
+from gibbstopics.core import CountState, Hyperparams, ToolError, _count_table
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus
 
 
@@ -57,8 +57,8 @@ def load_pretrained(paras_path) -> PretrainedModel:
     bad = z[(z < 0) | (z >= hp.ntopics)]
     if bad.size:
         raise ToolError(f"topic id {bad[0]} out of range in {assign_path}")
-    nkw = _topic_word_counts(z if hp.model == "LDA" else z.repeat(np.diff(corpus.offsets)),
-                             corpus, hp.ntopics)
+    topics = z if hp.model == "LDA" else z.repeat(np.diff(corpus.offsets))
+    nkw = _count_table(topics, corpus.words, hp.ntopics, corpus.vocab.size)
     return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, nk=nkw.sum(axis=1),
                            paras_path=paras_path)
 

@@ -1,7 +1,7 @@
 """The compiled kernels (sweeps.c) in one library: lda_sweep and dmm_sweep,
 the sweeps of both samplers, format_matrix, the matrix writer's formatter,
-and tokenize, the corpus loader's tokenizer. Every mode but Eval, which only
-reads matrices, loads the library.
+and tokenize, which persistence.read_tokens reads corpora and .topicAssignments
+with. Every mode but Eval, which only reads matrices, loads the library.
 
 It is compiled with the system `cc` on first use and cached under
 $XDG_CACHE_HOME/gibbstopics (~/.cache/gibbstopics when that is unset or

@@ -6,9 +6,9 @@ a truncated artifact and concurrent runs never share a temp file. Outputs land
 in the directory of the input corpus, named <name>.<suffix> with save-point
 variants <name>.<suffix>.<iteration>.
 
-.theta and .phi hold the bytes np.savetxt(fmt="%.6g") would write; the
-compiled library of native.py formats them. Reading needs no compiler, so
-Eval runs without one.
+.theta and .phi hold the bytes np.savetxt(fmt="%.6g") would write. The library
+of native.py formats them and tokenizes corpora and .topicAssignments; reading
+a matrix needs no compiler, so Eval runs without one.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ def _parse_float(v: str) -> float:
 # Parsers of the Hyperparams fields, keyed by their annotation strings.
 _PARSE = {"str": str, "int": _parse_int, "float": _parse_float,
           "int | None": lambda v: None if v == "None" else _parse_int(v)}
-# translate deletes every character a .topicAssignments file may hold
-_ID_CHARS = str.maketrans("", "", "0123456789 -\n")
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -78,8 +75,37 @@ def read_lines(path, what: str) -> list[str]:
     """The lines of a UTF-8 input file, each ended by LF, CR LF or CR only:
     the other breaks of str.splitlines (form feed, U+2028, ...) stay inside
     their line, so corpus and label lines stay aligned."""
-    lines = read_text(path, what)[1].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return _split_lines(read_text(path, what)[1])
+
+
+def _split_lines(text: str) -> list[str]:
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return lines[:-1] if lines[-1] == "" else lines
+
+
+def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
+    """Split a UTF-8 file with the tokenize kernel: lines end at LF, CR LF or CR,
+    tokens at the whitespace of str.split(). Returns the bytes, each token's
+    int64 id (in first-occurrence order), the int64 offsets (lines + 1, from 0)
+    where each line's tokens start, and the distinct tokens."""
+    data, _ = read_text(path, what)  # decoded once: invalid UTF-8 names its line
+    text = np.frombuffer(data, np.uint8)
+    n = text.size
+    # Worst-case capacities, allocated but touched only as far as written.
+    words = np.empty((n + 1) // 2, np.int64)
+    offsets = np.empty(n + 1, np.int64)
+    vocab = np.empty(n + 1, np.uint8)
+    sizes = np.empty(3, np.int64)
+    native.check("tokenize", ("text", text, np.uint8, (n,), False),
+                 ("words", words, np.int64, ((n + 1) // 2,), True),
+                 ("offsets", offsets, np.int64, (n + 1,), True),
+                 ("vocab", vocab, np.uint8, (n + 1,), True), ("sizes", sizes, np.int64, (3,), True))
+    if native.call("tokenize", n, text, words, offsets, vocab, sizes) < 0:
+        raise ToolError(f"out of memory tokenizing {what} {path}")
+    n_tokens, n_lines, n_vocab = sizes.tolist()
+    # The distinct tokens, each followed by "\n": none when a file has no token.
+    tokens = vocab[:n_vocab].tobytes().decode().split("\n")[:-1]
+    return data, words[:n_tokens], offsets[:n_lines + 1], tokens
 
 
 def _atomic_write(path: str, data):
@@ -193,42 +219,29 @@ def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
     the int64 offsets (lines + 1, from 0) where each line's ids start. Each
     line is empty or holds int64 ids -?[0-9]+ separated by single spaces, as
     write_assignments writes them."""
-    lines = read_lines(path, "assignments file")
-    text = "\n".join(lines)
-    # A line of ids separated by single spaces holds one id more than spaces.
-    offsets = np.cumsum([0] + [line.count(" ") + (line != "") for line in lines], dtype=np.int64)
-    valid = not text.translate(_ID_CHARS) and _minus_starts_ids(text)
-    topics = np.empty(0, np.int64)
-    if valid and offsets[-1]:
-        topics = np.fromstring(text, np.int64, sep=" ")
-    # fromstring takes any run of whitespace as one separator, so a run of
-    # spaces or an edge space shows as fewer ids than counted; it saturates
-    # past int64, so an id read as a limit is checked exactly.
-    if not valid or topics.size != offsets[-1] or (
-            topics.size and (topics.min() == _INT64.min or topics.max() == _INT64.max)):
-        _refuse_id_lines(lines, path)
+    data, ids, offsets, tokens = read_tokens(path, "assignments file")
+    try:  # each distinct token once: a valid file has at most K of them
+        topics = np.array(list(map(_parse_int, tokens)), np.int64)[ids]
+        # The tokens hold only digits and "-": every other byte must be a space
+        # or a line end, with one space fewer than ids on each non-empty line.
+        spaces = np.count_nonzero(np.frombuffer(data, np.uint8) == ord(" "))
+        if data.translate(None, b"0123456789- \n\r") or (
+                spaces != ids.size - np.count_nonzero(np.diff(offsets))):
+            raise ValueError("a separator other than one space")
+    except (ValueError, OverflowError):  # also int()'s limit on the number of digits
+        _refuse_id_lines(_split_lines(data.decode()), path)
     return topics, offsets
-
-
-def _minus_starts_ids(text: str) -> bool:
-    """Whether every "-" in text starts a line or follows a space, and is
-    followed by a digit."""
-    return "-" not in text or (
-        text.count("-") == text.count(" -") + text.count("\n-") + text.startswith("-")
-        and "- " not in text and "-\n" not in text and not text.endswith("-"))
 
 
 def _refuse_id_lines(lines, path):
     """Raise the ToolError naming the first line that is not empty or int64
-    ids -?[0-9]+ separated by single spaces; return if there is none (an id
-    at an int64 limit is valid)."""
+    ids -?[0-9]+ separated by single spaces."""
     for lineno, line in enumerate(lines, start=1):
-        try:
-            for v in line.split(" ") if line else ():
-                if not -2**63 <= _parse_int(v) < 2**63:
-                    raise ValueError(f"{v!r} is not an int64 id")
-        except ValueError as exc:  # also int()'s limit on the number of digits
+        try:  # the parse and the int64 conversion of read_assignments
+            np.array([_parse_int(v) for v in line.split(" ")] if line else [], np.int64)
+        except (ValueError, OverflowError) as exc:
             raise ToolError(f"bad topic assignment at line {lineno} in {path}") from exc
+    raise AssertionError(f"read_assignments refused {path}, whose every line is valid")
 
 
 def write_paras(hp: Hyperparams, corpus_path: str, path: str):

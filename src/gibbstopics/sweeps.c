@@ -1,8 +1,9 @@
 /* The collapsed Gibbs sweeps of both samplers, the matrix writer's
- * formatter and the corpus tokenizer, built and loaded by gibbstopics.native:
+ * formatter and the tokenizer, built and loaded by gibbstopics.native:
  * lda_sweep (called from lda.lda_sweep), dmm_sweep (called from
  * dmm.dmm_sweep and dmm.estimate_theta_dmm), format_matrix (called from
- * persistence.write_matrix) and tokenize (called from corpus.load_corpus).
+ * persistence.write_matrix) and tokenize (called from persistence.read_tokens,
+ * which reads corpora and .topicAssignments files).
  *
  * Each sampler step does the arithmetic of the NumPy oracles in tests/oracles.py
  * (the conditional, then the draw) in the same order, so z, the count tables

@@ -1,10 +1,17 @@
 """NumPy oracles of the compiled sampler steps in sweeps.c, and the count
 invariant every state must keep. The kernels are the only implementation in
-src/; these are the references the tests hold them to, bit for bit."""
+src/; these are the references the tests hold them to, bit for bit. Also the
+whitespace the tokenize kernel must split on, as str.split() does."""
 
 import numpy as np
 
 from gibbstopics.core import recount_dmm, recount_lda
+
+# The 29 code points str.split() splits on, the same in Python 3.10 and 3.11;
+# LF and CR also end a line.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+              + "".join(map(chr, range(0x2000, 0x200b))) + "\u2028\u2029\u202f\u205f\u3000")
+INLINE_WHITESPACE = WHITESPACE.replace("\n", "").replace("\r", "")
 
 
 def draw(weights, u):

@@ -52,6 +52,7 @@ class TestParse:
 
     @pytest.mark.parametrize("flag,value", [
         ("-alpha", "0"), ("-alpha", "-0.1"), ("-beta", "0"), ("-ntopics", "0"),
+        ("-ntopics", str(2**63)),
         ("-alpha", "inf"), ("-beta", "inf"),
         ("-niters", "0"), ("-twords", "-1"), ("-sstep", "-2"),
         ("-name", ""), ("-name", "."), ("-name", ".."), ("-name", "../x"), ("-name", "a/b"),
@@ -187,6 +188,37 @@ class TestDispatch:
         assert main([*args, "-corpus", str(corpus)]) == 1
         assert f"corpus path {str(corpus)!r} holds a line break" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == before | {corpus}
+
+    @pytest.mark.parametrize("model", ["LDA", "DMM", "LDAinf", "DMMinf"])
+    @pytest.mark.parametrize("ntopics", [4 * 10**18, 10**11], ids=["size-past-int64", "out-of-memory"])
+    def test_huge_ntopics_refused_before_any_write(self, tmp_path, capsys, monkeypatch, model,
+                                                   ntopics):
+        # 4e18 topics make a table too large for numpy to size. For 1e11, a
+        # MemoryError stands in for numpy's: a real multi-TiB request can
+        # succeed under overcommit and then exhaust the machine's memory.
+        corpus = write_corpus(tmp_path)
+        args = ["-model", model, "-corpus", str(corpus), "-niters", "1", "-name", "out"]
+        if model.endswith("inf"):  # the ntopics of a trained model's .paras
+            assert main(["-model", model[:3], "-corpus", str(corpus), "-ntopics", "2",
+                         "-niters", "1", "-seed", "1"]) == 0
+            paras = tmp_path / "model.paras"
+            paras.write_text(paras.read_text().replace("ntopics=2\n", f"ntopics={ntopics}\n"))
+            args += ["-paras", str(paras)]
+        else:
+            args += ["-ntopics", str(ntopics)]
+        if ntopics == 10**11:
+            def bincount(x, minlength=0, real=np.bincount):
+                if minlength >= ntopics:
+                    raise MemoryError
+                return real(x, minlength=minlength)
+            monkeypatch.setattr(np, "bincount", bincount)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(args) == 1
+        shape = (4, ntopics) if model == "LDA" else (ntopics, 3)  # D x K, else K x V
+        assert (f"error: ntopics is too large: its {shape[0]} x {shape[1]} count table "
+                "cannot be allocated" in capsys.readouterr().err)
+        assert set(tmp_path.iterdir()) == before
 
     def test_inf_model_kind_mismatch(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)

@@ -28,6 +28,8 @@ from gibbstopics.persistence import (
     write_paras,
 )
 
+from oracles import INLINE_WHITESPACE, WHITESPACE
+
 # tmp_path is shared by a test's examples; each example rewrites its one file
 tmp_path_ok = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -206,13 +208,6 @@ def matrices(draw):
     return matrix
 
 
-# The 29 code points str.split() splits on, the same in Python 3.10 and 3.11;
-# LF and CR also end a line.
-WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
-              + "".join(map(chr, range(0x2000, 0x200b))) + "\u2028\u2029\u202f\u205f\u3000")
-INLINE_WHITESPACE = WHITESPACE.replace("\n", "").replace("\r", "")
-
-
 @st.composite
 def corpus_text(draw):
     words = st.text(st.sampled_from("ab\u00e9\u4e2d\U0001f600\U00010348.,-_0\x00"),
@@ -230,8 +225,9 @@ def corpus_text(draw):
 @tmp_path_ok
 @given(data=st.data())
 def test_bulk_readers_match_oracles_on_valid_input(tmp_path, kind, data):
-    # What the writers write, and corpora with every whitespace the split
-    # takes: each bulk reader gives the oracle's arrays, dtypes and vocabulary.
+    # What the writers write, assignments with every line end the readers
+    # take, and corpora with every whitespace the split takes: each bulk
+    # reader gives the oracle's arrays, dtypes and vocabulary.
     path = tmp_path / "input"
     if kind == "lda":  # empty lines: LDAinf documents whose every token was out of vocabulary
         rows = data.draw(st.lists(st.lists(ids, max_size=5), min_size=1, max_size=6))
@@ -239,6 +235,12 @@ def test_bulk_readers_match_oracles_on_valid_input(tmp_path, kind, data):
     elif kind == "dmm":
         z = data.draw(st.lists(ids, min_size=1, max_size=6))
         write_assignments(np.array(z, dtype=np.int64), str(path), "DMM")
+    if kind in ("lda", "dmm"):  # the LF the writer ends lines with, or CR LF, CR or none
+        lines = path.read_bytes().split(b"\n")[:-1]
+        ends = data.draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        ends[-1] = data.draw(st.sampled_from([ends[-1], b""]))
+        path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
     elif kind == "matrix":
         write_matrix(data.draw(matrices()), str(path))
     else:

@@ -19,6 +19,8 @@ from gibbstopics.persistence import (
     write_top_words,
 )
 
+from oracles import INLINE_WHITESPACE
+
 
 def make_vocab(words):
     return Vocabulary(words=tuple(words), index={w: i for i, w in enumerate(words)})
@@ -167,7 +169,8 @@ def test_assignments_dmm(tmp_path):
 
 def test_read_assignments_errors(tmp_path):
     path = tmp_path / "m.topicAssignments"
-    for text in ("0 x\n", "0 99999999999999999999\n"):  # not an int, past int64
+    # not an int, past int64, a space at either end of a line
+    for text in ("0 x\n", "0 99999999999999999999\n", " 0\n", "0 \n"):
         path.write_text(text)
         with pytest.raises(ToolError, match="bad topic assignment"):
             read_assignments(str(path))
@@ -175,14 +178,18 @@ def test_read_assignments_errors(tmp_path):
 
 @pytest.mark.parametrize("bad", ["1_0", "+1", "\u0663", "1-2", "--1", "x", "99999999999999999999",
                                  "9223372036854775808", "-9223372036854775809", "1\t0", "1  0",
-                                 "-", "1-", "- 1"])
+                                 "-", "1-", "- 1"]
+                         + [pytest.param(f"{c}2", id=f"U+{ord(c):04X}") for c in INLINE_WHITESPACE]
+                         + [pytest.param(None, id="spaces-only-line")])
 def test_read_assignments_accepts_only_written_ids(tmp_path, bad):
     # int() would read "1_0" as 10, "+1" as 1 and an Arabic-Indic digit as 3;
-    # the writer never writes those, nor tabs or runs of spaces, so they are
-    # errors naming their line. Past int64, the parse saturates; the id is
-    # still refused.
+    # the writer never writes those, nor any of str.split()'s other in-line
+    # whitespace (put before id 2 in "1 2 0"), nor a run of spaces or a line
+    # of spaces only, so they are errors naming their line. An id past int64
+    # is refused too.
     path = tmp_path / "m.topicAssignments"
-    path.write_text(f"0 1\n1 {bad} 0\n", encoding="utf-8")
+    line = "   " if bad is None else f"1 {bad} 0"
+    path.write_text(f"0 1\n{line}\n", encoding="utf-8")
     message = re.escape(f"bad topic assignment at line 2 in {path}") + "$"
     with pytest.raises(ToolError, match=message):
         read_assignments(str(path))
