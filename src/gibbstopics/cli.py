@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Training:
-    gibbstopics -model LDA -corpus test/corpus.txt [-ntopics 20] [-alpha 0.1]
-        [-beta 0.01] [-niters 2000] [-twords 20] [-name model] [-sstep 0] [-seed N]
+    gibbstopics -model LDA -corpus test/corpus.txt [-ntopics K] [-alpha A]
+        [-beta B] [-niters N] [-twords T] [-name NAME] [-sstep S] [-seed N]
     gibbstopics -model DMM -corpus test/corpus.txt -beta 0.1 -name testDMM
 
 Inference on an unseen corpus:
     gibbstopics -model LDAinf -paras test/testLDA.paras -corpus test/unseen.txt
-        [-niters 2000] [-twords 20] [-name model] [-sstep 0] [-seed N]
+        [-niters N] [-twords T] [-name NAME] [-sstep S] [-seed N]
     (-name must differ from the trained model's when both share a folder)
+
+Unset flags take the Hyperparams defaults, which `gibbstopics -h` lists.
 
 Clustering evaluation:
     gibbstopics -model Eval -label test/corpus.LABEL -dir test -prob theta
@@ -44,23 +46,27 @@ class CliCommand:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    d = Hyperparams()  # the one statement of every default
+    defaults = " ".join(f"-{f.name} {getattr(d, f.name)}" for f in fields(Hyperparams)
+                        if f.name not in ("model", "seed"))
     p = argparse.ArgumentParser(
         prog="gibbstopics",
         allow_abbrev=False,
         description="Topic modeling (LDA, DMM) via collapsed Gibbs sampling, "
                     "topic inference on unseen corpora, and clustering evaluation.",
-        epilog="-seed is a reproducibility extension; defaults: -ntopics 20 "
-               "-alpha 0.1 -beta 0.01 -niters 2000 -twords 20 -name model -sstep 0.",
+        epilog=f"-seed is a reproducibility extension; defaults: {defaults}.",
     )
     p.add_argument("-model", required=True, choices=MODES, help="mode to run")
     p.add_argument("-corpus", help="input corpus file, one document per line")
-    p.add_argument("-ntopics", type=int, help="number of topics (default 20)")
-    p.add_argument("-alpha", type=float, help="document-topic prior (default 0.1)")
-    p.add_argument("-beta", type=float, help="topic-word prior (default 0.01; 0.1 suits short texts)")
-    p.add_argument("-niters", type=int, help="Gibbs sampling iterations (default 2000)")
-    p.add_argument("-twords", type=int, help="top topical words to report (default 20)")
-    p.add_argument("-name", help="experiment name used for output files (default 'model')")
-    p.add_argument("-sstep", type=int, help="iterations between saved sampling outputs (default 0: final only)")
+    p.add_argument("-ntopics", type=int, help=f"number of topics (default {d.ntopics})")
+    p.add_argument("-alpha", type=float, help=f"document-topic prior (default {d.alpha})")
+    p.add_argument("-beta", type=float,
+                   help=f"topic-word prior (default {d.beta}; 0.1 suits short texts)")
+    p.add_argument("-niters", type=int, help=f"Gibbs sampling iterations (default {d.niters})")
+    p.add_argument("-twords", type=int, help=f"top topical words to report (default {d.twords})")
+    p.add_argument("-name", help=f"experiment name used for output files (default {d.name!r})")
+    p.add_argument("-sstep", type=int, help="iterations between saved sampling outputs "
+                                            f"(default {d.sstep}: final only)")
     p.add_argument("-paras", help="paras file of a pre-trained model (inference modes)")
     p.add_argument("-label", help="gold label file, one label per line (Eval mode)")
     p.add_argument("-dir", help="directory holding document-topic distribution files (Eval mode)")

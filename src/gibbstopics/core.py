@@ -3,6 +3,7 @@ the theta/phi estimators used by both samplers."""
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 import os
 from dataclasses import dataclass
@@ -13,6 +14,26 @@ MODEL_KINDS = ("LDA", "DMM", "LDAinf", "DMMinf")
 
 class ToolError(Exception):
     """Fatal, user-facing error: bad input, corrupt state or failed IO."""
+
+
+@contextlib.contextmanager
+def replacing(path: str):
+    """Yield (file, name): a fresh temp file <path>.<16 hex>.tmp, open for
+    binary writing. When the block ends it is closed and renamed onto path;
+    on any failure it is removed instead."""
+    # A fresh random name keeps concurrent runs off each other's temp file, and
+    # mode "x" (O_CREAT | O_EXCL, mode 0o666) refuses an existing one. Unlike
+    # mkstemp's fixed 0600, the file gets the umask's mode.
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f, tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -39,6 +60,11 @@ class Hyperparams:
             if (isinstance(value, bool) or not isinstance(value, kind)) and not (
                     field == "seed" and value is None):
                 raise ToolError(f"{field} must be {what}, got {value!r}")
+        for field in ("alpha", "beta"):  # a Fraction, or an int past int64, is an object to NumPy
+            value = getattr(self, field)
+            if np.asarray(value).dtype.kind not in "iuf":
+                raise ToolError(f"{field} must be a number NumPy holds as a float or integer, "
+                                f"got {value!r}")
         if not 1 <= self.ntopics < 2**63:  # topic ids are int64
             raise ToolError(f"ntopics must be in [1, 2**63), got {self.ntopics}")
         if not 0 < self.alpha < np.inf:

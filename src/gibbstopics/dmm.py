@@ -11,7 +11,9 @@ Full conditional for document d, with its counts removed from the tables
 Evaluated in log space: the rising-factorial products underflow for long
 documents. A sweep, and the theta estimate, run in a compiled C kernel
 (native.py, sweeps.c) that sums the terms left to right in the formula's
-order; the tests hold its NumPy oracle (tests/oracles.py).
+order; the tests hold its NumPy oracle (tests/oracles.py). A sweep draws as
+LDA's does, from the weights' cumulative sums and their last (the total);
+theta divides the weights by the same left-to-right total.
 
 This module is the sampler only: init, sweep and theta. chain.run_chain
 seeds, runs and saves a DMM or DMMinf chain with them.

@@ -7,6 +7,8 @@ already removed from the tables:
 
 A sweep runs in a compiled C kernel (native.py, sweeps.c); the tests hold
 its NumPy oracle (tests/oracles.py), which the kernel matches bit for bit.
+Each draw builds the K weights' cumulative sums left to right and picks the
+first topic whose sum exceeds the uniform times the last (the total).
 
 This module is the sampler only: init and sweep. chain.run_chain seeds,
 runs and saves an LDA or LDAinf chain with them.

@@ -16,14 +16,13 @@ each ndarray as its .ctypes object, keeping the array alive for the call.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import os
 from functools import cache
 
 import numpy as np
 
-from gibbstopics.core import ToolError
+from gibbstopics.core import ToolError, replacing
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweeps.c")
 # No -march=native or -ffast-math: FMA contraction or reassociation would
@@ -32,20 +31,16 @@ _BUILD = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def _build(lib_path: str):
-    """Compile sweeps.c into lib_path. The compiler writes a fresh O_EXCL
-    temp name that is then renamed into place, so concurrent first runs never
-    load a half-written library."""
+    """Compile sweeps.c into lib_path. The compiler writes a fresh temp file
+    that is then renamed into place, so concurrent first runs never load a
+    half-written library."""
     import subprocess  # here, not at the top: only a build needs it, every import would pay
 
-    tmp = f"{lib_path}.{os.urandom(8).hex()}.tmp"
-    created = False
     try:
         os.makedirs(os.path.dirname(lib_path), exist_ok=True)
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-        created = True
-        subprocess.run([*_BUILD, "-o", tmp, _SOURCE], check=True, capture_output=True, text=True)
-        os.replace(tmp, lib_path)
-        created = False
+        with replacing(lib_path) as (_, tmp):
+            subprocess.run([*_BUILD, "-o", tmp, _SOURCE], check=True, capture_output=True,
+                           text=True)
     except subprocess.CalledProcessError as exc:
         first = (exc.stderr.strip().splitlines() or [f"exit status {exc.returncode}"])[0]
         raise ToolError(f"cannot build the compiled kernels with `{' '.join(_BUILD)}`: "
@@ -53,10 +48,6 @@ def _build(lib_path: str):
     except OSError as exc:
         raise ToolError(f"cannot build the compiled kernels with `{' '.join(_BUILD)}`: "
                         f"{exc}") from exc
-    finally:
-        if created:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
 
 
 @cache

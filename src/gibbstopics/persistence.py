@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from gibbstopics import native
-from gibbstopics.core import Hyperparams, ToolError, top_words
+from gibbstopics.core import Hyperparams, ToolError, replacing, top_words
 
 # The .paras keys: the model kind, the training corpus as given and as an
 # absolute path, then the other Hyperparams fields in declaration order.
@@ -110,26 +110,13 @@ def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
 
 def _atomic_write(path: str, data):
     """Write the bytes-like data to path atomically."""
-    # A fresh random name per write keeps concurrent runs off each other's temp
-    # file; O_EXCL refuses an existing one. Unlike mkstemp's fixed 0600, the
-    # file gets the umask's mode, as the artifacts always had.
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    created = False
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        created = True
-        with open(fd, "wb") as f:
+        with replacing(path) as (f, _):
             f.write(data)
             f.flush()
-            os.fsync(fd)
-        os.replace(tmp, path)
-        created = False
+            os.fsync(f.fileno())
     except OSError as exc:
         raise ToolError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if created:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
 
 
 def write_matrix(matrix, path: str):

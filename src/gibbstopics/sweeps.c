@@ -7,8 +7,9 @@
  *
  * Each sampler step does the arithmetic of the NumPy oracles in tests/oracles.py
  * (the conditional, then the draw) in the same order, so z, the count tables
- * and the draws match them bit for bit. Build without FMA contraction or
- * fast-math: both change rounding. */
+ * and the draws match them bit for bit; both samplers end in one draw, which
+ * totals the weights by their last cumulative sum, not in NumPy's summation
+ * order. Build without FMA contraction or fast-math: both change rounding. */
 
 #include <math.h>
 #include <stdint.h>
@@ -16,32 +17,18 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The sum np.add.reduce computes for a contiguous float64 vector: pairwise,
- * with eight accumulators per block of at most 128 values. */
-static double pairwise_sum(const double *a, int64_t n)
+/* Turn the K weights w into their cumulative sums, in place and left to
+ * right, and map the uniform u to the first k with w[k] > u * w[K-1], the
+ * total; K-1 when rounding leaves none. */
+static int64_t draw(double *w, int64_t K, double u)
 {
-    if (n < 8) {
-        double res = 0.;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    for (int64_t j = 1; j < K; j++)
+        w[j] += w[j - 1];
+    double x = u * w[K - 1];
+    int64_t k = 0;
+    while (k < K - 1 && !(w[k] > x))
+        k++;
+    return k;
 }
 
 /* Visit the tokens in (document, position) order over the flat words/z,
@@ -68,12 +55,7 @@ int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                 if (!(w[j] > 0 && w[j] < INFINITY))
                     return t;
             }
-            double x = u[t] * pairwise_sum(w, K);
-            for (int64_t j = 1; j < K; j++)
-                w[j] += w[j - 1];
-            for (k = 0; k < K - 1 && !(w[k] > x); k++)
-                ;
-            z[t] = k;
+            z[t] = k = draw(w, K, u[t]);
             ndk_d[k]++;
             nkw[k * V + word]++;
             nk[k]++;
@@ -141,15 +123,12 @@ int64_t dmm_sweep(int64_t n_docs, const int64_t *uoffsets, const int64_t *uwords
         }
         for (int64_t j = 0; j < K; j++)
             w[j] = exp(w[j] - top);
-        double total = pairwise_sum(w, K);
         if (u) {
-            double x = u[d] * total;
-            for (int64_t j = 1; j < K; j++)
-                w[j] += w[j - 1];
-            for (k = 0; k < K - 1 && !(w[k] > x); k++)
-                ;
-            z[d] = k;
+            z[d] = k = draw(w, K, u[d]);
         } else {
+            double total = 0.;
+            for (int64_t j = 0; j < K; j++)
+                total += w[j];
             for (int64_t j = 0; j < K; j++)
                 theta[d * K + j] = w[j] / total;
         }

@@ -1,7 +1,8 @@
 """NumPy oracles of the compiled sampler steps in sweeps.c, and the count
 invariant every state must keep. The kernels are the only implementation in
-src/; these are the references the tests hold them to, bit for bit. Also the
-whitespace the tokenize kernel must split on, as str.split() does."""
+src/; these are the references the tests hold them to, bit for bit. Both
+samplers end in draw, which totals the weights by their last cumulative sum.
+Also the whitespace the tokenize kernel must split on, as str.split() does."""
 
 import numpy as np
 
@@ -16,9 +17,11 @@ INLINE_WHITESPACE = WHITESPACE.replace("\n", "").replace("\r", "")
 
 def draw(weights, u):
     """Map a uniform u in [0, 1) to an index drawn proportionally to the
-    weights, which the caller has checked: finite, nonnegative, not all zero."""
-    idx = int(weights.cumsum().searchsorted(u * weights.sum(), "right"))
-    return min(idx, weights.size - 1)
+    weights, which the caller has checked: finite, nonnegative, not all zero.
+    The total is the last cumulative sum, so the index is the first whose
+    cumulative sum exceeds u times that total, clamped to K-1."""
+    cum = weights.cumsum()
+    return min(int(cum.searchsorted(u * cum[-1], "right")), weights.size - 1)
 
 
 def lda_conditional(state, hp, d, word, n_vocab):

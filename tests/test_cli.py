@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gibbstopics.cli import dispatch, main, parse_args
+from gibbstopics.core import Hyperparams
 
 
 def write_corpus(tmp_path):
@@ -77,6 +79,19 @@ class TestParse:
                         "-beta", "0.01", "-niters", "2000", "-twords", "20",
                         "-name", "model", "-sstep", "0"])
         assert a == b
+
+    def test_help_names_every_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # each option's help on its own line
+        with pytest.raises(SystemExit):
+            parse_args(["-h"])
+        out = capsys.readouterr().out
+        helps = {line.split()[0]: line for line in out.splitlines() if line.startswith("  -")}
+        hp = Hyperparams()
+        for f in fields(Hyperparams):
+            if f.name not in ("model", "seed"):  # -model is required; -seed defaults to entropy
+                value = getattr(hp, f.name)
+                assert f"(default {value!r}" in helps[f"-{f.name}"]
+                assert f"-{f.name} {value}" in out.split("defaults:")[1]
 
 
 class TestDispatch:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,9 @@ class TestHyperparams:
         {"beta": None},
         {"beta": False},
         {"name": 5},
+        # Real, but NumPy holds a Fraction as an object: DMM's log tables fail.
+        {"alpha": Fraction(1, 10)},
+        {"beta": Fraction(1, 10)},
     ])
     def test_validation(self, kwargs):
         field = next(iter(kwargs))

@@ -55,10 +55,11 @@ def loop_sweep(corpus, state, hp, rng):
 
 
 def loop_theta(state, hp, corpus):
-    """Reference estimate_theta_dmm: each row the normalized weights."""
+    """Reference estimate_theta_dmm: each row the weights over their
+    left-to-right total."""
     theta = np.empty((corpus.n_docs, hp.ntopics))
     for d, weights in _leave_one_out(state, hp, corpus):
-        theta[d] = weights / weights.sum()
+        theta[d] = weights / weights.cumsum()[-1]
     return theta
 
 

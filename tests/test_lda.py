@@ -165,8 +165,8 @@ def test_train_deterministic_given_seed(tmp_path):
     assert contents[0] == contents[1]
 
 
-# K = 1..7 sums sequentially, 8..128 in eight accumulators (with and without
-# a tail), 129 and 300 split pairwise first.
+# From K = 1, where nothing is drawn, to K = 300: the cumulative sums are
+# built the same way at every K, so each one must match the oracle's.
 @pytest.mark.parametrize("ntopics", [1, 7, 8, 9, 16, 127, 128, 129, 300])
 @pytest.mark.parametrize("alpha,beta", [(0.1, 0.01), (2.5, 1.5)])
 def test_sweep_bit_identical_to_loop_form(ntopics, alpha, beta):
@@ -201,19 +201,21 @@ class _FixedUniform:
 
 
 def _boundary_uniform(weights):
-    """(u, k): a uniform with u * weights.sum() exactly on a cumulative-sum
-    boundary, where a sequentially accumulated total draws below topic k."""
-    c = weights.cumsum()
+    """(u, k): a uniform with u * cum[-1] exactly on the cumulative boundary
+    cum[k-1] of the weights, so the draw is k, where u times NumPy's pairwise
+    total weights.sum() draws another topic; None if there is none."""
+    cum = weights.cumsum()
     for j in range(weights.size - 1):
-        for u in (c[j] / weights.sum(), np.nextafter(c[j] / weights.sum(), 0)):
-            if u * weights.sum() == c[j] and u * c[-1] < c[j]:
+        for u in (cum[j] / cum[-1], np.nextafter(cum[j] / cum[-1], 0)):
+            if u * cum[-1] == cum[j] and cum.searchsorted(u * weights.sum(), "right") != j + 1:
                 return float(u), j + 1
     return None
 
 
-def test_sweep_total_is_numpy_pairwise_sum():
-    # Random draws almost never tell the two totals apart, so aim one at the
-    # last bit: the kernel must draw what the oracle's draw draws.
+def test_sweep_draw_at_cumulative_boundary():
+    # Random draws almost never land on a boundary, so aim one at it: the
+    # kernel must total by the last cumulative sum and draw above an exact
+    # tie, as the oracle's draw does.
     gen = np.random.Generator(np.random.PCG64(0))
     ntopics, hp = 300, Hyperparams(ntopics=300, alpha=0.1, beta=0.01)
     corpus = make_corpus([[0]], 2)
@@ -365,8 +367,10 @@ def test_second_load_reuses_cached_library(empty_kernel_cache, tmp_path):
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    build = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-fPIC", "-shared",
-             "-o", str(tmp_path / "sweeps.so"), native._SOURCE]
+    # Strict C99 too: README promises only a plain cc, so no GNU extension.
+    build = ["cc", "-std=c99", "-pedantic-errors", "-O2", "-Wall", "-Wextra", "-Werror",
+             "-ffp-contract=off", "-fPIC", "-shared", "-o", str(tmp_path / "sweeps.so"),
+             native._SOURCE]
     result = subprocess.run(build, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
