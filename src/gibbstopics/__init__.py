@@ -10,7 +10,6 @@ from gibbstopics.core import (
     estimate_phi,
     estimate_theta_lda,
     make_rng,
-    top_words,
 )
 from gibbstopics.corpus import Corpus, Vocabulary, load_corpus, load_labels
 from gibbstopics.dmm import dmm_sweep, estimate_theta_dmm, init_dmm
@@ -40,7 +39,6 @@ __all__ = [
     "make_rng",
     "nmi",
     "purity",
-    "top_words",
     "train_dmm",
     "train_lda",
 ]

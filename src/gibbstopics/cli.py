@@ -31,18 +31,25 @@ from gibbstopics.corpus import load_corpus, load_labels
 from gibbstopics.evaluation import evaluate_files
 from gibbstopics.inference import infer, load_pretrained
 
-MODES = ("LDA", "DMM", "LDAinf", "DMMinf", "Eval")
+# Each mode's required flags, then the other flags it accepts. An inference run
+# takes K, alpha and beta from the paras file: only the sampling run itself is
+# configurable there.
+_HP_FLAGS = tuple(f.name for f in fields(Hyperparams) if f.name != "model")
+_RUN_FLAGS = tuple(f for f in _HP_FLAGS if f not in ("ntopics", "alpha", "beta"))
+MODES = {"LDA": (("corpus",), _HP_FLAGS), "DMM": (("corpus",), _HP_FLAGS),
+         "LDAinf": (("corpus", "paras"), _RUN_FLAGS), "DMMinf": (("corpus", "paras"), _RUN_FLAGS),
+         "Eval": (("label", "dir", "prob"), ())}
 
 
 @dataclass
 class CliCommand:
     mode: str
-    hp: Hyperparams | None = None   # train and inf modes
-    corpus: str | None = None       # train and inf modes
-    paras: str | None = None        # inf modes
-    label: str | None = None        # Eval mode
-    dir: str | None = None
-    prob: str | None = None
+    hp: Hyperparams | None   # train and inf modes
+    corpus: str | None       # train and inf modes
+    paras: str | None        # inf modes
+    label: str | None        # Eval mode
+    dir: str | None
+    prob: str | None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,42 +86,22 @@ def parse_args(argv) -> CliCommand:
     parser = _build_parser()
     args = parser.parse_args(argv)
     mode = args.model
-
-    def require(flag):
+    required, accepted = MODES[mode]
+    for flag in required:
         if getattr(args, flag) is None:
             parser.error(f"-{flag} is required with -model {mode}")
-
-    def forbid(flag):
-        if getattr(args, flag) is not None:
+    for flag, value in vars(args).items():
+        if value is not None and flag not in ("model", *required, *accepted):
             parser.error(f"-{flag} is not accepted with -model {mode}")
-
-    if mode == "Eval":
-        for flag in ("label", "dir", "prob"):
-            require(flag)
-        for flag in ("corpus", "paras", "ntopics", "alpha", "beta", "niters",
-                     "twords", "name", "sstep", "seed"):
-            forbid(flag)
-        return CliCommand(mode=mode, label=args.label, dir=args.dir, prob=args.prob)
-
-    require("corpus")
-    forbid("label"), forbid("dir"), forbid("prob")
-    if mode in ("LDAinf", "DMMinf"):
-        require("paras")
-        # K, alpha and beta come from the paras file; only the sampling run
-        # itself is configurable here.
-        for flag in ("ntopics", "alpha", "beta"):
-            forbid(flag)
-    else:
-        forbid("paras")
-    # Flags left unset take the Hyperparams defaults.
-    given = {f.name: getattr(args, f.name) for f in fields(Hyperparams)
-             if getattr(args, f.name) is not None}
-    hp = Hyperparams(**given)
-    try:
-        hp.validate()
-    except ToolError as exc:
-        parser.error(str(exc))
-    return CliCommand(mode=mode, hp=hp, corpus=args.corpus, paras=args.paras)
+    hp = None
+    if mode != "Eval":  # flags left unset take the Hyperparams defaults
+        hp = Hyperparams(**{f.name: getattr(args, f.name) for f in fields(Hyperparams)
+                            if getattr(args, f.name) is not None})
+        try:
+            hp.validate()
+        except ToolError as exc:
+            parser.error(str(exc))
+    return CliCommand(mode, hp, args.corpus, args.paras, args.label, args.dir, args.prob)
 
 
 def dispatch(cmd: CliCommand) -> int:

@@ -125,17 +125,6 @@ def estimate_phi(state: CountState, hp: Hyperparams) -> np.ndarray:
     return (state.nkw + hp.beta) / (state.nk[:, None] + n_vocab * hp.beta)
 
 
-def top_words(phi_row, vocab, t: int) -> list[tuple[str, float]]:
-    """The min(t, V) most probable words of one topic, descending by
-    probability, ties broken by ascending word id."""
-    row = np.asarray(phi_row, dtype=np.float64)
-    n_vocab = row.size
-    if t <= 0:
-        return []
-    order = np.lexsort((np.arange(n_vocab), -row))[: min(t, n_vocab)]
-    return [(vocab.words[i], float(row[i])) for i in order]
-
-
 def _count_table(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
     """Counts of the cells (rows[i], cols[i]) in an n_rows x n_cols table, D x K
     or K x V. One that cannot be allocated is a ToolError naming ntopics."""

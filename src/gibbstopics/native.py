@@ -8,10 +8,13 @@ $XDG_CACHE_HOME/gibbstopics (~/.cache/gibbstopics when that is unset or
 relative), one library per source and flags, and loaded through ctypes.
 
 This module is the only way into the library. Its kernels check no array, so
-a caller passes every array a kernel reads or writes to check (exact dtype and
-shape, C-contiguous, writable if written) and its ids, counts and offsets to
-check_range and check_offsets, then runs the kernel with call, which passes
-each ndarray as its .ctypes object, keeping the array alive for the call.
+a caller passes every array it did not make itself (the corpus, count tables,
+assignments and log tables) to check (exact dtype and shape, C-contiguous,
+writable if written) and their ids, counts and offsets to check_range and
+check_offsets. Arrays the caller makes with the kernel's dtype and shape
+(uniforms, scratch and output buffers, write_matrix's matrix) need no check.
+call runs a kernel, passing each ndarray as its .ctypes object, which keeps
+the array alive for the call.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from gibbstopics import native
-from gibbstopics.core import Hyperparams, ToolError, replacing, top_words
+from gibbstopics.core import Hyperparams, ToolError, replacing
 
 # The .paras keys: the model kind, the training corpus as given and as an
 # absolute path, then the other Hyperparams fields in declaration order.
@@ -169,9 +169,7 @@ def _refuse_matrix_lines(lines, path):
         values = line.split()
         try:
             for v in values:
-                if not v.isascii() or "_" in v:
-                    raise ValueError(f"{v!r} is not an ASCII decimal")
-                float(v)
+                _parse_float(v)
         except ValueError as exc:
             raise ToolError(f"bad numeric row at line {lineno} in {path}") from exc
         widths.append(len(values))
@@ -183,11 +181,11 @@ def _refuse_matrix_lines(lines, path):
 
 
 def write_top_words(phi, vocab, twords: int, path: str):
-    lines = []
-    for k, row in enumerate(phi):
-        ranked = top_words(row, vocab, twords)
-        suffix = (" " + " ".join(w for w, _ in ranked)) if ranked else ""
-        lines.append(f"Topic {k}:{suffix}")
+    """Write each topic's min(twords, V) most probable words, descending by
+    probability; the stable sort breaks ties by ascending word id."""
+    ranked = np.argsort(-np.asarray(phi, np.float64), axis=1, kind="stable")[:, :max(twords, 0)]
+    lines = (f"Topic {k}:" + "".join(" " + vocab.words[i] for i in row)
+             for k, row in enumerate(ranked.tolist()))
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 

@@ -55,8 +55,11 @@ def rng():
 
 @pytest.fixture
 def empty_kernel_cache(monkeypatch, tmp_path):
-    """An empty kernel cache, with the loaded library forgotten before and after."""
+    """An empty kernel cache for the test, with the loaded library forgotten.
+    After the test, every patch is undone and the real library loaded again."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     native._kernel.cache_clear()
     yield tmp_path / "xdg" / "gibbstopics"
+    monkeypatch.undo()
     native._kernel.cache_clear()
+    native._kernel()

@@ -10,16 +10,11 @@ from gibbstopics.core import (
     estimate_phi,
     estimate_theta_lda,
     make_rng,
-    top_words,
 )
 from gibbstopics.chain import train_lda
-from gibbstopics.corpus import Vocabulary, load_corpus
+from gibbstopics.corpus import load_corpus
 
 from oracles import draw
-
-
-def make_vocab(words):
-    return Vocabulary(words=tuple(words), index={w: i for i, w in enumerate(words)})
 
 
 def lda_state(ndk, nkw):
@@ -108,24 +103,6 @@ class TestEstimators:
         phi = estimate_phi(state, Hyperparams(ntopics=5, beta=0.01))
         assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(phi > 0) and np.all(phi < 1)
-
-
-class TestTopWords:
-    def test_basic_ordering(self):
-        vocab = make_vocab(["a", "b", "c"])
-        assert top_words([0.7, 0.2, 0.1], vocab, 2) == [("a", 0.7), ("b", 0.2)]
-
-    def test_zero_requested(self):
-        vocab = make_vocab(["a", "b"])
-        assert top_words([0.5, 0.5], vocab, 0) == []
-
-    def test_tie_broken_by_word_id(self):
-        vocab = make_vocab(["b", "a"])
-        assert top_words([0.5, 0.5], vocab, 1) == [("b", 0.5)]
-
-    def test_clamped_to_vocab_size(self):
-        vocab = make_vocab(["a", "b"])
-        assert len(top_words([0.6, 0.4], vocab, 10)) == 2
 
 
 class TestHyperparams:

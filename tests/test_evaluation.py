@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -75,6 +76,14 @@ class TestArgmax:
     def test_empty_fatal(self, tmp_path):
         with pytest.raises(ToolError, match="not a distribution"):
             self.score(tmp_path, ["", ""], ("A", "B"))
+
+
+@pytest.mark.parametrize("score", [purity, nmi])
+def test_empty_clustering_fatal(score, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ToolError, match="^empty clustering$"):
+        score([], [])
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPurity:
@@ -192,6 +201,12 @@ class TestEvaluateFiles:
     def test_no_match_fatal(self, tmp_path):
         with pytest.raises(ToolError, match="no file matching"):
             evaluate_files(tmp_path, "theta", ("A",))
+
+    def test_missing_directory_fatal(self, tmp_path):
+        missing = tmp_path / "gone"
+        with pytest.raises(ToolError, match=f"^directory {re.escape(str(missing))} not found$"):
+            evaluate_files(missing, "theta", ("A",))
+        assert list(tmp_path.iterdir()) == []
 
     def test_row_count_mismatch_names_file(self, tmp_path):
         write_theta_file(tmp_path, "bad.theta", [[1.0]])

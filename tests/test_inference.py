@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -56,6 +57,21 @@ def test_load_pretrained_missing_corpus(tmp_path):
     (tmp_path / "corpus.txt").unlink()
     with pytest.raises(ToolError, match="corpus"):
         load_pretrained(paras)
+
+
+@pytest.mark.parametrize("kind,train", [("LDA", train_lda), ("DMM", train_dmm)])
+def test_load_pretrained_refuses_an_inference_model(tmp_path, kind, train):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b a\nc b\n")
+    train(load_corpus(corpus), Hyperparams(model=kind, ntopics=2, niters=2, name="m", seed=7))
+    infer(load_pretrained(tmp_path / "m.paras"), str(corpus),
+          Hyperparams(model=kind + "inf", niters=1, name="inf", seed=1))
+    before = sorted(tmp_path.iterdir())
+    inf_paras = tmp_path / "inf.paras"
+    with pytest.raises(ToolError, match=f"^paras file {re.escape(str(inf_paras))} is from model "
+                                        f"{kind}inf, expected LDA or DMM$"):
+        load_pretrained(inf_paras)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_load_pretrained_finds_corpus_next_to_paras_not_in_cwd(tmp_path, monkeypatch):

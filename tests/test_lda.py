@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -349,6 +350,27 @@ def test_failed_build_names_first_error_line(empty_kernel_cache, monkeypatch, tm
         _train(tmp_path)
     assert str(info.value).endswith("`cc -O2 -fPIC -shared -ffp-contract=off`: cc: fatal: out of cheese")
     assert list(empty_kernel_cache.iterdir()) == []
+
+
+def test_unreadable_kernel_source_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
+    missing = str(tmp_path / "gone" / "sweeps.c")
+    monkeypatch.setattr(native, "_SOURCE", missing)
+    with pytest.raises(ToolError, match=f"^cannot read the kernel source {re.escape(missing)}: "):
+        _train(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]  # no artifact, no cache
+
+
+def test_unloadable_library_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
+    def build(lib_path):  # a cached file that is not a shared library
+        os.makedirs(os.path.dirname(lib_path))
+        Path(lib_path).write_text("not a library\n")
+
+    monkeypatch.setattr(native, "_build", build)
+    with pytest.raises(ToolError) as info:
+        _train(tmp_path)
+    (lib,) = empty_kernel_cache.iterdir()
+    assert str(info.value).startswith(f"cannot load the compiled kernels {lib}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "xdg"]
 
 
 def test_second_load_reuses_cached_library(empty_kernel_cache, tmp_path):

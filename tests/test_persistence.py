@@ -150,6 +150,20 @@ def test_top_words_clamped(tmp_path):
     assert open(path).read() == "Topic 0: b a\n"
 
 
+def test_top_words_tie_goes_to_lower_word_id(tmp_path):
+    path = str(tmp_path / "m.topWords")
+    phi = [[0.2, 0.4, 0.4], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]]
+    write_top_words(phi, make_vocab(["c", "b", "a"]), 2, path)
+    assert open(path).read() == "Topic 0: b a\nTopic 1: a c\nTopic 2: c b\n"
+    # Twenty words on a few levels: an unstable sort reorders these ties.
+    rows = np.array([[(7 * i) % 3 + 1 for i in range(20)], [(i * i) % 4 + 1 for i in range(20)]])
+    vocab = make_vocab([str(i) for i in range(20)])
+    write_top_words(rows / rows.sum(axis=1, keepdims=True), vocab, 15, path)
+    ranked = [sorted(range(20), key=lambda i: (-row[i], i))[:15] for row in rows.tolist()]
+    assert open(path).read() == "".join(
+        f"Topic {k}: {' '.join(map(str, ids))}\n" for k, ids in enumerate(ranked))
+
+
 def test_assignments_lda(tmp_path):
     path = str(tmp_path / "m.topicAssignments")
     write_assignments([np.array([0, 1]), np.array([1])], path, "LDA")
