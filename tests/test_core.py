@@ -12,7 +12,8 @@ from gibbstopics.core import (
     make_rng,
 )
 from gibbstopics.chain import train_lda
-from gibbstopics.corpus import load_corpus
+from gibbstopics.corpus import Vocabulary, load_corpus
+from gibbstopics.persistence import write_top_words
 
 from oracles import draw
 
@@ -103,6 +104,25 @@ class TestEstimators:
         phi = estimate_phi(state, Hyperparams(ntopics=5, beta=0.01))
         assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(phi > 0) and np.all(phi < 1)
+
+
+class TestTopWords:
+    """Topic ranking as written to .topWords by write_top_words."""
+
+    def top_words(self, tmp_path, phi, words, twords):
+        path = str(tmp_path / "m.topWords")
+        vocab = Vocabulary(words=tuple(words), index={w: i for i, w in enumerate(words)})
+        write_top_words([phi], vocab, twords, path)
+        return open(path).read().split()[2:]
+
+    def test_basic_ordering(self, tmp_path):
+        assert self.top_words(tmp_path, [0.2, 0.7, 0.1], ["a", "b", "c"], 2) == ["b", "a"]
+
+    def test_zero_requested(self, tmp_path):
+        assert self.top_words(tmp_path, [0.5, 0.5], ["a", "b"], 0) == []
+
+    def test_clamped_to_vocab_size(self, tmp_path):
+        assert self.top_words(tmp_path, [0.6, 0.4], ["a", "b"], 10) == ["a", "b"]
 
 
 class TestHyperparams:
