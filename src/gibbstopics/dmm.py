@@ -30,18 +30,15 @@ from gibbstopics.core import CountState, Hyperparams, ToolError, recount_dmm
 
 
 def doc_word_counts(corpus):
-    """Every document's distinct word ids and their counts, flat: document d
-    has word ids uwords[uoffsets[d]:uoffsets[d+1]], ascending, occurring
-    ucounts[...] times. Returns (uwords, ucounts, uoffsets), all int64. A
-    word id outside the vocabulary would land in a neighbouring document's
+    """The corpus's int64 word ids, each document's sorted ascending, as the
+    kernel reads them beside corpus.offsets: a word's repeats are adjacent. A
+    word id outside the vocabulary would sort into a neighbouring document's
     keys, so it is refused, as are offsets that do not cover the words."""
     offsets, n_vocab = corpus.offsets, corpus.vocab.size
     native.check_offsets("doc_word_counts", "document offsets", offsets, corpus.words.size)
     native.check_range("doc_word_counts", "word ids", corpus.words, 0, n_vocab)
-    doc_of = np.arange(offsets.size - 1).repeat(np.diff(offsets))
-    keys, ucounts = np.unique(doc_of * n_vocab + corpus.words, return_counts=True)
-    doc_of, uwords = np.divmod(keys, n_vocab)
-    return uwords, ucounts, doc_of.searchsorted(np.arange(offsets.size))
+    base = np.arange(offsets.size - 1).repeat(np.diff(offsets)) * n_vocab
+    return np.sort(base + corpus.words) - base
 
 
 def init_dmm(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
@@ -67,29 +64,27 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, ta
     """Check the inputs, then run the kernel over every document: a sweep
     that draws one uniform per document from rng, or, without rng, the theta
     of the current state, which is returned."""
-    uwords, ucounts, uoffsets = doc_word_counts(corpus) if counts is None else counts
-    lnum, lden, lpri = _chain_tables(corpus, state, hp) if tables is None else tables
+    words = doc_word_counts(corpus) if counts is None else counts
     n_docs, n_topics, n_vocab = corpus.n_docs, hp.ntopics, corpus.vocab.size
-    n_unique = np.size(uwords)
-    native.check(who, ("word-count offsets", uoffsets, np.int64, (n_docs + 1,), False),
-                 ("word ids", uwords, np.int64, (n_unique,), False),
-                 ("word counts", ucounts, np.int64, (n_unique,), False),
-                 ("topic assignments", state.z, np.int64, (n_docs,), True),
+    # The offsets first: n_docs is only a count once they are known to rise from 0.
+    native.check(who, ("document offsets", corpus.offsets, np.int64, (n_docs + 1,), False),
+                 ("word ids", words, np.int64, (np.size(words),), False))
+    native.check_offsets(who, "document offsets", corpus.offsets, words.size)
+    lnum, lden, lpri = _chain_tables(corpus, state, hp) if tables is None else tables
+    native.check(who, ("topic assignments", state.z, np.int64, (n_docs,), True),
                  ("mk", state.mk, np.int64, (n_topics,), True),
                  ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
                  ("nk", state.nk, np.int64, (n_topics,), True),
                  ("lnum", lnum, np.float64, (np.size(lnum),), False),
                  ("lden", lden, np.float64, (np.size(lden),), False),
                  ("lpri", lpri, np.float64, (n_docs,), False))
-    native.check_offsets(who, "word-count offsets", uoffsets, n_unique)
-    native.check_range(who, "word ids", uwords, 0, n_vocab)
-    native.check_range(who, "word counts", ucounts, 1, corpus.n_tokens + 1)
+    native.check_range(who, "word ids", words, 0, n_vocab)
     native.check_range(who, "topics", state.z, 0, n_topics)
     theta = np.empty((n_docs, n_topics)) if rng is None else None
     uniforms = None if rng is None else rng.random(n_docs)
-    bad = native.call("dmm_sweep", n_docs, uoffsets, uwords, ucounts, state.z, state.mk,
-                      state.nkw, state.nk, n_topics, n_vocab, lnum, lnum.size, lden, lden.size,
-                      lpri, uniforms, np.empty(n_topics), theta)
+    bad = native.call("dmm_sweep", n_docs, corpus.offsets, words, state.z, state.mk, state.nkw,
+                      state.nk, n_topics, n_vocab, lnum, lnum.size, lden, lden.size, lpri,
+                      uniforms, np.empty(n_topics), theta)
     if bad >= 0:
         raise ToolError(f"{who}: count outside the log tables or non-finite log-weight at "
                         f"document {bad}, count bookkeeping corrupt")
@@ -100,8 +95,8 @@ def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
               counts=None, tables=None):
     """One full pass: each document's counts removed, topic resampled from the
     log-space conditional, counts restored under the new topic. The sweep's
-    uniforms are drawn up front, one per document. counts is
-    doc_word_counts(corpus) and tables the chain's log tables, each
+    uniforms are drawn up front, one per document. counts is the sorted
+    words, doc_word_counts(corpus), and tables the chain's log tables, each
     computed when not given."""
     _run_kernel("dmm_sweep", corpus, state, hp, counts, tables, rng)
     return state
@@ -116,8 +111,8 @@ def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams,
 
 def dmm_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
     """The sweep and theta callables of a chain from state, whose counts
-    (frozen training counts included) must be complete: the word counts and
-    log tables they share are built once here."""
+    (frozen training counts included) must be complete: the sorted words
+    and log tables they share are built once here."""
     counts = doc_word_counts(corpus)
     tables = _chain_tables(corpus, state, hp)
     return (partial(dmm_sweep, corpus, state, hp, rng, counts=counts, tables=tables),

@@ -34,7 +34,10 @@ def load_pretrained(paras_path) -> PretrainedModel:
     rec = persistence.read_paras(paras_path)
     if rec.hp.model not in ("LDA", "DMM"):
         raise ToolError(f"paras file {paras_path} is from model {rec.hp.model}, expected LDA or DMM")
-    hp = rec.hp.validate()
+    try:
+        hp = rec.hp.validate()
+    except ToolError as exc:
+        raise ToolError(f"bad value in paras file {paras_path}: {exc}") from exc
 
     # Outputs land in the corpus's folder, so the corpus sits next to the .paras.
     paras_dir = os.path.dirname(os.path.abspath(paras_path))
@@ -54,9 +57,10 @@ def load_pretrained(paras_path) -> PretrainedModel:
     if not np.array_equal(offsets, expected):
         raise ToolError(f"assignment length mismatch at document "
                         f"{np.argmax(offsets != expected)} in {assign_path}")
-    bad = z[(z < 0) | (z >= hp.ntopics)]
+    bad = np.flatnonzero((z < 0) | (z >= hp.ntopics))
     if bad.size:
-        raise ToolError(f"topic id {bad[0]} out of range in {assign_path}")
+        raise ToolError(f"topic id {z[bad[0]]} out of range [0, {hp.ntopics}) at line "
+                        f"{np.searchsorted(offsets, bad[0], 'right')} in {assign_path}")
     topics = z if hp.model == "LDA" else z.repeat(np.diff(corpus.offsets))
     nkw = _count_table(topics, corpus.words, hp.ntopics, corpus.vocab.size)
     return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, nk=nkw.sum(axis=1),

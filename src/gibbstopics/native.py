@@ -7,14 +7,14 @@ It is compiled with the system `cc` on first use and cached under
 $XDG_CACHE_HOME/gibbstopics (~/.cache/gibbstopics when that is unset or
 relative), one library per source and flags, and loaded through ctypes.
 
-This module is the only way into the library. Its kernels check no array, so
-a caller passes every array it did not make itself (the corpus, count tables,
-assignments and log tables) to check (exact dtype and shape, C-contiguous,
-writable if written) and their ids, counts and offsets to check_range and
-check_offsets. Arrays the caller makes with the kernel's dtype and shape
-(uniforms, scratch and output buffers, write_matrix's matrix) need no check.
-call runs a kernel, passing each ndarray as its .ctypes object, which keeps
-the array alive for the call.
+This module is the only way into the library. Its kernels check no array, so a
+caller passes every array it did not make itself (the corpus, DMM's sorted
+words, count tables, assignments and log tables) to check (exact dtype and
+shape, C-contiguous, writable if written) and their ids and offsets to
+check_range and check_offsets. Arrays the caller makes with the kernel's dtype
+and shape (uniforms, scratch and output buffers, write_matrix's matrix) need
+no check. call runs a kernel, passing each ndarray as its .ctypes object,
+which keeps the array alive for the call.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _kernel():
         raise ToolError(f"cannot load the compiled kernels {lib_path}: {exc}") from exc
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.lda_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, f64, ptr, ptr)
-    lib.dmm_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64,
+    lib.dmm_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64,
                               ptr, i64, ptr, i64, ptr, ptr, ptr, ptr)
     lib.format_matrix.argtypes = (i64, i64, ptr, ptr)
     lib.tokenize.argtypes = (i64, ptr, ptr, ptr, ptr, ptr)

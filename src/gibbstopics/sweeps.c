@@ -64,56 +64,55 @@ int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
     return -1;
 }
 
-/* Move one document's word counts (uwords/ucounts entries b to e-1, n
- * tokens) into (sign 1) or out of (sign -1) topic k. */
-static void shift_doc(int64_t k, int64_t sign, int64_t b, int64_t e, int64_t n,
-                      const int64_t *uwords, const int64_t *ucounts,
+/* Move one document's tokens (words entries b to e-1) into (sign 1) or out
+ * of (sign -1) topic k. */
+static void shift_doc(int64_t k, int64_t sign, int64_t b, int64_t e, const int64_t *words,
                       int64_t *mk, int64_t *nkw, int64_t *nk, int64_t V)
 {
     mk[k] += sign;
     for (int64_t i = b; i < e; i++)
-        nkw[k * V + uwords[i]] += sign * ucounts[i];
-    nk[k] += sign * n;
+        nkw[k * V + words[i]] += sign;
+    nk[k] += sign * (e - b);
 }
 
-/* For each document d in turn, with its counts removed from topic z[d]:
- * the log-weight of every topic, summed left to right in the formula's
- * order (prior, word terms, then length terms) from the tables
+/* For each document d in turn, its tokens words[offsets[d]] to
+ * words[offsets[d+1]-1] sorted by word id, with its counts removed from
+ * topic z[d]: the log-weight of every topic, summed left to right in the
+ * formula's order (prior, word terms, then length terms) from the tables
  * lnum[m] = log(m + beta), lden[m] = log(m + V*beta) and
- * lpri[m] = log(m + alpha) - log(D - 1 + K*alpha), m < D; then the weights
+ * lpri[m] = log(m + alpha) - log(D - 1 + K*alpha), m < D; a word's t-th token
+ * in the document (t from 0) adds lnum[n_kw + t]. Then the weights
  * exp(logw - max). With uniforms u, z[d] is drawn with u[d] as the oracle's
  * draw does; without (u NULL), row d of the D x K theta is the normalized
  * weights. The counts go back under z[d]. w is K doubles of scratch.
  *
- * Every table index is checked, so corrupt (negative) counts never read
- * outside a table. Returns -1, or the first document whose index falls
- * outside a table or whose log-weight is not finite (its counts are then
- * restored under the unchanged z[d]). */
-int64_t dmm_sweep(int64_t n_docs, const int64_t *uoffsets, const int64_t *uwords,
-                  const int64_t *ucounts, int64_t *z, int64_t *mk, int64_t *nkw, int64_t *nk,
+ * Every table index is checked, so corrupt (negative) counts, or words not
+ * in order, never read outside a table. Returns -1, or the first document
+ * whose index falls outside a table or whose log-weight is not finite (its
+ * counts are then restored under the unchanged z[d]). */
+int64_t dmm_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
+                  int64_t *z, int64_t *mk, int64_t *nkw, int64_t *nk,
                   int64_t K, int64_t V, const double *lnum, int64_t n_num,
                   const double *lden, int64_t n_den, const double *lpri,
                   const double *u, double *w, double *theta)
 {
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t b = uoffsets[d], e = uoffsets[d + 1], n = 0, k = z[d];
-        for (int64_t i = b; i < e; i++)
-            n += ucounts[i];
-        shift_doc(k, -1, b, e, n, uwords, ucounts, mk, nkw, nk, V);
+        int64_t b = offsets[d], e = offsets[d + 1], k = z[d];
+        shift_doc(k, -1, b, e, words, mk, nkw, nk, V);
         double top = -INFINITY;
         for (int64_t j = 0; j < K; j++) {
             int64_t m = mk[j], c = nk[j];
-            if (m < 0 || m >= n_docs || c < 0 || c + n > n_den)
+            if (m < 0 || m >= n_docs || c < 0 || c + (e - b) > n_den)
                 goto corrupt;
             double s = lpri[m];
-            for (int64_t i = b; i < e; i++) {
-                int64_t a = nkw[j * V + uwords[i]], r = ucounts[i];
-                if (a < 0 || a + r > n_num)
+            for (int64_t i = b, t = 0; i < e; i++) {
+                t = i > b && words[i] == words[i - 1] ? t + 1 : 0;
+                int64_t a = nkw[j * V + words[i]];
+                if (a < 0 || a + t >= n_num)
                     goto corrupt;
-                for (int64_t t = 0; t < r; t++)
-                    s += lnum[a + t];
+                s += lnum[a + t];
             }
-            for (int64_t t = 0; t < n; t++)
+            for (int64_t t = 0; t < e - b; t++)
                 s -= lden[c + t];
             if (!(s > -INFINITY && s < INFINITY))
                 goto corrupt;
@@ -132,10 +131,10 @@ int64_t dmm_sweep(int64_t n_docs, const int64_t *uoffsets, const int64_t *uwords
             for (int64_t j = 0; j < K; j++)
                 theta[d * K + j] = w[j] / total;
         }
-        shift_doc(k, 1, b, e, n, uwords, ucounts, mk, nkw, nk, V);
+        shift_doc(k, 1, b, e, words, mk, nkw, nk, V);
         continue;
     corrupt:
-        shift_doc(k, 1, b, e, n, uwords, ucounts, mk, nkw, nk, V);
+        shift_doc(k, 1, b, e, words, mk, nkw, nk, V);
         return d;
     }
     return -1;

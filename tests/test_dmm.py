@@ -228,11 +228,9 @@ def test_train_deterministic_given_seed(tmp_path):
 
 def test_word_counts_flat_per_document():
     corpus = make_corpus([[3, 1, 3], [], [0, 2, 2, 0, 2]], 4)
-    uwords, ucounts, uoffsets = doc_word_counts(corpus)
-    assert uwords.tolist() == [1, 3, 0, 2]
-    assert ucounts.tolist() == [1, 2, 2, 3]
-    assert uoffsets.tolist() == [0, 2, 2, 4]
-    assert all(a.dtype == np.int64 for a in (uwords, ucounts, uoffsets))
+    words = doc_word_counts(corpus)
+    assert words.tolist() == [1, 3, 3, 0, 0, 2, 2, 2]
+    assert words.dtype == np.int64
 
 
 def _random_corpus(gen, n_docs, n_vocab):
@@ -275,8 +273,8 @@ def test_kernel_matches_numpy_oracle(ntopics, alpha, beta, frozen):
 
 
 @pytest.mark.parametrize("case", ["word V", "topic K", "float64 nkw", "short mk",
-                                  "uoffsets past uwords", "strided z", "short lpri",
-                                  "read-only nkw", "read-only mk", "read-only nk"])
+                                  "words shorter than the offsets", "empty offsets", "strided z",
+                                  "short lpri", "read-only nkw", "read-only mk", "read-only nk"])
 def test_sweep_rejects_out_of_bounds_input(case):
     # The kernel reads and writes through raw pointers, so each of these must
     # be refused before the first draw.
@@ -285,18 +283,20 @@ def test_sweep_rejects_out_of_bounds_input(case):
     rng, _ = make_rng(9)
     corpus = make_corpus(docs, 3)
     state = init_dmm(corpus, hp, rng)
-    uwords, ucounts, uoffsets = doc_word_counts(corpus)
+    words = doc_word_counts(corpus)
     tables = None
     if case == "word V":
-        uwords[2] = 3
+        words[2] = 3
     elif case == "topic K":
         state.z[0] = 3
     elif case == "float64 nkw":
         state.nkw = state.nkw.astype(np.float64)
     elif case == "short mk":
         state.mk = state.mk[:-1].copy()
-    elif case == "uoffsets past uwords":
-        uoffsets[-1] += 1
+    elif case == "words shorter than the offsets":
+        words = words[:-1]
+    elif case == "empty offsets":
+        corpus = replace(corpus, offsets=np.empty(0, np.int64))
     elif case == "strided z":
         state.z = state.z.repeat(2)[::2]  # same topics, every other int64
     elif case == "short lpri":  # the kernel checks m < D, not the table's size
@@ -310,12 +310,14 @@ def test_sweep_rejects_out_of_bounds_input(case):
     def unchanged():
         return all(np.array_equal(a, b)
                    for a, b in zip((state.z, state.mk, state.nkw, state.nk), before))
-    with pytest.raises(ToolError, match="dmm_sweep"):
-        dmm_sweep(corpus, state, hp, rng, counts=(uwords, ucounts, uoffsets), tables=tables)
+    # empty offsets give n_docs = -1, so they must be named before z's shape
+    offsets = ": document offsets" if case == "empty offsets" else ""
+    with pytest.raises(ToolError, match="dmm_sweep" + offsets):
+        dmm_sweep(corpus, state, hp, rng, counts=words, tables=tables)
     assert unchanged()
     assert rng.bit_generator.state == rng_state
-    with pytest.raises(ToolError, match="estimate_theta_dmm"):
-        estimate_theta_dmm(state, corpus, hp, counts=(uwords, ucounts, uoffsets), tables=tables)
+    with pytest.raises(ToolError, match="estimate_theta_dmm" + offsets):
+        estimate_theta_dmm(state, corpus, hp, counts=words, tables=tables)
     assert unchanged()
 
 

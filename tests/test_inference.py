@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gibbstopics import train_dmm, train_lda
+from gibbstopics.cli import main
 from gibbstopics.core import (
     Hyperparams,
     ToolError,
@@ -16,7 +17,7 @@ from gibbstopics.core import (
     recount_lda,
 )
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import dmm_sweep, doc_word_counts
+from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm
 from gibbstopics.inference import fold_corpus, infer, load_pretrained
 from gibbstopics.lda import lda_sweep
 
@@ -110,9 +111,41 @@ def test_load_pretrained_assignment_mismatch(tmp_path):
 @pytest.mark.parametrize("topic", [-1, 2])
 def test_load_pretrained_lda_topic_out_of_range(tmp_path, topic):
     _, paras = train_small_lda(tmp_path, ["a b", "b c"], ntopics=2)
-    (tmp_path / "m.topicAssignments").write_text(f"{topic} 0\n1 0\n")
-    with pytest.raises(ToolError, match="m.topicAssignments"):
-        load_pretrained(paras)
+    path = tmp_path / "m.topicAssignments"
+    for text, line in ((f"{topic} 0\n1 0\n", 1), (f"0 1\n1 {topic}\n", 2)):
+        path.write_text(text)
+        with pytest.raises(ToolError, match=f"^topic id {topic} out of range \\[0, 2\\) at line "
+                                            f"{line} in {re.escape(str(path))}$"):
+            load_pretrained(paras)
+    # DMM: one topic per document, so the line is the document
+    hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=1, name="dm", seed=5)
+    train_dmm(load_corpus(tmp_path / "corpus.txt"), hp)
+    path = tmp_path / "dm.topicAssignments"
+    path.write_text(f"0\n{topic}\n")
+    with pytest.raises(ToolError, match=f"^topic id {topic} out of range \\[0, 2\\) at line 2 "
+                                        f"in {re.escape(str(path))}$"):
+        load_pretrained(tmp_path / "dm.paras")
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("ntopics", "0", r"ntopics must be in \[1, 2\*\*63\), got 0"),
+    ("alpha", "-1.0", r"alpha must be finite and > 0, got -1.0"),
+    ("name", "../x", r"name must be a plain file name, got '\.\./x'"),
+    ("seed", "-1", r"seed must be >= 0, got -1"),
+], ids=["ntopics", "alpha", "name", "seed"])
+def test_load_pretrained_names_the_paras_file_of_a_bad_value(tmp_path, capsys, key, value,
+                                                              error):
+    _, paras = train_small_lda(tmp_path, ["a b", "b c"])
+    paras.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={value}", paras.read_text()))
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text("a c\n")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["-model", "LDAinf", "-paras", str(paras), "-corpus", str(unseen),
+                 "-name", "inf"]) == 1
+    assert re.fullmatch(f"error: bad value in paras file {re.escape(str(paras))}: {error}\n",
+                        capsys.readouterr().err)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_oov_tokens_dropped(tmp_path):
@@ -136,6 +169,27 @@ def test_all_oov_document_gets_uniform_theta(tmp_path):
     hp = Hyperparams(model="LDAinf", ntopics=4, alpha=model.hp.alpha, beta=model.hp.beta)
     theta = estimate_theta_lda(state, hp)
     assert np.allclose(theta[1], 0.25, atol=1e-12)
+
+
+def test_all_oov_document_gets_cluster_prior_theta_dmm(tmp_path):
+    # DMMinf: an emptied document adds no word or length term, so its theta
+    # row is the leave-one-out cluster prior (m_k + alpha) / (D - 1 + K*alpha),
+    # m_k counting the other unseen documents in cluster k.
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b b\nc c a\nb a\n")
+    train_dmm(load_corpus(path), Hyperparams(model="DMM", ntopics=3, alpha=0.1, beta=0.1,
+                                             niters=5, name="dm", seed=5))
+    model = load_pretrained(tmp_path / "dm.paras")
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text("zzz\nqqq qqq\n")
+    hp = Hyperparams(model="DMMinf", niters=20, name="inf", seed=3)
+    state = infer(model, unseen, hp)
+    theta = estimate_theta_dmm(state, fold_corpus(model, unseen), hp)
+    for d in range(2):
+        m = np.bincount(state.z, minlength=3) - np.eye(3, dtype=np.int64)[state.z[d]]
+        assert np.allclose(theta[d], (m + 0.1) / (2 - 1 + 3 * 0.1), rtol=1e-12, atol=0)
+    rows = [sorted(line.split()) for line in (tmp_path / "inf.theta").read_text().splitlines()]
+    assert rows == [["0.0769231", "0.0769231", "0.846154"]] * 2
 
 
 def test_frozen_counts_not_mutated(tmp_path):
