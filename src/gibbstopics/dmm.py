@@ -60,11 +60,11 @@ def _chain_tables(corpus, state: CountState, hp: Hyperparams):
             np.log(np.arange(n_docs) + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha))
 
 
-def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, tables, rng):
+def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tables, rng):
     """Check the inputs, then run the kernel over every document: a sweep
     that draws one uniform per document from rng, or, without rng, the theta
     of the current state, which is returned."""
-    words = doc_word_counts(corpus) if counts is None else counts
+    words = doc_word_counts(corpus) if words is None else words
     n_docs, n_topics, n_vocab = corpus.n_docs, hp.ntopics, corpus.vocab.size
     # The offsets first: n_docs is only a count once they are known to rise from 0.
     native.check(who, ("document offsets", corpus.offsets, np.int64, (n_docs + 1,), False),
@@ -92,28 +92,28 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, counts, ta
 
 
 def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator,
-              counts=None, tables=None):
+              words=None, tables=None):
     """One full pass: each document's counts removed, topic resampled from the
     log-space conditional, counts restored under the new topic. The sweep's
-    uniforms are drawn up front, one per document. counts is the sorted
-    words, doc_word_counts(corpus), and tables the chain's log tables, each
-    computed when not given."""
-    _run_kernel("dmm_sweep", corpus, state, hp, counts, tables, rng)
+    uniforms are drawn up front, one per document. words is
+    doc_word_counts(corpus) and tables the chain's log tables, each computed
+    when not given."""
+    _run_kernel("dmm_sweep", corpus, state, hp, words, tables, rng)
     return state
 
 
 def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams,
-                       counts=None, tables=None) -> np.ndarray:
+                       words=None, tables=None) -> np.ndarray:
     """theta[d] = the normalized leave-one-out conditional of document d at the
     final state (the sampler's own predictive distribution over topics)."""
-    return _run_kernel("estimate_theta_dmm", corpus, state, hp, counts, tables, None)
+    return _run_kernel("estimate_theta_dmm", corpus, state, hp, words, tables, None)
 
 
 def dmm_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
     """The sweep and theta callables of a chain from state, whose counts
     (frozen training counts included) must be complete: the sorted words
     and log tables they share are built once here."""
-    counts = doc_word_counts(corpus)
+    words = doc_word_counts(corpus)
     tables = _chain_tables(corpus, state, hp)
-    return (partial(dmm_sweep, corpus, state, hp, rng, counts=counts, tables=tables),
-            partial(estimate_theta_dmm, state, corpus, hp, counts=counts, tables=tables))
+    return (partial(dmm_sweep, corpus, state, hp, rng, words=words, tables=tables),
+            partial(estimate_theta_dmm, state, corpus, hp, words=words, tables=tables))

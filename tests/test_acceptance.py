@@ -99,9 +99,9 @@ def test_criterion_1_count_conservation_suite():
         rng, _ = make_rng(101)
         state = init_dmm(corpus, hp_dmm, rng)
         from gibbstopics.dmm import doc_word_counts
-        counts = doc_word_counts(corpus)
+        words = doc_word_counts(corpus)
         for _ in range(200):
-            dmm_sweep(corpus, state, hp_dmm, rng, counts=counts)
+            dmm_sweep(corpus, state, hp_dmm, rng, words=words)
             check_state(state, corpus, "DMM")
 
         elapsed = time.monotonic() - start
@@ -154,12 +154,12 @@ def test_criterion_3_dmm_exact_posterior():
         rng, _ = make_rng(556)
         state = init_dmm(corpus, hp, rng)
         from gibbstopics.dmm import doc_word_counts
-        counts = doc_word_counts(corpus)
+        words = doc_word_counts(corpus)
         for _ in range(1000):
-            dmm_sweep(corpus, state, hp, rng, counts=counts)
+            dmm_sweep(corpus, state, hp, rng, words=words)
         tally = Counter()
         for _ in range(50000):
-            dmm_sweep(corpus, state, hp, rng, counts=counts)
+            dmm_sweep(corpus, state, hp, rng, words=words)
             tally[tuple(int(k) for k in state.z)] += 1
         empirical = {s: c / 50000 for s, c in tally.items()}
         tv = tv_distance(empirical, exact)

@@ -313,11 +313,11 @@ def test_sweep_rejects_out_of_bounds_input(case):
     # empty offsets give n_docs = -1, so they must be named before z's shape
     offsets = ": document offsets" if case == "empty offsets" else ""
     with pytest.raises(ToolError, match="dmm_sweep" + offsets):
-        dmm_sweep(corpus, state, hp, rng, counts=words, tables=tables)
+        dmm_sweep(corpus, state, hp, rng, words=words, tables=tables)
     assert unchanged()
     assert rng.bit_generator.state == rng_state
     with pytest.raises(ToolError, match="estimate_theta_dmm" + offsets):
-        estimate_theta_dmm(state, corpus, hp, counts=words, tables=tables)
+        estimate_theta_dmm(state, corpus, hp, words=words, tables=tables)
     assert unchanged()
 
 

@@ -335,10 +335,10 @@ def test_folding_in_matches_exact_posterior(tmp_path, kind, unseen_text, seed):
         def sweep():
             lda_sweep(corpus, state, hp, rng)
     else:
-        counts = doc_word_counts(corpus)
+        words = doc_word_counts(corpus)
 
         def sweep():
-            dmm_sweep(corpus, state, hp, rng, counts=counts)
+            dmm_sweep(corpus, state, hp, rng, words=words)
     for _ in range(200):
         sweep()
     n_samples, tally = 15000, Counter()

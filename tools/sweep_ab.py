@@ -9,7 +9,7 @@ modules only at module level, so each tree's functions keep their own
 wrappers and compiled library, even where the kernels take other arguments.
 
 The corpora are the benchmark's, generated through perfbench/workloads.py at
---seed. A case KERNEL:WORKLOAD:K starts both trees from the same seed and
+SEED. A case KERNEL:WORKLOAD:K starts both trees from the same seed and
 then runs one sweep per tree in each pair, the order alternating from pair
 to pair: lda_sweep for lda, dmm.dmm_chain's sweep for dmm. After every pair
 it asserts that the two trees' z, count tables and random generators, and for
@@ -41,6 +41,7 @@ CORPORA = {"lda-train": ("corpus.txt", 0.01), "dmm-short": ("corpus.txt", 0.1),
 DEFAULT_CASES = ("lda:lda-train:20", "lda:lda-train:100", "dmm:dmm-short:20",
                  "dmm:dmm-short:50", "dmm:infer-replay:20")
 TABLES = {"lda": ("z", "ndk", "nkw", "nk"), "dmm": ("z", "mk", "nkw", "nk")}
+SEED = 101  # the workloads' and the chains' seed
 
 
 def _package_modules():
@@ -96,7 +97,7 @@ def start(tree, kernel, corpus_path, beta, k, seed):
     return sweep, snapshot
 
 
-def run_case(trees, case, pairs, seed, work):
+def run_case(trees, case, pairs, work):
     kernel, workload, k = case.split(":")
     if kernel not in TABLES or workload not in CORPORA:
         sys.exit(f"sweep_ab: unknown case {case}; cases are (lda|dmm):WORKLOAD:K, "
@@ -104,9 +105,9 @@ def run_case(trees, case, pairs, seed, work):
     folder = os.path.join(work, workload)
     if not os.path.isdir(folder):
         with installed(trees[0].modules):  # infer-replay plants its models with the package
-            workloads.PLANS[workload](folder, seed)
+            workloads.PLANS[workload](folder, SEED)
     name, beta = CORPORA[workload]
-    chains = [start(tree, kernel, os.path.join(folder, name), beta, int(k), seed)
+    chains = [start(tree, kernel, os.path.join(folder, name), beta, int(k), SEED)
               for tree in trees]
     times = [[], []]
     for pair in range(pairs):
@@ -130,7 +131,6 @@ def main(argv=None):
     parser.add_argument("parent", help="source tree A (the parent)")
     parser.add_argument("change", help="source tree B (the change)")
     parser.add_argument("--pairs", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=101, help="workload and chain seed")
     parser.add_argument("--case", action="append",
                         help=f"KERNEL:WORKLOAD:K, repeatable (default: {' '.join(DEFAULT_CASES)})")
     args = parser.parse_args(argv)
@@ -140,7 +140,7 @@ def main(argv=None):
     print(f"{'case':24} {'A ms':>10} {'B ms':>10} {'B/A':>7} {'B won':>8}")
     with tempfile.TemporaryDirectory(prefix="sweep_ab-") as work:
         for case in args.case or DEFAULT_CASES:
-            run_case(trees, case, args.pairs, args.seed, work)
+            run_case(trees, case, args.pairs, work)
 
 
 if __name__ == "__main__":
