@@ -11,7 +11,7 @@ from gibbstopics.core import (
     estimate_theta_lda,
     make_rng,
 )
-from gibbstopics.corpus import Corpus, Vocabulary, load_corpus, load_labels
+from gibbstopics.corpus import Corpus, load_corpus, load_labels
 from gibbstopics.dmm import dmm_sweep, estimate_theta_dmm, init_dmm
 from gibbstopics.evaluation import evaluate_files, nmi, purity
 from gibbstopics.inference import PretrainedModel, infer, load_pretrained
@@ -23,7 +23,6 @@ __all__ = [
     "Hyperparams",
     "PretrainedModel",
     "ToolError",
-    "Vocabulary",
     "dmm_sweep",
     "estimate_phi",
     "estimate_theta_dmm",

@@ -87,7 +87,7 @@ class Hyperparams:
         return self
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no truth value: equal only to itself
 class CountState:
     """Gibbs count tables and current assignments.
 
@@ -144,14 +144,14 @@ def recount_lda(corpus, z, ntopics: int) -> CountState:
     z = np.asarray(z, dtype=np.int64)
     doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
     ndk = _count_table(doc_of, z, corpus.n_docs, ntopics)
-    nkw = _count_table(z, corpus.words, ntopics, corpus.vocab.size)
+    nkw = _count_table(z, corpus.words, ntopics, len(corpus.vocab))
     return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=z)
 
 
 def recount_dmm(corpus, z, ntopics: int) -> CountState:
     """Build all DMM count tables from the per-document topics."""
     z = np.asarray(z, dtype=np.int64)
-    nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, corpus.vocab.size)
+    nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, len(corpus.vocab))
     return CountState(ndk=None, nkw=nkw, nk=nkw.sum(axis=1), z=z,
                       mk=np.bincount(z, minlength=ntopics))
 

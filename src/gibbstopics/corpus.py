@@ -1,7 +1,7 @@
-"""Corpus and label loading: one document per line, whitespace tokens,
-vocabulary ids assigned in first-occurrence order. persistence.read_tokens
-splits a corpus, as it does a .topicAssignments file, with the tokenize kernel
-of the compiled library (native.py), so loading a corpus needs the library."""
+"""Corpus and label loading: one document per line, whitespace tokens, word
+ids in first-occurrence order. persistence.read_tokens splits a corpus (and a
+.topicAssignments file) with native.py's tokenize kernel, so loading a corpus
+needs the compiled library. native.check_corpus is the rule kernels hold it to."""
 
 from __future__ import annotations
 
@@ -14,21 +14,11 @@ from gibbstopics.core import ToolError
 from gibbstopics.persistence import read_lines, read_tokens
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    words: tuple
-    index: dict
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: equal only to itself
 class Corpus:
     words: np.ndarray    # int64 word id of every token, document after document
     offsets: np.ndarray  # int64, D+1 from 0: document d is words[offsets[d]:offsets[d+1]]
-    vocab: Vocabulary
+    vocab: tuple         # the distinct words: word id i is vocab[i]
     source_path: str
 
     @cached_property
@@ -62,8 +52,7 @@ def load_corpus(path) -> Corpus:
     blank = np.flatnonzero(offsets[1:] == offsets[:-1])
     if blank.size:
         raise ToolError(f"blank document at line {blank[0] + 1} in {path}")
-    vocab = Vocabulary(words=tuple(tokens), index=dict(zip(tokens, range(len(tokens)))))
-    return Corpus(words=words, offsets=offsets, vocab=vocab, source_path=path)
+    return Corpus(words=words, offsets=offsets, vocab=tuple(tokens), source_path=path)
 
 
 def load_labels(path) -> tuple:

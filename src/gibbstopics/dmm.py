@@ -33,11 +33,10 @@ def doc_word_counts(corpus):
     """The corpus's int64 word ids, each document's sorted ascending, as the
     kernel reads them beside corpus.offsets: a word's repeats are adjacent. A
     word id outside the vocabulary would sort into a neighbouring document's
-    keys, so it is refused, as are offsets that do not cover the words."""
-    offsets, n_vocab = corpus.offsets, corpus.vocab.size
-    native.check_offsets("doc_word_counts", "document offsets", offsets, corpus.words.size)
-    native.check_range("doc_word_counts", "word ids", corpus.words, 0, n_vocab)
-    base = np.arange(offsets.size - 1).repeat(np.diff(offsets)) * n_vocab
+    keys, so the corpus is checked first."""
+    n_vocab = len(corpus.vocab)
+    n_docs = native.check_corpus("doc_word_counts", corpus.offsets, corpus.words, n_vocab)
+    base = np.arange(n_docs).repeat(np.diff(corpus.offsets)) * n_vocab
     return np.sort(base + corpus.words) - base
 
 
@@ -55,7 +54,7 @@ def _chain_tables(corpus, state: CountState, hp: Hyperparams):
     topics, so these sizes, and the tables, hold for the whole chain."""
     n_num = int(state.nkw.sum(axis=0).max(initial=0)) + 1
     n_den = int(state.nk.sum()) + 1
-    n_docs, n_vocab = corpus.n_docs, corpus.vocab.size
+    n_docs, n_vocab = corpus.n_docs, len(corpus.vocab)
     return (np.log(np.arange(n_num) + hp.beta), np.log(np.arange(n_den) + n_vocab * hp.beta),
             np.log(np.arange(n_docs) + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha))
 
@@ -64,12 +63,11 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tab
     """Check the inputs, then run the kernel over every document: a sweep
     that draws one uniform per document from rng, or, without rng, the theta
     of the current state, which is returned."""
+    n_topics, n_vocab = hp.ntopics, len(corpus.vocab)
+    # The corpus's words are checked before doc_word_counts sorts them, so a refusal names who.
+    n_docs = native.check_corpus(who, corpus.offsets, corpus.words if words is None else words,
+                                 n_vocab)
     words = doc_word_counts(corpus) if words is None else words
-    n_docs, n_topics, n_vocab = corpus.n_docs, hp.ntopics, corpus.vocab.size
-    # The offsets first: n_docs is only a count once they are known to rise from 0.
-    native.check(who, ("document offsets", corpus.offsets, np.int64, (n_docs + 1,), False),
-                 ("word ids", words, np.int64, (np.size(words),), False))
-    native.check_offsets(who, "document offsets", corpus.offsets, words.size)
     lnum, lden, lpri = _chain_tables(corpus, state, hp) if tables is None else tables
     native.check(who, ("topic assignments", state.z, np.int64, (n_docs,), True),
                  ("mk", state.mk, np.int64, (n_topics,), True),
@@ -78,7 +76,6 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tab
                  ("lnum", lnum, np.float64, (np.size(lnum),), False),
                  ("lden", lden, np.float64, (np.size(lden),), False),
                  ("lpri", lpri, np.float64, (n_docs,), False))
-    native.check_range(who, "word ids", words, 0, n_vocab)
     native.check_range(who, "topics", state.z, 0, n_topics)
     theta = np.empty((n_docs, n_topics)) if rng is None else None
     uniforms = None if rng is None else rng.random(n_docs)

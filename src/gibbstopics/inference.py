@@ -15,13 +15,13 @@ import numpy as np
 from gibbstopics import persistence
 from gibbstopics.chain import run_chain
 from gibbstopics.core import CountState, Hyperparams, ToolError, _count_table
-from gibbstopics.corpus import Corpus, Vocabulary, load_corpus
+from gibbstopics.corpus import Corpus, load_corpus
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no truth value: equal only to itself
 class PretrainedModel:
     hp: Hyperparams       # hyperparameters of the training run (model is LDA or DMM)
-    vocab: Vocabulary     # training vocabulary
+    vocab: tuple          # the training corpus's distinct words, by word id
     nkw: np.ndarray       # frozen K x V topic-word counts
     nk: np.ndarray        # frozen length-K topic totals
     paras_path: str       # the .paras file the model was loaded from
@@ -62,7 +62,7 @@ def load_pretrained(paras_path) -> PretrainedModel:
         raise ToolError(f"topic id {z[bad[0]]} out of range [0, {hp.ntopics}) at line "
                         f"{np.searchsorted(offsets, bad[0], 'right')} in {assign_path}")
     topics = z if hp.model == "LDA" else z.repeat(np.diff(corpus.offsets))
-    nkw = _count_table(topics, corpus.words, hp.ntopics, corpus.vocab.size)
+    nkw = _count_table(topics, corpus.words, hp.ntopics, len(corpus.vocab))
     return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, nk=nkw.sum(axis=1),
                            paras_path=paras_path)
 
@@ -72,7 +72,8 @@ def fold_corpus(model: PretrainedModel, new_corpus_path) -> Corpus:
     tokens (documents may become empty)."""
     raw = load_corpus(new_corpus_path)
     # training id of each unseen-corpus word id, -1 when out of vocabulary
-    to_train = np.array([model.vocab.index.get(w, -1) for w in raw.vocab.words], dtype=np.int64)
+    index = dict(zip(model.vocab, range(len(model.vocab))))
+    to_train = np.array([index.get(w, -1) for w in raw.vocab], dtype=np.int64)
     words = to_train[raw.words]
     kept = words >= 0
     # document d starts after the kept tokens of documents 0..d-1

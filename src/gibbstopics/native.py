@@ -8,13 +8,14 @@ $XDG_CACHE_HOME/gibbstopics (~/.cache/gibbstopics when that is unset or
 relative), one library per source and flags, and loaded through ctypes.
 
 This module is the only way into the library. Its kernels check no array, so a
-caller passes every array it did not make itself (the corpus, DMM's sorted
-words, count tables, assignments and log tables) to check (exact dtype and
-shape, C-contiguous, writable if written) and their ids and offsets to
-check_range and check_offsets. Arrays the caller makes with the kernel's dtype
-and shape (uniforms, scratch and output buffers, write_matrix's matrix) need
-no check. call runs a kernel, passing each ndarray as its .ctypes object,
-which keeps the array alive for the call.
+caller passes every array it did not make itself to a check: a corpus's
+offsets and word ids (or DMM's sorted words) to check_corpus, and count
+tables, assignments and log tables to check (exact dtype and shape,
+C-contiguous, writable if written) and their ids to check_range. Arrays the
+caller makes with the kernel's dtype and shape (uniforms, scratch and output
+buffers, tokenize's arrays, write_matrix's matrix) need no check. call runs a
+kernel, passing each ndarray as its .ctypes object, which keeps the array alive
+for the call.
 """
 
 from __future__ import annotations
@@ -103,11 +104,20 @@ def check_range(who: str, what: str, a: np.ndarray, lo: int, hi: int):
         raise ToolError(f"{who}: {what} are not in [{lo}, {hi})")
 
 
-def check_offsets(who: str, what: str, offsets: np.ndarray, n: int):
-    """Refuse checked offsets that do not rise (non-strictly) from 0 to n."""
-    if not (offsets.size and offsets[0] == 0 and offsets[-1] == n
+def check_corpus(who: str, offsets, words, n_vocab: int) -> int:
+    """Refuse, with a ToolError naming who, a corpus a kernel cannot read:
+    offsets or word ids that are not C-contiguous int64 vectors, offsets that
+    do not rise (non-strictly) from 0 to the number of words, or a word id
+    outside [0, n_vocab). Returns the number of documents, D: the offsets come
+    first, as D is only a count once they are known to rise from 0."""
+    n_docs = np.size(offsets) - 1
+    check(who, ("document offsets", offsets, np.int64, (n_docs + 1,), False),
+          ("word ids", words, np.int64, (np.size(words),), False))
+    if not (offsets.size and offsets[0] == 0 and offsets[-1] == words.size
             and (np.diff(offsets) >= 0).all()):
-        raise ToolError(f"{who}: {what} do not rise from 0 to {n}")
+        raise ToolError(f"{who}: document offsets do not rise from 0 to {words.size}")
+    check_range(who, "word ids", words, 0, n_vocab)
+    return n_docs
 
 
 def call(name: str, *args) -> int:

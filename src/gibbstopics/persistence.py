@@ -96,10 +96,6 @@ def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
     offsets = np.empty(n + 1, np.int64)
     vocab = np.empty(n + 1, np.uint8)
     sizes = np.empty(3, np.int64)
-    native.check("tokenize", ("text", text, np.uint8, (n,), False),
-                 ("words", words, np.int64, ((n + 1) // 2,), True),
-                 ("offsets", offsets, np.int64, (n + 1,), True),
-                 ("vocab", vocab, np.uint8, (n + 1,), True), ("sizes", sizes, np.int64, (3,), True))
     if native.call("tokenize", n, text, words, offsets, vocab, sizes) < 0:
         raise ToolError(f"out of memory tokenizing {what} {path}")
     n_tokens, n_lines, n_vocab = sizes.tolist()
@@ -184,7 +180,7 @@ def write_top_words(phi, vocab, twords: int, path: str):
     """Write each topic's min(twords, V) most probable words, descending by
     probability; the stable sort breaks ties by ascending word id."""
     ranked = np.argsort(-np.asarray(phi, np.float64), axis=1, kind="stable")[:, :max(twords, 0)]
-    lines = (f"Topic {k}:" + "".join(" " + vocab.words[i] for i in row)
+    lines = (f"Topic {k}:" + "".join(" " + vocab[i] for i in row)
              for k, row in enumerate(ranked.tolist()))
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 

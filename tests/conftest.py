@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from gibbstopics import native
-from gibbstopics.corpus import Corpus, Vocabulary
+from gibbstopics.corpus import Corpus
 
 
 def make_corpus(docs, n_vocab, source_path="<memory>"):
     """Build a Corpus directly from id lists, with placeholder word strings."""
-    words = tuple(f"w{i}" for i in range(n_vocab))
-    vocab = Vocabulary(words=words, index={w: i for i, w in enumerate(words)})
     return Corpus(
         words=np.array([w for doc in docs for w in doc], dtype=np.int64),
         offsets=np.cumsum([0, *map(len, docs)], dtype=np.int64),
-        vocab=vocab,
+        vocab=tuple(f"w{i}" for i in range(n_vocab)),
         source_path=source_path,
     )
 

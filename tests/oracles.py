@@ -2,7 +2,8 @@
 invariant every state must keep. The kernels are the only implementation in
 src/; these are the references the tests hold them to, bit for bit. Both
 samplers end in draw, which totals the weights by their last cumulative sum.
-Also the whitespace the tokenize kernel must split on, as str.split() does."""
+Also the whitespace the tokenize kernel must split on, as str.split() does,
+and the total-variation distance the exact-posterior tests bound."""
 
 import numpy as np
 
@@ -43,6 +44,12 @@ def loop_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
     for i in range(int(sum(ucounts))):
         logw = logw - np.log((state.nk + i) + n_vocab * hp.beta)
     return logw
+
+
+def tv_distance(empirical, exact):
+    """Total-variation distance of an empirical distribution (a dict, which may
+    miss states) from an exact one over every state."""
+    return 0.5 * sum(abs(empirical.get(s, 0.0) - p) for s, p in exact.items())
 
 
 def check_state(state, corpus, kind):

@@ -21,7 +21,7 @@ from gibbstopics.inference import infer, load_pretrained
 from gibbstopics.lda import init_lda, lda_sweep
 
 from conftest import make_corpus, synthetic_lines, two_topic_lines
-from oracles import check_state, lda_conditional, loop_conditional
+from oracles import check_state, lda_conditional, loop_conditional, tv_distance
 from test_evaluation import brute_nmi, brute_purity
 
 
@@ -74,10 +74,6 @@ def dmm_collapsed_log_joint(docs, z, ntopics, n_vocab, alpha, beta):
         for w in range(n_vocab):
             score += lgam(nkw.get((k, w), 0) + beta) - lgam(beta)
     return score
-
-
-def tv_distance(empirical, exact):
-    return 0.5 * sum(abs(empirical.get(s, 0.0) - p) for s, p in exact.items())
 
 
 def test_criterion_1_count_conservation_suite():

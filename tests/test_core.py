@@ -12,7 +12,7 @@ from gibbstopics.core import (
     make_rng,
 )
 from gibbstopics.chain import train_lda
-from gibbstopics.corpus import Vocabulary, load_corpus
+from gibbstopics.corpus import load_corpus
 from gibbstopics.persistence import write_top_words
 
 from oracles import draw
@@ -111,8 +111,7 @@ class TestTopWords:
 
     def top_words(self, tmp_path, phi, words, twords):
         path = str(tmp_path / "m.topWords")
-        vocab = Vocabulary(words=tuple(words), index={w: i for i, w in enumerate(words)})
-        write_top_words([phi], vocab, twords, path)
+        write_top_words([phi], tuple(words), twords, path)
         return open(path).read().split()[2:]
 
     def test_basic_ordering(self, tmp_path):

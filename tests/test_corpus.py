@@ -1,8 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gibbstopics.core import ToolError
+from gibbstopics import train_lda
+from gibbstopics.core import Hyperparams, ToolError, make_rng
 from gibbstopics.corpus import load_corpus, load_labels
+from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
+from gibbstopics.inference import load_pretrained
+from gibbstopics.lda import init_lda, lda_sweep
+
+from conftest import make_corpus
 
 
 def write(tmp_path, text, name="corpus.txt"):
@@ -14,15 +22,14 @@ def write(tmp_path, text, name="corpus.txt"):
 def test_first_occurrence_indexing(tmp_path):
     corpus = load_corpus(write(tmp_path, "a b a\nc b\n"))
     assert corpus.n_docs == 2
-    assert corpus.vocab.size == 3
-    assert corpus.vocab.words == ("a", "b", "c")
+    assert corpus.vocab == ("a", "b", "c")
     assert [list(d) for d in corpus.docs] == [[0, 1, 0], [2, 1]]
 
 
 def test_singleton(tmp_path):
     corpus = load_corpus(write(tmp_path, "x"))
     assert corpus.n_docs == 1
-    assert corpus.vocab.size == 1
+    assert len(corpus.vocab) == 1
     assert list(corpus.docs[0]) == [0]
 
 
@@ -42,17 +49,71 @@ def test_missing_file_names_path(tmp_path):
 
 
 def test_vocab_bijection(tmp_path):
-    corpus = load_corpus(write(tmp_path, "q r s q\nt r\n"))
-    for i, w in enumerate(corpus.vocab.words):
-        assert corpus.vocab.index[w] == i
+    lines = ["q r s q", "t r"]
+    corpus = load_corpus(write(tmp_path, "\n".join(lines) + "\n"))
+    assert len(set(corpus.vocab)) == len(corpus.vocab)
+    assert [[corpus.vocab[i] for i in doc] for doc in corpus.docs] == [l.split() for l in lines]
 
 
 def test_reload_is_deterministic(tmp_path):
     path = write(tmp_path, "pear plum pear\nfig plum kiwi\nkiwi fig\n")
     a = load_corpus(path)
     b = load_corpus(path)
-    assert a.vocab.words == b.vocab.words
+    assert a.vocab == b.vocab
     assert all(np.array_equal(x, y) for x, y in zip(a.docs, b.docs))
+
+
+@pytest.mark.parametrize("kind", ["Corpus", "CountState", "PretrainedModel"])
+def test_array_holders_equal_only_themselves(tmp_path, kind):
+    # A generated == would compare the arrays and fail on their truth value,
+    # and a generated hash would hash them: each equals and hashes as itself.
+    path = write(tmp_path, "a b a\nc b\n")
+    if kind == "PretrainedModel":
+        train_lda(load_corpus(path), Hyperparams(ntopics=2, niters=1, name="m", seed=1))
+    load = {"Corpus": lambda: load_corpus(path),
+            "CountState": lambda: init_lda(load_corpus(path), Hyperparams(ntopics=2),
+                                           make_rng(1)[0]),
+            "PretrainedModel": lambda: load_pretrained(tmp_path / "m.paras")}[kind]
+    a, b = load(), load()
+    assert type(a).__name__ == kind
+    assert a == a and a != b and a in [a] and a not in [b]
+    assert len({a, b}) == 2
+
+
+BAD_CORPORA = {
+    "float64 offsets": lambda c: replace(c, offsets=c.offsets.astype(np.float64)),
+    "list offsets": lambda c: replace(c, offsets=c.offsets.tolist()),
+    "int32 words": lambda c: replace(c, words=c.words.astype(np.int32)),
+    "list words": lambda c: replace(c, words=c.words.tolist()),
+    "strided words": lambda c: replace(c, words=c.words.repeat(2)[::2]),  # same ids
+    "offsets past the words": lambda c: replace(c, offsets=c.offsets + [0, 0, 1]),
+    "empty offsets": lambda c: replace(c, offsets=np.empty(0, np.int64)),
+    "word id V": lambda c: replace(c, words=np.where(np.arange(c.n_tokens) == 1, 3, c.words)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CORPORA)
+@pytest.mark.parametrize("who", ["lda_sweep", "dmm_sweep", "estimate_theta_dmm",
+                                 "doc_word_counts"])
+def test_kernel_callers_refuse_a_malformed_corpus(who, case):
+    # Every caller of a kernel checks the corpus (native.check_corpus) before
+    # it draws or writes: a ToolError naming the function called, not a
+    # TypeError, and no table or generator touched.
+    corpus = make_corpus([[0, 1, 2], [2, 1]], 3)
+    lda = who == "lda_sweep"
+    hp = Hyperparams(model="LDA" if lda else "DMM", ntopics=3)
+    rng, _ = make_rng(9)
+    state = (init_lda if lda else init_dmm)(corpus, hp, rng)
+    tables = [t for t in (state.z, state.ndk, state.mk, state.nkw, state.nk) if t is not None]
+    before, rng_state = [t.copy() for t in tables], rng.bit_generator.state
+    run = {"lda_sweep": lambda c: lda_sweep(c, state, hp, rng),
+           "dmm_sweep": lambda c: dmm_sweep(c, state, hp, rng),
+           "estimate_theta_dmm": lambda c: estimate_theta_dmm(state, c, hp),
+           "doc_word_counts": doc_word_counts}[who]
+    with pytest.raises(ToolError, match=f"^{who}: "):
+        run(BAD_CORPORA[case](corpus))
+    assert all(np.array_equal(a, b) for a, b in zip(tables, before))
+    assert rng.bit_generator.state == rng_state
 
 
 def test_token_conservation(tmp_path):
@@ -63,7 +124,7 @@ def test_token_conservation(tmp_path):
 
 def test_tokens_taken_verbatim(tmp_path):
     corpus = load_corpus(write(tmp_path, "Apple apple APPLE"))
-    assert corpus.vocab.size == 3
+    assert len(corpus.vocab) == 3
 
 
 def test_load_labels(tmp_path):

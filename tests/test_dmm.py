@@ -41,7 +41,7 @@ def _leave_one_out(state, hp, corpus):
     for d, doc in enumerate(corpus.docs):
         uwords, ucounts = np.unique(doc, return_counts=True)
         _shift_doc(state, state.z[d], uwords, ucounts, -1)
-        logw = loop_conditional(state, hp, uwords, ucounts, corpus.vocab.size, corpus.n_docs)
+        logw = loop_conditional(state, hp, uwords, ucounts, len(corpus.vocab), corpus.n_docs)
         yield d, np.array([math.exp(x) for x in logw - logw.max()])
         _shift_doc(state, state.z[d], uwords, ucounts, 1)
 

@@ -22,6 +22,7 @@ from gibbstopics.inference import fold_corpus, infer, load_pretrained
 from gibbstopics.lda import lda_sweep
 
 from conftest import two_topic_lines
+from oracles import tv_distance
 
 
 def train_small_lda(tmp_path, lines, name="m", ntopics=2, niters=30, seed=7):
@@ -39,7 +40,7 @@ def test_load_pretrained_replays_counts(tmp_path):
     assert model.hp.ntopics == 2
     assert model.nkw.sum() == corpus.n_tokens
     assert np.array_equal(model.nkw.sum(axis=1), model.nk)
-    assert model.vocab.words == corpus.vocab.words
+    assert model.vocab == corpus.vocab
 
 
 def test_load_pretrained_dmm(tmp_path):
@@ -88,7 +89,7 @@ def test_load_pretrained_finds_corpus_next_to_paras_not_in_cwd(tmp_path, monkeyp
     (tmp_path / "A" / "data").rename(tmp_path / "B" / "data")
     monkeypatch.chdir(tmp_path / "C")
     model = load_pretrained(tmp_path / "B" / "data" / "m.paras")
-    assert model.vocab.words == ("a", "b", "c")
+    assert model.vocab == ("a", "b", "c")
 
 
 def test_load_pretrained_assignment_mismatch(tmp_path):
@@ -295,15 +296,11 @@ def folded_posterior(kind, corpus, frozen_nkw, hp):
         total = new.nkw + frozen_nkw
         scores[z] = (lgamma((new.ndk if kind == "LDA" else new.mk) + hp.alpha).sum()
                      + lgamma(total + hp.beta).sum()
-                     - lgamma(total.sum(axis=1) + corpus.vocab.size * hp.beta).sum())
+                     - lgamma(total.sum(axis=1) + len(corpus.vocab) * hp.beta).sum())
     mx = max(scores.values())
     weights = {z: math.exp(v - mx) for z, v in scores.items()}
     total = sum(weights.values())
     return {z: w / total for z, w in weights.items()}
-
-
-def tv_distance(empirical, exact):
-    return 0.5 * sum(abs(empirical.get(s, 0.0) - p) for s, p in exact.items())
 
 
 @pytest.mark.parametrize("kind, unseen_text, seed", [

@@ -286,9 +286,8 @@ def test_sweep_rejects_out_of_bounds_input(case):
 ])
 def test_native_checks_refuse_bad_offsets(value, error):
     # Not a TypeError or an IndexError: every refusal is a ToolError naming the caller.
-    with pytest.raises(ToolError, match=f"^who: {error}"):
-        native.check("who", ("offsets", value, np.int64, np.shape(value), False))
-        native.check_offsets("who", "offsets", value, 1)
+    with pytest.raises(ToolError, match=f"^who: document {error}"):
+        native.check_corpus("who", value, np.zeros(1, np.int64), 1)
 
 
 def test_only_native_mentions_ctypes():

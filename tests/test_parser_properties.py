@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gibbstopics import native
 from gibbstopics.core import MODEL_KINDS, Hyperparams, ToolError
-from gibbstopics.corpus import Corpus, Vocabulary, load_corpus, load_labels
+from gibbstopics.corpus import Corpus, load_corpus, load_labels
 from gibbstopics.persistence import (
     ParasRecord,
     read_assignments,
@@ -121,7 +121,7 @@ def loop_load_corpus(path) -> Corpus:
         ids += [index.setdefault(tok, len(index)) for tok in tokens]
         offsets.append(len(ids))
     return Corpus(words=np.array(ids, dtype=np.int64), offsets=np.array(offsets, dtype=np.int64),
-                  vocab=Vocabulary(words=tuple(index), index=index), source_path=path)
+                  vocab=tuple(index), source_path=path)
 
 
 def loop_read_matrix(path: str) -> np.ndarray:
@@ -177,9 +177,7 @@ def _outcome(read, path):
 
 def _assert_same_result(kind, got, want):
     if kind == "corpus":
-        assert type(got.vocab.index) is dict
         assert got.vocab == want.vocab and got.source_path == want.source_path
-        assert list(got.vocab.index.items()) == list(want.vocab.index.items())  # order too
         got, want = (got.words, got.offsets), (want.words, want.offsets)
     elif kind == "matrix":
         got, want = (got,), (want,)
@@ -340,7 +338,7 @@ def test_each_whitespace_code_point_separates_tokens(tmp_path, space):
         _assert_loads_as_oracle(tmp_path / "c.txt", text)
     if space in INLINE_WHITESPACE:
         corpus = load_corpus(tmp_path / "c.txt")
-        assert corpus.offsets.tolist() == [0, 1, 2] and corpus.vocab.words == ("a", "b")
+        assert corpus.offsets.tolist() == [0, 1, 2] and corpus.vocab == ("a", "b")
 
 
 @pytest.mark.parametrize("text", ["a\rb\rc", "a\r\nb\r\n", "a\nb\r\nc\rd\n", "a\r\r\nb\n",
@@ -367,7 +365,7 @@ def test_non_ascii_and_nul_tokens(tmp_path):
     text = ("é 中文 \U0001f600 a\x00b \x00 \U0001f600\U00010348\n"
             "中文 \x00 a\x00b \U00010348\n")
     _, corpus = _assert_loads_as_oracle(tmp_path / "c.txt", text)
-    assert corpus.vocab.words == ("é", "中文", "\U0001f600", "a\x00b", "\x00",
+    assert corpus.vocab == ("é", "中文", "\U0001f600", "a\x00b", "\x00",
                                   "\U0001f600\U00010348", "\U00010348")
     assert corpus.words.tolist() == [0, 1, 2, 3, 4, 5, 1, 4, 3, 6]
 
@@ -381,7 +379,7 @@ def test_vocabulary_past_the_initial_table(tmp_path):
     again = [words[i] for i in order]
     lines = [" ".join(ws[i:i + 10]) for ws in (words, again) for i in range(0, len(ws), 10)]
     _, corpus = _assert_loads_as_oracle(tmp_path / "c.txt", "\n".join(lines) + "\n")
-    assert corpus.vocab.size == 20000
+    assert len(corpus.vocab) == 20000
 
 
 def _fnv1a(data: bytes) -> int:
@@ -403,7 +401,7 @@ def test_tokens_sharing_a_hash_slot(tmp_path):
     prefixes = ["a", "ab", "abc", "b", "ba", "a\x00", "a\x00\x00"]
     lines = [" ".join(shared), " ".join(prefixes), " ".join(reversed(shared + prefixes))]
     _, corpus = _assert_loads_as_oracle(tmp_path / "c.txt", "\n".join(lines))
-    assert corpus.vocab.size == len(shared) + len(prefixes)
+    assert len(corpus.vocab) == len(shared) + len(prefixes)
 
 
 def _tokenize(text):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gibbstopics.core import Hyperparams, ToolError
-from gibbstopics.corpus import Vocabulary, load_corpus, load_labels
+from gibbstopics.corpus import load_corpus, load_labels
 from gibbstopics.persistence import (
     read_assignments,
     read_matrix,
@@ -23,7 +23,7 @@ from oracles import INLINE_WHITESPACE
 
 
 def make_vocab(words):
-    return Vocabulary(words=tuple(words), index={w: i for i, w in enumerate(words)})
+    return tuple(words)
 
 
 def test_theta_format(tmp_path):

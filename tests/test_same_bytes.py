@@ -1,0 +1,31 @@
+"""tools/same_bytes.py, the byte comparison of two trees' CLI runs: one case
+of this tree against itself agrees, and each kind of difference is named."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import same_bytes  # noqa: E402
+
+
+def test_same_bytes_runs_one_case_of_the_tree_against_itself(tmp_path, capsys):
+    src = same_bytes.src_of(ROOT)
+    plan = same_bytes.generate(src, "lda-train", 101, str(tmp_path))
+    same_bytes.compare([src, src], [step.args for step in plan.steps], str(tmp_path), "case")
+    assert capsys.readouterr().out.split() == ["case", "2", "steps,", "7", "files", "identical"]
+
+
+def test_first_difference_names_the_step_or_the_file():
+    steps = [["-model", "LDA", "-corpus", "c.txt"], ["-model", "Eval"]]
+    ran = [(0, b"LDA done\n", b""), (0, b"NMI 1\n", b"")]
+    files = {"lda.theta": "1", "lda.phi": "2"}
+    assert same_bytes.first_difference((ran, files), (ran, dict(files)), steps) is None
+    for other, diff in [
+        ((ran[:1] + [(1, b"NMI 1\n", b"")], files), "step 2 (-model Eval): exit code differs"),
+        (([(0, b"LDA done.\n", b"")] + ran[1:], files), "step 1 (-model LDA): stdout differs"),
+        ((ran[:1] + [(0, b"NMI 1\n", b"!\n")], files), "step 2 (-model Eval): stderr differs"),
+        ((ran, {**files, "lda.phi": "3"}), "file lda.phi differs"),
+        ((ran, {"lda.theta": "1"}), "file lda.phi differs (on one side only)"),
+    ]:
+        assert same_bytes.first_difference((ran, files), other, steps) == diff
