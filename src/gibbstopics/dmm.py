@@ -82,6 +82,8 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tab
     bad = native.call("dmm_sweep", n_docs, corpus.offsets, words, state.z, state.mk, state.nkw,
                       state.nk, n_topics, n_vocab, lnum, lnum.size, lden, lden.size, lpri,
                       uniforms, np.empty(n_topics), theta)
+    if bad >= n_docs:  # refused before any count moved: a repeat's index would be wrong
+        raise ToolError(f"{who}: the word ids of document {bad - n_docs} do not ascend")
     if bad >= 0:
         raise ToolError(f"{who}: count outside the log tables or non-finite log-weight at "
                         f"document {bad}, count bookkeeping corrupt")
@@ -93,8 +95,8 @@ def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     """One full pass: each document's counts removed, topic resampled from the
     log-space conditional, counts restored under the new topic. The sweep's
     uniforms are drawn up front, one per document. words is
-    doc_word_counts(corpus) and tables the chain's log tables, each computed
-    when not given."""
+    doc_word_counts(corpus) (ids out of order in a document are refused) and
+    tables the chain's log tables, each computed when not given."""
     _run_kernel("dmm_sweep", corpus, state, hp, words, tables, rng)
     return state
 

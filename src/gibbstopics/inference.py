@@ -40,14 +40,13 @@ def load_pretrained(paras_path) -> PretrainedModel:
         raise ToolError(f"bad value in paras file {paras_path}: {exc}") from exc
 
     # Outputs land in the corpus's folder, so the corpus sits next to the .paras.
-    paras_dir = os.path.dirname(os.path.abspath(paras_path))
-    candidates = (rec.corpus_abs, os.path.join(paras_dir, os.path.basename(rec.corpus_abs)))
-    corpus_path = next((c for c in candidates if os.path.isfile(c)), None)
+    beside = persistence.output_base(paras_path, os.path.basename(rec.corpus_abs))
+    corpus_path = next((c for c in (rec.corpus_abs, beside) if os.path.isfile(c)), None)
     if corpus_path is None:
         raise ToolError(f"training corpus {rec.corpus} referenced by {paras_path} not found")
     corpus = load_corpus(corpus_path)
 
-    assign_path = os.path.join(paras_dir, hp.name + ".topicAssignments")
+    assign_path = persistence.output_base(paras_path, hp.name) + ".topicAssignments"
     z, offsets = persistence.read_assignments(assign_path)
     if offsets.size != corpus.offsets.size:
         raise ToolError(f"assignment count {offsets.size - 1} != document count {corpus.n_docs} "

@@ -31,11 +31,22 @@ static int64_t draw(double *w, int64_t K, double u)
     return k;
 }
 
+/* The one count move of both kernels: a unit's tokens words[b] to words[e-1]
+ * and its own count unit[k] (a DMM document and mk, or LDA's token [t, t+1)
+ * and its document's ndk row) go into (sign 1) or out of (sign -1) topic k. */
+static inline void move_unit(int64_t k, int64_t sign, int64_t b, int64_t e, const int64_t *words,
+                             int64_t *unit, int64_t *nkw, int64_t *nk, int64_t V)
+{
+    unit[k] += sign;
+    for (int64_t i = b; i < e; i++)
+        nkw[k * V + words[i]] += sign;
+    nk[k] += sign * (e - b);
+}
+
 /* Visit the tokens in (document, position) order over the flat words/z,
  * document d holding tokens offsets[d] to offsets[d+1]-1, resampling each
- * with uniforms u[t]; w is K doubles of scratch. Returns -1, or the index of
- * the first token whose conditional has a weight that is not finite and
- * positive (its counts are then left decremented). */
+ * with uniforms u[t]; w is K doubles of scratch. Returns -1, or the first
+ * token t with a weight not finite and positive, its counts back under z[t]. */
 int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                   int64_t *z, int64_t *ndk, int64_t *nkw, int64_t *nk,
                   int64_t K, int64_t V, double alpha, double beta,
@@ -46,33 +57,20 @@ int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
         int64_t *ndk_d = ndk + d * K;
         for (int64_t t = offsets[d], end = offsets[d + 1]; t < end; t++) {
             int64_t word = words[t], k = z[t];
-            ndk_d[k]--;
-            nkw[k * V + word]--;
-            nk[k]--;
+            move_unit(k, -1, t, t + 1, words, ndk_d, nkw, nk, V);
             for (int64_t j = 0; j < K; j++) {
                 w[j] = ((double)ndk_d[j] + alpha) * ((double)nkw[j * V + word] + beta)
                        / ((double)nk[j] + vbeta);
-                if (!(w[j] > 0 && w[j] < INFINITY))
+                if (!(w[j] > 0 && w[j] < INFINITY)) {
+                    move_unit(k, 1, t, t + 1, words, ndk_d, nkw, nk, V);
                     return t;
+                }
             }
             z[t] = k = draw(w, K, u[t]);
-            ndk_d[k]++;
-            nkw[k * V + word]++;
-            nk[k]++;
+            move_unit(k, 1, t, t + 1, words, ndk_d, nkw, nk, V);
         }
     }
     return -1;
-}
-
-/* Move one document's tokens (words entries b to e-1) into (sign 1) or out
- * of (sign -1) topic k. */
-static void shift_doc(int64_t k, int64_t sign, int64_t b, int64_t e, const int64_t *words,
-                      int64_t *mk, int64_t *nkw, int64_t *nk, int64_t V)
-{
-    mk[k] += sign;
-    for (int64_t i = b; i < e; i++)
-        nkw[k * V + words[i]] += sign;
-    nk[k] += sign * (e - b);
 }
 
 /* For each document d in turn, its tokens words[offsets[d]] to
@@ -86,19 +84,22 @@ static void shift_doc(int64_t k, int64_t sign, int64_t b, int64_t e, const int64
  * draw does; without (u NULL), row d of the D x K theta is the normalized
  * weights. The counts go back under z[d]. w is K doubles of scratch.
  *
- * Every table index is checked, so corrupt (negative) counts, or words not
- * in order, never read outside a table. Returns -1, or the first document
- * whose index falls outside a table or whose log-weight is not finite (its
- * counts are then restored under the unchanged z[d]). */
+ * Returns -1; n_docs + d, before any count moves, if document d is the first
+ * whose words do not ascend; or the first document with a count outside a
+ * table (never read) or a log-weight not finite, its counts back under z[d]. */
 int64_t dmm_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                   int64_t *z, int64_t *mk, int64_t *nkw, int64_t *nk,
                   int64_t K, int64_t V, const double *lnum, int64_t n_num,
                   const double *lden, int64_t n_den, const double *lpri,
                   const double *u, double *w, double *theta)
 {
+    for (int64_t d = 0; d < n_docs; d++)
+        for (int64_t i = offsets[d] + 1; i < offsets[d + 1]; i++)
+            if (words[i] < words[i - 1])
+                return n_docs + d;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t b = offsets[d], e = offsets[d + 1], k = z[d];
-        shift_doc(k, -1, b, e, words, mk, nkw, nk, V);
+        move_unit(k, -1, b, e, words, mk, nkw, nk, V);
         double top = -INFINITY;
         for (int64_t j = 0; j < K; j++) {
             int64_t m = mk[j], c = nk[j];
@@ -131,10 +132,10 @@ int64_t dmm_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
             for (int64_t j = 0; j < K; j++)
                 theta[d * K + j] = w[j] / total;
         }
-        shift_doc(k, 1, b, e, words, mk, nkw, nk, V);
+        move_unit(k, 1, b, e, words, mk, nkw, nk, V);
         continue;
     corrupt:
-        shift_doc(k, 1, b, e, words, mk, nkw, nk, V);
+        move_unit(k, 1, b, e, words, mk, nkw, nk, V);
         return d;
     }
     return -1;
@@ -319,7 +320,7 @@ int64_t tokenize(int64_t n, const uint8_t *text, int64_t *words, int64_t *offset
         goto out_of_memory;
     offsets[0] = 0;
     vstart[0] = 0;
-    int64_t i = 0, line_start = 0;
+    int64_t i = 0;
     while (i < n) {
         /* the token at i, up to the next separator */
         int64_t start = i, sep = 0;
@@ -363,13 +364,11 @@ int64_t tokenize(int64_t n, const uint8_t *text, int64_t *words, int64_t *offset
         }
         if (i < n && text[i] == '\r' && i + 1 < n && text[i + 1] == '\n')
             sep = 2;
-        if (i < n && SPACE[text[i]] == 2) {
+        if (i < n && SPACE[text[i]] == 2)
             offsets[++n_lines] = n_tokens;
-            line_start = i + sep;
-        }
         i += sep;
     }
-    if (line_start < n)
+    if (n > 0 && SPACE[text[n - 1]] != 2)  /* an unterminated last line */
         offsets[++n_lines] = n_tokens;
     free(table);
     free(vstart);

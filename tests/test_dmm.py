@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gibbstopics import train_dmm
-from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng
+from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng, recount_dmm
 from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import _chain_tables, dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
 
@@ -319,6 +319,26 @@ def test_sweep_rejects_out_of_bounds_input(case):
     with pytest.raises(ToolError, match="estimate_theta_dmm" + offsets):
         estimate_theta_dmm(state, corpus, hp, words=words, tables=tables)
     assert unchanged()
+
+
+def test_kernel_refuses_words_out_of_order():
+    # The kernel indexes a word's repeats by counting equal neighbours, so the
+    # corpus's own order would score document 0 wrong (its two later 0s
+    # would each count as a first). The call is refused before any count moves.
+    corpus = make_corpus([[0, 1, 0, 2, 0], [0, 0, 1], [2, 2]], 3)
+    hp = Hyperparams(model="DMM", ntopics=2)
+    state = recount_dmm(corpus, [0, 0, 1], hp.ntopics)
+    swapped = doc_word_counts(corpus)
+    swapped[[5, 7]] = swapped[[7, 5]]  # document 1 is 1 0 0; 2 | 0 at a boundary is fine
+    before = [t.copy() for t in (state.z, state.mk, state.nkw, state.nk)]
+    for words, doc in ((corpus.words, 0), (swapped, 1)):
+        with pytest.raises(ToolError, match=f"^dmm_sweep: the word ids of document {doc} do not"):
+            dmm_sweep(corpus, state, hp, make_rng(3)[0], words=words)
+        with pytest.raises(ToolError, match=f"^estimate_theta_dmm: .* document {doc} do not"):
+            estimate_theta_dmm(state, corpus, hp, words=words)
+        after = (state.z, state.mk, state.nkw, state.nk)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    estimate_theta_dmm(state, corpus, hp, words=doc_word_counts(corpus))
 
 
 @pytest.mark.parametrize("case, error", [

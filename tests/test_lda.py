@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from gibbstopics import native, train_dmm, train_lda
-from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng
+from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng, recount_dmm, recount_lda
 from gibbstopics.corpus import load_corpus
+from gibbstopics.dmm import dmm_sweep, init_dmm
 from gibbstopics.lda import init_lda, lda_sweep
 
 from conftest import make_corpus
@@ -322,6 +323,28 @@ def test_sweep_detects_corrupt_counts():
     state.ndk[0] -= 5  # weights (n_dk + alpha) go negative
     with pytest.raises(ToolError, match="nonpositive weight"):
         lda_sweep(corpus, state, hp, rng)
+
+
+@pytest.mark.parametrize("model", ["lda", "dmm"])
+def test_refused_sweep_restores_its_unit(model):
+    # Word 1's counts go negative, so each kernel resamples the units before
+    # it, then refuses the first unit holding word 1 (token 3, document 2) and
+    # moves that unit back under its topic: every table is then the recount
+    # of z plus exactly the planted change.
+    corpus = make_corpus([[0, 0], [0], [1, 1]], 2)
+    hp = Hyperparams(model=model.upper(), ntopics=2, beta=0.1)
+    rng, _ = make_rng(6)
+    init, sweep, recount = ((init_lda, lda_sweep, recount_lda) if model == "lda"
+                            else (init_dmm, dmm_sweep, recount_dmm))
+    state = init(corpus, hp, rng)
+    state.nkw[:, 1] -= 5
+    with pytest.raises(ToolError, match="at (token 3|document 2), count bookkeeping corrupt"):
+        sweep(corpus, state, hp, rng)
+    expected = recount(corpus, state.z, hp.ntopics)
+    expected.nkw[:, 1] -= 5
+    for name in ("ndk", "mk", "nkw", "nk"):
+        a, b = getattr(state, name), getattr(expected, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 def _train(tmp_path):

@@ -9,9 +9,10 @@ modules only at module level, so each tree's functions keep their own
 wrappers and compiled library, even where the kernels take other arguments.
 
 The corpora are the benchmark's, generated through perfbench/workloads.py at
-SEED. A case KERNEL:WORKLOAD:K starts both trees from the same seed and
-then runs one sweep per tree in each pair, the order alternating from pair
-to pair: lda_sweep for lda, dmm.dmm_chain's sweep for dmm. After every pair
+SEED. A case KERNEL:WORKLOAD:K (K an integer >= 1; every case is checked
+before the first runs) starts both trees from the same seed and then runs
+one sweep per tree in each pair, the order alternating from pair to pair:
+lda_sweep for lda, dmm.dmm_chain's sweep for dmm. After every pair
 it asserts that the two trees' z, count tables and random generators, and for
 DMM theta, are identical. It prints each tree's median sweep time and the
 pairs the change tree won.
@@ -97,18 +98,24 @@ def start(tree, kernel, corpus_path, beta, k, seed):
     return sweep, snapshot
 
 
+def parse_case(case):
+    """The kernel, workload and K of a case KERNEL:WORKLOAD:K, or None unless it
+    has three fields, a known kernel and workload, and an integer K >= 1."""
+    fields = case.split(":")
+    if (len(fields) == 3 and fields[0] in TABLES and fields[1] in CORPORA
+            and fields[2].isascii() and fields[2].isdigit() and int(fields[2]) >= 1):
+        return fields[0], fields[1], int(fields[2])
+    return None
+
+
 def run_case(trees, case, pairs, work):
-    kernel, workload, k = case.split(":")
-    if kernel not in TABLES or workload not in CORPORA:
-        sys.exit(f"sweep_ab: unknown case {case}; cases are (lda|dmm):WORKLOAD:K, "
-                 f"WORKLOAD one of {', '.join(CORPORA)}")
+    kernel, workload, k = parse_case(case)
     folder = os.path.join(work, workload)
     if not os.path.isdir(folder):
         with installed(trees[0].modules):  # infer-replay plants its models with the package
             workloads.PLANS[workload](folder, SEED)
     name, beta = CORPORA[workload]
-    chains = [start(tree, kernel, os.path.join(folder, name), beta, int(k), SEED)
-              for tree in trees]
+    chains = [start(tree, kernel, os.path.join(folder, name), beta, k, SEED) for tree in trees]
     times = [[], []]
     for pair in range(pairs):
         for side in (0, 1) if pair % 2 == 0 else (1, 0):
@@ -136,10 +143,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    cases = args.case or DEFAULT_CASES
+    for case in cases:  # all of them before the first workload is generated
+        if parse_case(case) is None:
+            parser.error(f"bad --case {case!r}: cases are (lda|dmm):WORKLOAD:K, WORKLOAD one "
+                         f"of {', '.join(CORPORA)}, K an integer >= 1")
     trees = [import_tree(args.parent), import_tree(args.change)]
     print(f"{'case':24} {'A ms':>10} {'B ms':>10} {'B/A':>7} {'B won':>8}")
     with tempfile.TemporaryDirectory(prefix="sweep_ab-") as work:
-        for case in args.case or DEFAULT_CASES:
+        for case in cases:
             run_case(trees, case, args.pairs, work)
 
 
