@@ -1,43 +1,28 @@
 """Topic modeling via collapsed Gibbs sampling: LDA and the one-topic-per-document
 Dirichlet Multinomial Mixture, plus topic inference on unseen corpora and a
-document-clustering evaluation (Purity, NMI)."""
+document-clustering evaluation (Purity, NMI).
 
-from gibbstopics.chain import train_dmm, train_lda
-from gibbstopics.core import (
-    CountState,
-    Hyperparams,
-    ToolError,
-    estimate_phi,
-    estimate_theta_lda,
-    make_rng,
-)
-from gibbstopics.corpus import Corpus, load_corpus, load_labels
-from gibbstopics.dmm import dmm_sweep, estimate_theta_dmm, init_dmm
-from gibbstopics.evaluation import evaluate_files, nmi, purity
-from gibbstopics.inference import PretrainedModel, infer, load_pretrained
-from gibbstopics.lda import init_lda, lda_sweep
+Each public name is imported from its module on first use (PEP 562) and then
+held here, so `import gibbstopics` loads neither NumPy nor the samplers."""
 
-__all__ = [
-    "Corpus",
-    "CountState",
-    "Hyperparams",
-    "PretrainedModel",
-    "ToolError",
-    "dmm_sweep",
-    "estimate_phi",
-    "estimate_theta_dmm",
-    "estimate_theta_lda",
-    "evaluate_files",
-    "infer",
-    "init_dmm",
-    "init_lda",
-    "lda_sweep",
-    "load_corpus",
-    "load_labels",
-    "load_pretrained",
-    "make_rng",
-    "nmi",
-    "purity",
-    "train_dmm",
-    "train_lda",
-]
+import importlib
+
+# Each public name and the module that binds it.
+_HOMES = {
+    "Corpus": "corpus", "load_corpus": "corpus", "load_labels": "corpus",
+    "CountState": "core", "Hyperparams": "core", "ToolError": "core", "estimate_phi": "core",
+    "estimate_theta_lda": "core", "make_rng": "core",
+    "dmm_sweep": "dmm", "estimate_theta_dmm": "dmm", "init_dmm": "dmm",
+    "lda_sweep": "lda", "init_lda": "lda",
+    "train_dmm": "chain", "train_lda": "chain",
+    "PretrainedModel": "inference", "infer": "inference", "load_pretrained": "inference",
+    "evaluate_files": "evaluation", "nmi": "evaluation", "purity": "evaluation",
+}
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return value

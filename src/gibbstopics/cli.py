@@ -25,11 +25,9 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 
-from gibbstopics.chain import train_dmm, train_lda
 from gibbstopics.core import Hyperparams, ToolError
 from gibbstopics.corpus import load_corpus, load_labels
 from gibbstopics.evaluation import evaluate_files
-from gibbstopics.inference import infer, load_pretrained
 
 # Each mode's required flags, then the other flags it accepts. An inference run
 # takes K, alpha and beta from the paras file: only the sampling run itself is
@@ -105,12 +103,12 @@ def parse_args(argv) -> CliCommand:
 
 
 def dispatch(cmd: CliCommand) -> int:
-    try:
-        if cmd.mode == "LDA":
-            train_lda(load_corpus(cmd.corpus), cmd.hp)
-        elif cmd.mode == "DMM":
-            train_dmm(load_corpus(cmd.corpus), cmd.hp)
+    try:  # the samplers, and NumPy with them, are imported only by the modes that run them
+        if cmd.mode in ("LDA", "DMM"):
+            from gibbstopics.chain import train_dmm, train_lda
+            (train_lda if cmd.mode == "LDA" else train_dmm)(load_corpus(cmd.corpus), cmd.hp)
         elif cmd.mode in ("LDAinf", "DMMinf"):
+            from gibbstopics.inference import infer, load_pretrained
             infer(load_pretrained(cmd.paras), cmd.corpus, cmd.hp)
         else:
             labels = load_labels(cmd.label)

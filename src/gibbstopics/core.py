@@ -1,5 +1,6 @@
 """Shared model state: hyperparameters, Gibbs count tables, seeded sampling and
-the theta/phi estimators used by both samplers."""
+the theta/phi estimators used by both samplers. NumPy is imported by the
+functions that call it, so Eval, which needs only ToolError, never loads it."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import contextlib
 import numbers
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MODEL_KINDS = ("LDA", "DMM", "LDAinf", "DMMinf")
 
@@ -49,6 +52,7 @@ class Hyperparams:
     seed: int | None = None
 
     def validate(self):
+        import numpy as np
         if self.model not in MODEL_KINDS:
             raise ToolError(f"unknown model kind {self.model!r}")
         # Refused before any range check: 2.5 topics, or a bool, would pass those.
@@ -108,6 +112,7 @@ class CountState:
 def make_rng(seed: int | None = None) -> tuple[np.random.Generator, int]:
     """Build a PCG64 generator; when seed is None, draw one from OS entropy
     and return it so the run can be reproduced."""
+    import numpy as np
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
     return np.random.Generator(np.random.PCG64(seed)), seed
@@ -128,6 +133,7 @@ def estimate_phi(state: CountState, hp: Hyperparams) -> np.ndarray:
 def _count_table(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
     """Counts of the cells (rows[i], cols[i]) in an n_rows x n_cols table, D x K
     or K x V. One that cannot be allocated is a ToolError naming ntopics."""
+    import numpy as np
     try:
         if int(n_rows) * int(n_cols) > np.iinfo(np.intp).max // 8:  # numpy cannot size its bytes
             raise MemoryError
@@ -141,6 +147,7 @@ def _count_table(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
 
 def recount_lda(corpus, z, ntopics: int) -> CountState:
     """Build all LDA count tables from the topic of every token."""
+    import numpy as np
     z = np.asarray(z, dtype=np.int64)
     doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
     ndk = _count_table(doc_of, z, corpus.n_docs, ntopics)
@@ -150,6 +157,7 @@ def recount_lda(corpus, z, ntopics: int) -> CountState:
 
 def recount_dmm(corpus, z, ntopics: int) -> CountState:
     """Build all DMM count tables from the per-document topics."""
+    import numpy as np
     z = np.asarray(z, dtype=np.int64)
     nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, len(corpus.vocab))
     return CountState(ndk=None, nkw=nkw, nk=nkw.sum(axis=1), z=z,

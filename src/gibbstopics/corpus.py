@@ -1,17 +1,20 @@
 """Corpus and label loading: one document per line, whitespace tokens, word
 ids in first-occurrence order. persistence.read_tokens splits a corpus (and a
 .topicAssignments file) with native.py's tokenize kernel, so loading a corpus
-needs the compiled library. native.check_corpus is the rule kernels hold it to."""
+needs the compiled library. native.check_corpus is the rule kernels hold it to.
+Loading labels imports neither NumPy nor the library."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from gibbstopics.core import ToolError
 from gibbstopics.persistence import read_lines, read_tokens
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: equal only to itself
@@ -49,7 +52,7 @@ def load_corpus(path) -> Corpus:
     data, words, offsets, tokens = read_tokens(path, "corpus file")
     if not data:
         raise ToolError(f"corpus file {path} is empty")
-    blank = np.flatnonzero(offsets[1:] == offsets[:-1])
+    blank = (offsets[1:] == offsets[:-1]).nonzero()[0]
     if blank.size:
         raise ToolError(f"blank document at line {blank[0] + 1} in {path}")
     return Corpus(words=words, offsets=offsets, vocab=tuple(tokens), source_path=path)

@@ -89,7 +89,7 @@ def evaluate_files(directory, suffix_or_name: str, labels) -> EvalSummary:
         theta = read_matrix(path)
         if len(theta) != len(labels):
             raise ToolError(f"{path}: {len(theta)} distribution rows != {len(labels)} labels")
-        clusters = theta.argmax(axis=1).tolist()  # ties go to the lowest index
+        clusters = [row.index(max(row)) for row in theta]  # ties go to the lowest index
         results.append(ClusteringResult(file=name, purity=purity(clusters, labels),
                                         nmi=nmi(clusters, labels)))
     return EvalSummary(

@@ -7,6 +7,7 @@ chain.run_chain runs the LDAinf or DMMinf chain."""
 from __future__ import annotations
 
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -29,7 +30,8 @@ class PretrainedModel:
 
 def load_pretrained(paras_path) -> PretrainedModel:
     """Rebuild frozen topic-word counts by replaying the saved assignments of a
-    training run against its corpus."""
+    training run against its corpus: <name>.topicAssignments for <name>.paras,
+    and for a save point's <name>.paras.<it>, <name>.topicAssignments.<it>."""
     paras_path = str(paras_path)
     rec = persistence.read_paras(paras_path)
     if rec.hp.model not in ("LDA", "DMM"):
@@ -46,7 +48,9 @@ def load_pretrained(paras_path) -> PretrainedModel:
         raise ToolError(f"training corpus {rec.corpus} referenced by {paras_path} not found")
     corpus = load_corpus(corpus_path)
 
-    assign_path = persistence.output_base(paras_path, hp.name) + ".topicAssignments"
+    saved = re.fullmatch(re.escape(hp.name) + r"\.paras(\.[0-9]+)", os.path.basename(paras_path))
+    assign_path = (persistence.output_base(paras_path, hp.name) + ".topicAssignments"
+                   + (saved[1] if saved else ""))
     z, offsets = persistence.read_assignments(assign_path)
     if offsets.size != corpus.offsets.size:
         raise ToolError(f"assignment count {offsets.size - 1} != document count {corpus.n_docs} "

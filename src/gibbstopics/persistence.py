@@ -7,20 +7,22 @@ in the directory of the input corpus, named <name>.<suffix> with save-point
 variants <name>.<suffix>.<iteration>.
 
 .theta and .phi hold the bytes np.savetxt(fmt="%.6g") would write. The library
-of native.py formats them and tokenizes corpora and .topicAssignments; reading
-a matrix needs no compiler, so Eval runs without one.
+of native.py formats them and tokenizes corpora and .topicAssignments. NumPy and
+native.py are imported by the functions that use them: reading labels and
+matrices takes only the standard library, so Eval needs neither NumPy nor a
+compiler.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from gibbstopics import native
 from gibbstopics.core import Hyperparams, ToolError, replacing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The .paras keys: the model kind, the training corpus as given and as an
 # absolute path, then the other Hyperparams fields in declaration order.
@@ -88,6 +90,8 @@ def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
     tokens at the whitespace of str.split(). Returns the bytes, each token's
     int64 id (in first-occurrence order), the int64 offsets (lines + 1, from 0)
     where each line's tokens start, and the distinct tokens."""
+    import numpy as np
+    from gibbstopics import native
     data, _ = read_text(path, what)  # decoded once: invalid UTF-8 names its line
     text = np.frombuffer(data, np.uint8)
     n = text.size
@@ -118,6 +122,8 @@ def _atomic_write(path: str, data):
 def write_matrix(matrix, path: str):
     """Write a 2-D matrix of finite, non-negative values (a .theta or .phi):
     one line per row, values "%.6g"-formatted and separated by one space."""
+    import numpy as np
+    from gibbstopics import native
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or not np.isfinite(matrix).all() or (matrix < 0).any():
         raise ToolError(f"cannot write {path}: not a 2-D matrix of finite, non-negative values")
@@ -128,57 +134,39 @@ def write_matrix(matrix, path: str):
     _atomic_write(path, out[:size])
 
 
-def read_matrix(path: str) -> np.ndarray:
-    """Read a .theta or .phi file: rectangular, finite, non-negative rows that
-    each sum to 1 within 1e-4, the precision of the 6-digit format. Values
-    are split on whitespace and parsed as ASCII decimals (no "_"), bit for
-    bit as float() parses them."""
-    lines = read_lines(path, "matrix file")
-    if not lines:
-        raise ToolError(f"{path} contains no rows")
-    # loadtxt skips a line that is blank or holds only whitespace (str.isspace,
-    # as it splits on), so such a line must not reach it.
-    matrix = None
-    if all(map(str.strip, lines)):
-        with contextlib.suppress(ValueError):
-            matrix = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    if matrix is None:
-        _refuse_matrix_lines(lines, path)
-    bad = ~np.isfinite(matrix).all(1) | (matrix < 0).any(1) | (abs(matrix.sum(1) - 1) > 1e-4)
-    if bad.any():
-        raise ToolError(_not_a_distribution(np.argmax(bad) + 1, path))
-    return matrix
-
-
-def _not_a_distribution(lineno, path) -> str:
-    return (f"row at line {lineno} in {path} is not a distribution "
-            "(finite, non-negative values summing to 1 within 1e-4)")
-
-
-def _refuse_matrix_lines(lines, path):
-    """Raise the ToolError naming the first line that breaks the rules
-    read_matrix parses by: a value that is not an ASCII decimal float()
-    reads, then a line whose value count differs from line 1's, then, when
-    every line is blank, line 1 as an empty distribution."""
-    widths = []
-    for lineno, line in enumerate(lines, start=1):
-        values = line.split()
+def read_matrix(path: str) -> list:
+    """Read a .theta or .phi file as one list of floats per row: rectangular,
+    finite, non-negative rows that each sum to 1 within 1e-4, the precision of
+    the 6-digit format. Values are split on whitespace and parsed as ASCII
+    decimals (no "_"), bit for bit as float() parses them. The first value
+    that breaks this rule is reported, else the first line whose value count
+    differs from line 1's, else the first row that is not a distribution."""
+    rows = []
+    for lineno, line in enumerate(read_lines(path, "matrix file"), start=1):
+        # On an ASCII line with no "_", float() alone holds every value to the rule.
+        parse = float if line.isascii() and "_" not in line else _parse_float
         try:
-            for v in values:
-                _parse_float(v)
+            rows.append(list(map(parse, line.split())))
         except ValueError as exc:
             raise ToolError(f"bad numeric row at line {lineno} in {path}") from exc
-        widths.append(len(values))
-    ragged = next((i for i, w in enumerate(widths, start=1) if w != widths[0]), None)
-    if ragged:
-        raise ToolError(f"line {ragged} in {path} has {widths[ragged - 1]} values, "
-                        f"line 1 has {widths[0]}")
-    raise ToolError(_not_a_distribution(1, path))
+    if not rows:
+        raise ToolError(f"{path} contains no rows")
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != len(rows[0]):
+            raise ToolError(f"line {lineno} in {path} has {len(row)} values, "
+                            f"line 1 has {len(rows[0])}")
+    for lineno, row in enumerate(rows, start=1):
+        # A sum within 1e-4 of 1 is finite, so no value is an inf or a NaN.
+        if not (abs(sum(row) - 1) <= 1e-4 and min(row) >= 0):
+            raise ToolError(f"row at line {lineno} in {path} is not a distribution "
+                            "(finite, non-negative values summing to 1 within 1e-4)")
+    return rows
 
 
 def write_top_words(phi, vocab, twords: int, path: str):
     """Write each topic's min(twords, V) most probable words, descending by
     probability; the stable sort breaks ties by ascending word id."""
+    import numpy as np
     ranked = np.argsort(-np.asarray(phi, np.float64), axis=1, kind="stable")[:, :max(twords, 0)]
     lines = (f"Topic {k}:" + "".join(" " + vocab[i] for i in row)
              for k, row in enumerate(ranked.tolist()))
@@ -200,6 +188,7 @@ def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
     the int64 offsets (lines + 1, from 0) where each line's ids start. Each
     line is empty or holds int64 ids -?[0-9]+ separated by single spaces, as
     write_assignments writes them."""
+    import numpy as np
     data, ids, offsets, tokens = read_tokens(path, "assignments file")
     try:  # each distinct token once: a valid file has at most K of them
         topics = np.array(list(map(_parse_int, tokens)), np.int64)[ids]
@@ -217,6 +206,7 @@ def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _refuse_id_lines(lines, path):
     """Raise the ToolError naming the first line that is not empty or int64
     ids -?[0-9]+ separated by single spaces."""
+    import numpy as np
     for lineno, line in enumerate(lines, start=1):
         try:  # the parse and the int64 conversion of read_assignments
             np.array([_parse_int(v) for v in line.split(" ")] if line else [], np.int64)

@@ -243,7 +243,7 @@ def test_criterion_7_normalization(tmp_path):
         for name in ("ninf.theta", "ninf.phi"):
             rows = read_matrix(str(tmp_path / name))
             # file values carry 6-significant-digit formatting
-            assert all(abs(row.sum() - 1.0) < 1e-4 for row in rows)
+            assert all(abs(sum(row) - 1.0) < 1e-4 for row in rows)
 
 
 def test_criterion_8_inference_sanity(tmp_path):

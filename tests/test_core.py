@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestTopWords:
     def top_words(self, tmp_path, phi, words, twords):
         path = str(tmp_path / "m.topWords")
         write_top_words([phi], tuple(words), twords, path)
-        return open(path).read().split()[2:]
+        return Path(path).read_text().split()[2:]
 
     def test_basic_ordering(self, tmp_path):
         assert self.top_words(tmp_path, [0.2, 0.7, 0.1], ["a", "b", "c"], 2) == ["b", "a"]

@@ -1,7 +1,9 @@
 import itertools
 import math
 import re
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm
 from gibbstopics.inference import fold_corpus, infer, load_pretrained
 from gibbstopics.lda import lda_sweep
+from gibbstopics.persistence import read_assignments
 
 from conftest import two_topic_lines
 from oracles import tv_distance
@@ -52,6 +55,21 @@ def test_load_pretrained_dmm(tmp_path):
     model = load_pretrained(tmp_path / "dm.paras")
     assert model.hp.model == "DMM"
     assert model.nkw.sum() == corpus.n_tokens
+
+
+@pytest.mark.parametrize("kind,train,recount", [("LDA", train_lda, recount_lda),
+                                                 ("DMM", train_dmm, recount_dmm)])
+def test_load_pretrained_replays_the_save_point_it_names(tmp_path, kind, train, recount):
+    # m.paras.1 goes with m.topicAssignments.1, not with the last sample's.
+    shutil.copy(Path(__file__).resolve().parent.parent / "sample_data" / "corpus.txt", tmp_path)
+    corpus = load_corpus(tmp_path / "corpus.txt")
+    train(corpus, Hyperparams(model=kind, ntopics=3, niters=2, sstep=1, name="m", seed=3))
+    saved, _ = read_assignments(str(tmp_path / "m.topicAssignments.1"))
+    final, _ = read_assignments(str(tmp_path / "m.topicAssignments"))
+    assert not np.array_equal(saved, final)
+    model = load_pretrained(tmp_path / "m.paras.1")
+    state = recount(corpus, saved, 3)
+    assert np.array_equal(model.nkw, state.nkw) and np.array_equal(model.nk, state.nk)
 
 
 def test_load_pretrained_missing_corpus(tmp_path):

@@ -179,8 +179,8 @@ def _assert_same_result(kind, got, want):
     if kind == "corpus":
         assert got.vocab == want.vocab and got.source_path == want.source_path
         got, want = (got.words, got.offsets), (want.words, want.offsets)
-    elif kind == "matrix":
-        got, want = (got,), (want,)
+    elif kind == "matrix":  # read_matrix's rows of floats, held to the oracle's array
+        got, want = (np.array(got, dtype=np.float64),), (want,)
     for a, b in zip(got, want, strict=True):
         # bit for bit: the same dtype, shape and bytes (a -0 stays -0)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
