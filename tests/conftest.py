@@ -46,6 +46,13 @@ def compiled_kernels():
     native._kernel()
 
 
+@pytest.fixture(autouse=True)
+def no_inherited_pythonpath(monkeypatch):
+    """Every child process a test starts sees only the environment the test
+    builds; the package itself is imported through pytest's pythonpath."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))

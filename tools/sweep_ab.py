@@ -1,41 +1,43 @@
-"""A/B timing of the compiled sweeps of two source trees, in one process.
+"""A/B timing of the compiled sweeps of two source trees, each in its own interpreter.
 
     python3 tools/sweep_ab.py PARENT_TREE CHANGE_TREE --pairs 40
     python3 tools/sweep_ab.py . . --pairs 2 --case dmm:dmm-short:20
 
-Each tree's src/gibbstopics is imported as its own set of modules, by setting
-the other tree's aside in sys.modules while it imports. src/ imports its own
-modules only at module level, so each tree's functions keep their own
-wrappers and compiled library, even where the kernels take other arguments.
+Each tree runs in a worker interpreter per case, started as tools/same_bytes.py
+starts a tree: sys.executable with PYTHONPATH set to that tree's src and to
+tools/. So each tree's imports, wrappers and compiled library are its own, and
+neither tool needs PYTHONPATH or an install. Workers inherit the CPU affinity:
+`taskset -c N python3 tools/sweep_ab.py ...` pins both trees.
 
 The corpora are the benchmark's, generated through perfbench/workloads.py at
-SEED. A case KERNEL:WORKLOAD:K (K an integer >= 1; every case is checked
-before the first runs) starts both trees from the same seed and then runs
-one sweep per tree in each pair, the order alternating from pair to pair:
-lda_sweep for lda, dmm.dmm_chain's sweep for dmm. After every pair
-it asserts that the two trees' z, count tables and random generators, and for
-DMM theta, are identical. It prints each tree's median sweep time and the
-pairs the change tree won.
+SEED with PARENT_TREE's package. A case KERNEL:WORKLOAD:K (K an integer >= 1;
+every case is checked before the first runs) starts both trees' chains from
+SEED, then runs one sweep per tree in each pair, the order alternating from
+pair to pair: lda_sweep for lda, dmm.dmm_chain's sweep for dmm. Each worker
+times its sweep and answers with the seconds and a digest of each part of its
+state. After every pair the tool asserts that the two trees' z, count tables,
+random generators and DMM's theta are identical. It prints each tree's median
+sweep time and the pairs the change tree won.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
+import hashlib
+import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
-from types import SimpleNamespace
+from contextlib import ExitStack
 
 import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-import workloads  # noqa: E402
+import same_bytes
 
+TOOLS = os.path.dirname(os.path.abspath(__file__))
 # Each workload's corpus, relative to its plan's folder, and its beta.
 CORPORA = {"lda-train": ("corpus.txt", 0.01), "dmm-short": ("corpus.txt", 0.1),
            "infer-replay": (os.path.join("train", "corpus.txt"), 0.01)}
@@ -45,57 +47,48 @@ TABLES = {"lda": ("z", "ndk", "nkw", "nk"), "dmm": ("z", "mk", "nkw", "nk")}
 SEED = 101  # the workloads' and the chains' seed
 
 
-def _package_modules():
-    return {n: sys.modules.pop(n) for n in list(sys.modules) if n.split(".")[0] == "gibbstopics"}
+def digest(values, dtype="int64"):
+    """sha256 of values' shape and of its values as C-order dtype: equal values
+    give one digest, whatever dtype or memory order holds them."""
+    data = np.ascontiguousarray(values, dtype=dtype)
+    return hashlib.sha256(repr(data.shape).encode() + data.tobytes()).hexdigest()
 
 
-@contextmanager
-def installed(modules):
-    """modules in sys.modules as the gibbstopics package, the others put back after."""
-    others = _package_modules()
-    sys.modules.update(modules)
-    try:
-        yield
-    finally:
-        _package_modules()
-        sys.modules.update(others)
-
-
-def import_tree(root):
-    """The gibbstopics modules of root/src, imported apart from any other tree's."""
-    src = os.path.join(os.path.abspath(root), "src")
-    if not os.path.isfile(os.path.join(src, "gibbstopics", "__init__.py")):
-        sys.exit(f"sweep_ab: no gibbstopics package under {src}")
-    with installed({}):
-        sys.path.insert(0, src)
-        try:
-            modules = {m: importlib.import_module("gibbstopics." + m)
-                       for m in ("core", "corpus", "lda", "dmm")}
-            return SimpleNamespace(modules=_package_modules(), **modules)
-        finally:
-            sys.path.remove(src)
-
-
-def start(tree, kernel, corpus_path, beta, k, seed):
-    """A chain of tree's kernel from seed: the sweep, and a snapshot of its
-    state (and theta for DMM) to compare."""
-    corpus = tree.corpus.load_corpus(corpus_path)
-    hp = tree.core.Hyperparams(model=kernel.upper(), ntopics=k, alpha=workloads.ALPHA, beta=beta)
-    rng = tree.core.make_rng(seed)[0]
+def worker(kernel, corpus_path, beta, k):
+    """A tree's side of a case, run in its own interpreter: builds the chain
+    from SEED and answers on stdout with one JSON line, then again after each
+    sweep that a line on stdin asks for, until stdin closes."""
+    from gibbstopics import core, corpus, dmm, lda
+    data = corpus.load_corpus(corpus_path)
+    hp = core.Hyperparams(model=kernel.upper(), ntopics=int(k), alpha=same_bytes.workloads.ALPHA,
+                          beta=float(beta))
+    rng = core.make_rng(SEED)[0]
     if kernel == "lda":
-        state = tree.lda.init_lda(corpus, hp, rng)
-        sweep, theta = (lambda: tree.lda.lda_sweep(corpus, state, hp, rng)), None
+        state = lda.init_lda(data, hp, rng)
+        sweep, theta = (lambda: lda.lda_sweep(data, state, hp, rng)), None
     else:
-        state = tree.dmm.init_dmm(corpus, hp, rng)
-        sweep, theta = tree.dmm.dmm_chain(corpus, state, hp, rng)
-
-    def snapshot():
-        out = {name: getattr(state, name).copy() for name in TABLES[kernel]}
-        out["rng"] = rng.bit_generator.state
+        state = dmm.init_dmm(data, hp, rng)
+        sweep, theta = dmm.dmm_chain(data, state, hp, rng)
+    seconds = 0.0
+    while True:
+        digests = {name: digest(getattr(state, name)) for name in TABLES[kernel]}
+        digests["rng"] = hashlib.sha256(json.dumps(rng.bit_generator.state).encode()).hexdigest()
         if theta is not None:
-            out["theta"] = theta()
-        return out
-    return sweep, snapshot
+            digests["theta"] = digest(theta(), "float64")
+        print(json.dumps({"seconds": seconds, "state": digests}), flush=True)
+        if not sys.stdin.readline():
+            return
+        t = time.perf_counter()
+        sweep()
+        seconds = time.perf_counter() - t
+
+
+def answer(label, proc):
+    """The next answer of a worker; exit 1 if it has stopped."""
+    line = proc.stdout.readline()
+    if not line:
+        sys.exit(f"sweep_ab: {label} stopped")
+    return json.loads(line)
 
 
 def parse_case(case):
@@ -108,25 +101,31 @@ def parse_case(case):
     return None
 
 
-def run_case(trees, case, pairs, work):
+def run_case(srcs, case, pairs, work):
     kernel, workload, k = parse_case(case)
     folder = os.path.join(work, workload)
-    if not os.path.isdir(folder):
-        with installed(trees[0].modules):  # infer-replay plants its models with the package
-            workloads.PLANS[workload](folder, SEED)
+    if not os.path.isdir(folder):  # infer-replay plants its models with the package
+        same_bytes.generate(srcs[0], workload, SEED, folder)
     name, beta = CORPORA[workload]
-    chains = [start(tree, kernel, os.path.join(folder, name), beta, k, SEED) for tree in trees]
-    times = [[], []]
-    for pair in range(pairs):
-        for side in (0, 1) if pair % 2 == 0 else (1, 0):
-            t = time.perf_counter()
-            chains[side][0]()
-            times[side].append(time.perf_counter() - t)
-        a, b = (snapshot() for _, snapshot in chains)
-        for key in a:
-            same = a[key] == b[key] if key == "rng" else np.array_equal(a[key], b[key])
-            if not same:
-                sys.exit(f"sweep_ab: {case}: {key} differs after pair {pair + 1}")
+    argv = [sys.executable, "-c", "import sys, sweep_ab; sweep_ab.worker(*sys.argv[1:])",
+            kernel, os.path.join(folder, "work", name), str(beta), str(k)]
+    with ExitStack() as stack:
+        sides = [(f"{case}: tree {src}", stack.enter_context(subprocess.Popen(
+            argv, cwd=work, env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, TOOLS])),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))) for src in srcs]
+        for side in sides:  # each chain is built
+            answer(*side)
+        times = [[], []]
+        for pair in range(pairs):
+            states = [None, None]
+            for i in (0, 1) if pair % 2 == 0 else (1, 0):
+                print(file=sides[i][1].stdin, flush=True)
+                got = answer(*sides[i])
+                times[i].append(got["seconds"])
+                states[i] = got["state"]
+            for key in states[0]:
+                if states[0][key] != states[1].get(key):
+                    sys.exit(f"sweep_ab: {case}: {key} differs after pair {pair + 1}")
     med = [statistics.median(t) * 1e3 for t in times]
     won = sum(b < a for a, b in zip(*times))
     print(f"{case:24} {med[0]:10.3f} {med[1]:10.3f} {med[1] / med[0]:7.3f} {won:4}/{pairs}"
@@ -148,11 +147,11 @@ def main(argv=None):
         if parse_case(case) is None:
             parser.error(f"bad --case {case!r}: cases are (lda|dmm):WORKLOAD:K, WORKLOAD one "
                          f"of {', '.join(CORPORA)}, K an integer >= 1")
-    trees = [import_tree(args.parent), import_tree(args.change)]
+    srcs = [same_bytes.src_of(args.parent), same_bytes.src_of(args.change)]
     print(f"{'case':24} {'A ms':>10} {'B ms':>10} {'B/A':>7} {'B won':>8}")
     with tempfile.TemporaryDirectory(prefix="sweep_ab-") as work:
         for case in cases:
-            run_case(trees, case, args.pairs, work)
+            run_case(srcs, case, args.pairs, work)
 
 
 if __name__ == "__main__":
