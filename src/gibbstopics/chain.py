@@ -9,14 +9,8 @@ import os
 from functools import partial
 
 from gibbstopics import persistence
-from gibbstopics.core import (
-    CountState,
-    Hyperparams,
-    ToolError,
-    estimate_phi,
-    estimate_theta_lda,
-    make_rng,
-)
+from gibbstopics.core import (CountState, Hyperparams, ToolError, estimate_phi,
+                              estimate_theta_lda, make_rng)
 from gibbstopics.corpus import split_docs
 from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.lda import init_lda, lda_sweep
@@ -32,6 +26,12 @@ def run_chain(corpus, hp: Hyperparams, frozen=None) -> CountState:
     if (frozen is None) != (hp.model in ("LDA", "DMM")):
         need = "needs" if frozen is None else "takes no"
         raise ToolError(f"model {hp.model} {need} trained model counts")
+    if frozen is not None:  # before init; added below, a wrong shape would broadcast silently
+        nkw, nk, shape = frozen.nkw, frozen.nk, (hp.ntopics, len(corpus.vocab))
+        if (nkw.dtype.kind, nk.dtype.kind, nkw.shape) != ("i", "i", shape) or (
+                nk.tolist() != nkw.sum(axis=1).tolist() or nkw.min(initial=0) < 0):
+            raise ToolError(f"trained counts of {frozen.paras_path} are not a nonnegative integer "
+                            f"{shape[0]} x {shape[1]} table and its row sums")
     # .paras stores the corpus path, as given and absolute, one line each.
     for path in (corpus.source_path, os.path.abspath(corpus.source_path)):
         if path.splitlines() != [path]:

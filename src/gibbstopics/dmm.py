@@ -60,15 +60,12 @@ def _chain_tables(corpus, state: CountState, hp: Hyperparams):
 
 
 def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tables, rng):
-    """Check the inputs, then run the kernel over every document: a sweep
-    that draws one uniform per document from rng, or, without rng, the theta
-    of the current state, which is returned."""
+    """Check the inputs (words beside corpus.offsets), then run the kernel over
+    every document: a sweep that draws one uniform per document from rng, or,
+    without rng, the theta of the current state, which is returned."""
     n_topics, n_vocab = hp.ntopics, len(corpus.vocab)
-    # The corpus's words are checked before doc_word_counts sorts them, so a refusal names who.
-    n_docs = native.check_corpus(who, corpus.offsets, corpus.words if words is None else words,
-                                 n_vocab)
-    words = doc_word_counts(corpus) if words is None else words
-    lnum, lden, lpri = _chain_tables(corpus, state, hp) if tables is None else tables
+    n_docs = native.check_corpus(who, corpus.offsets, words, n_vocab)
+    lnum, lden, lpri = tables
     native.check(who, ("topic assignments", state.z, np.int64, (n_docs,), True),
                  ("mk", state.mk, np.int64, (n_topics,), True),
                  ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
@@ -91,28 +88,26 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tab
 
 
 def dmm_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator,
-              words=None, tables=None):
+              words, tables):
     """One full pass: each document's counts removed, topic resampled from the
-    log-space conditional, counts restored under the new topic. The sweep's
-    uniforms are drawn up front, one per document. words is
-    doc_word_counts(corpus) (ids out of order in a document are refused) and
-    tables the chain's log tables, each computed when not given."""
+    log-space conditional, counts restored under the new topic, with uniforms
+    drawn up front, one per document. words and tables are dmm_chain's sorted
+    words (refused unless ascending within each document) and log tables."""
     _run_kernel("dmm_sweep", corpus, state, hp, words, tables, rng)
     return state
 
 
-def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams,
-                       words=None, tables=None) -> np.ndarray:
+def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams, words, tables) -> np.ndarray:
     """theta[d] = the normalized leave-one-out conditional of document d at the
-    final state (the sampler's own predictive distribution over topics)."""
+    final state (the sampler's own predictive distribution over topics).
+    words and tables are the chain's, as for dmm_sweep."""
     return _run_kernel("estimate_theta_dmm", corpus, state, hp, words, tables, None)
 
 
 def dmm_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
     """The sweep and theta callables of a chain from state, whose counts
-    (frozen training counts included) must be complete: the sorted words
-    and log tables they share are built once here."""
-    words = doc_word_counts(corpus)
-    tables = _chain_tables(corpus, state, hp)
+    (frozen training counts included) must be complete. This is the one place
+    that sorts a chain's words and builds its log tables, once per chain."""
+    words, tables = doc_word_counts(corpus), _chain_tables(corpus, state, hp)
     return (partial(dmm_sweep, corpus, state, hp, rng, words=words, tables=tables),
             partial(estimate_theta_dmm, state, corpus, hp, words=words, tables=tables))

@@ -15,7 +15,7 @@ from gibbstopics import train_dmm, train_lda
 from gibbstopics.cli import main
 from gibbstopics.core import CountState, Hyperparams, estimate_theta_lda, make_rng
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import dmm_sweep, init_dmm
+from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.evaluation import nmi, purity
 from gibbstopics.inference import infer, load_pretrained
 from gibbstopics.lda import init_lda, lda_sweep
@@ -94,10 +94,9 @@ def test_criterion_1_count_conservation_suite():
         hp_dmm = Hyperparams(model="DMM", ntopics=20, alpha=0.1, beta=0.1, niters=200)
         rng, _ = make_rng(101)
         state = init_dmm(corpus, hp_dmm, rng)
-        from gibbstopics.dmm import doc_word_counts
-        words = doc_word_counts(corpus)
+        sweep, _ = dmm_chain(corpus, state, hp_dmm, rng)
         for _ in range(200):
-            dmm_sweep(corpus, state, hp_dmm, rng, words=words)
+            sweep()
             check_state(state, corpus, "DMM")
 
         elapsed = time.monotonic() - start
@@ -149,13 +148,12 @@ def test_criterion_3_dmm_exact_posterior():
 
         rng, _ = make_rng(556)
         state = init_dmm(corpus, hp, rng)
-        from gibbstopics.dmm import doc_word_counts
-        words = doc_word_counts(corpus)
+        sweep, _ = dmm_chain(corpus, state, hp, rng)
         for _ in range(1000):
-            dmm_sweep(corpus, state, hp, rng, words=words)
+            sweep()
         tally = Counter()
         for _ in range(50000):
-            dmm_sweep(corpus, state, hp, rng, words=words)
+            sweep()
             tally[tuple(int(k) for k in state.z)] += 1
         empirical = {s: c / 50000 for s, c in tally.items()}
         tv = tv_distance(empirical, exact)
@@ -226,8 +224,8 @@ def test_criterion_7_normalization(tmp_path):
 
         hp = Hyperparams(model="DMM", ntopics=5, beta=0.1, niters=40, name="nd", seed=2)
         state = train_dmm(corpus, hp)
-        from gibbstopics.dmm import estimate_theta_dmm
-        theta = estimate_theta_dmm(state, corpus, hp)
+        _, chain_theta = dmm_chain(corpus, state, hp, make_rng(2)[0])
+        theta = chain_theta()
         phi = estimate_phi(state, hp)
         assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from gibbstopics import train_lda
 from gibbstopics.core import Hyperparams, ToolError, make_rng
 from gibbstopics.corpus import load_corpus, load_labels
-from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
+from gibbstopics.dmm import _chain_tables, dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
 from gibbstopics.inference import load_pretrained
 from gibbstopics.lda import init_lda, lda_sweep
 
@@ -106,9 +106,11 @@ def test_kernel_callers_refuse_a_malformed_corpus(who, case):
     state = (init_lda if lda else init_dmm)(corpus, hp, rng)
     tables = [t for t in (state.z, state.ndk, state.mk, state.nkw, state.nk) if t is not None]
     before, rng_state = [t.copy() for t in tables], rng.bit_generator.state
+    # The DMM functions check the words they are given: the malformed corpus's own.
+    log_tables = None if lda else _chain_tables(corpus, state, hp)
     run = {"lda_sweep": lambda c: lda_sweep(c, state, hp, rng),
-           "dmm_sweep": lambda c: dmm_sweep(c, state, hp, rng),
-           "estimate_theta_dmm": lambda c: estimate_theta_dmm(state, c, hp),
+           "dmm_sweep": lambda c: dmm_sweep(c, state, hp, rng, c.words, log_tables),
+           "estimate_theta_dmm": lambda c: estimate_theta_dmm(state, c, hp, c.words, log_tables),
            "doc_word_counts": doc_word_counts}[who]
     with pytest.raises(ToolError, match=f"^{who}: "):
         run(BAD_CORPORA[case](corpus))

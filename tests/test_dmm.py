@@ -1,13 +1,15 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gibbstopics import train_dmm
+from gibbstopics import dmm, infer, load_pretrained, train_dmm
 from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng, recount_dmm
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import _chain_tables, dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
+from gibbstopics.dmm import (_chain_tables, dmm_chain, dmm_sweep, doc_word_counts,
+                             estimate_theta_dmm, init_dmm)
 
 from conftest import make_corpus
 from oracles import check_state, draw, loop_conditional
@@ -139,8 +141,9 @@ def test_sweep_single_topic_is_identity():
     hp = Hyperparams(model="DMM", ntopics=1)
     rng, _ = make_rng(3)
     state = init_dmm(corpus, hp, rng)
+    sweep, _ = dmm_chain(corpus, state, hp, rng)
     before = state.z.copy()
-    dmm_sweep(corpus, state, hp, rng)
+    sweep()
     assert np.array_equal(before, state.z)
 
 
@@ -149,8 +152,9 @@ def test_sweep_preserves_invariants():
     hp = Hyperparams(model="DMM", ntopics=3, beta=0.1)
     rng, _ = make_rng(4)
     state = init_dmm(corpus, hp, rng)
+    sweep, _ = dmm_chain(corpus, state, hp, rng)
     for _ in range(10):
-        dmm_sweep(corpus, state, hp, rng)
+        sweep()
         check_state(state, corpus, "DMM")
         assert state.mk.sum() == corpus.n_docs
 
@@ -160,9 +164,10 @@ def test_sweep_draws_one_uniform_per_document():
     hp = Hyperparams(model="DMM", ntopics=3, beta=0.1)
     rng, _ = make_rng(8)
     state = init_dmm(corpus, hp, rng)
+    sweep, _ = dmm_chain(corpus, state, hp, rng)
     ref = np.random.Generator(np.random.PCG64())
     ref.bit_generator.state = rng.bit_generator.state
-    dmm_sweep(corpus, state, hp, rng)
+    sweep()
     ref.random(corpus.n_docs)
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -171,8 +176,8 @@ def test_theta_single_topic():
     corpus = make_corpus([[0], [1, 2]], 3)
     hp = Hyperparams(model="DMM", ntopics=1)
     state = init_dmm(corpus, hp, make_rng(5)[0])
-    theta = estimate_theta_dmm(state, corpus, hp)
-    assert np.allclose(theta, 1.0)
+    _, theta = dmm_chain(corpus, state, hp, make_rng(5)[0])
+    assert np.allclose(theta(), 1.0)
 
 
 def test_theta_rows_sum_to_one():
@@ -180,9 +185,9 @@ def test_theta_rows_sum_to_one():
     hp = Hyperparams(model="DMM", ntopics=4, beta=0.1)
     rng, _ = make_rng(6)
     state = init_dmm(corpus, hp, rng)
-    dmm_sweep(corpus, state, hp, rng)
-    theta = estimate_theta_dmm(state, corpus, hp)
-    assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-9)
+    sweep, theta = dmm_chain(corpus, state, hp, rng)
+    sweep()
+    assert np.allclose(theta().sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_theta_matches_conditional_worked_example():
@@ -193,8 +198,8 @@ def test_theta_matches_conditional_worked_example():
     z = np.array([0, 0, 1], dtype=np.int64)
     from gibbstopics.core import recount_dmm
     state = recount_dmm(corpus, z, 2)
-    theta = estimate_theta_dmm(state, corpus, hp)
-    assert np.allclose(theta[0], [0.88590, 0.11410], atol=1e-4)
+    _, theta = dmm_chain(corpus, state, hp, make_rng(0)[0])
+    assert np.allclose(theta()[0], [0.88590, 0.11410], atol=1e-4)
     # state restored after the leave-one-out pass
     check_state(state, corpus, "DMM")
 
@@ -224,6 +229,33 @@ def test_train_deterministic_given_seed(tmp_path):
         contents.append([(tmp_path / f"run.{s}").read_bytes()
                          for s in ("theta", "phi", "topWords", "topicAssignments", "paras")])
     assert contents[0] == contents[1]
+
+
+def test_a_dmm_chain_builds_its_words_and_tables_once(tmp_path, monkeypatch):
+    # dmm_chain sorts the words and builds the log tables; every sweep and
+    # theta of the chain reuses them, in training and in folding-in alike.
+    calls = Counter()
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return counted
+    for name in ("doc_word_counts", "_chain_tables", "dmm_sweep", "estimate_theta_dmm"):
+        monkeypatch.setattr(dmm, name, counting(name, getattr(dmm, name)))
+    path = tmp_path / "c.txt"
+    path.write_text("a b a\nc b\nb c a\n")
+    # 5 sweeps, saved at 2, 4 and the end: 3 thetas.
+    train_dmm(load_corpus(path), Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=5,
+                                             sstep=2, name="run", seed=13))
+    assert calls == {"doc_word_counts": 1, "_chain_tables": 1, "dmm_sweep": 5,
+                     "estimate_theta_dmm": 3}
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text("a c\nb b zzz\n")
+    infer(load_pretrained(tmp_path / "run.paras"), unseen,
+          Hyperparams(model="DMMinf", niters=5, sstep=2, name="inf", seed=14))
+    assert calls == {"doc_word_counts": 2, "_chain_tables": 2, "dmm_sweep": 10,
+                     "estimate_theta_dmm": 6}
 
 
 def test_word_counts_flat_per_document():
@@ -256,17 +288,18 @@ def test_kernel_matches_numpy_oracle(ntopics, alpha, beta, frozen):
     training = gen.integers(0, frozen + 1, size=state.nkw.shape)
     state.nkw += training
     state.nk += training.sum(axis=1)
+    sweep, theta = dmm_chain(corpus, state, hp, rng)
     ref = replace(state, z=state.z.copy(), mk=state.mk.copy(), nkw=state.nkw.copy(),
                   nk=state.nk.copy())
     ref_rng = np.random.Generator(np.random.PCG64())
     ref_rng.bit_generator.state = rng.bit_generator.state
     for _ in range(3):
-        dmm_sweep(corpus, state, hp, rng)
+        sweep()
         loop_sweep(corpus, ref, hp, ref_rng)
         for name in ("z", "mk", "nkw", "nk"):
             assert np.array_equal(getattr(state, name), getattr(ref, name)), name
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert np.array_equal(estimate_theta_dmm(state, corpus, hp), loop_theta(ref, hp, corpus))
+    assert np.array_equal(theta(), loop_theta(ref, hp, corpus))
     state.nkw -= training
     state.nk -= training.sum(axis=1)
     check_state(state, corpus, "DMM")
@@ -284,7 +317,7 @@ def test_sweep_rejects_out_of_bounds_input(case):
     corpus = make_corpus(docs, 3)
     state = init_dmm(corpus, hp, rng)
     words = doc_word_counts(corpus)
-    tables = None
+    tables = _chain_tables(corpus, state, hp)
     if case == "word V":
         words[2] = 3
     elif case == "topic K":
@@ -300,7 +333,7 @@ def test_sweep_rejects_out_of_bounds_input(case):
     elif case == "strided z":
         state.z = state.z.repeat(2)[::2]  # same topics, every other int64
     elif case == "short lpri":  # the kernel checks m < D, not the table's size
-        lnum, lden, lpri = _chain_tables(corpus, state, hp)
+        lnum, lden, lpri = tables
         tables = (lnum, lden, lpri[:-1].copy())
     elif case.startswith("read-only"):
         getattr(state, case.split()[1]).flags.writeable = False
@@ -313,11 +346,11 @@ def test_sweep_rejects_out_of_bounds_input(case):
     # empty offsets give n_docs = -1, so they must be named before z's shape
     offsets = ": document offsets" if case == "empty offsets" else ""
     with pytest.raises(ToolError, match="dmm_sweep" + offsets):
-        dmm_sweep(corpus, state, hp, rng, words=words, tables=tables)
+        dmm_sweep(corpus, state, hp, rng, words, tables)
     assert unchanged()
     assert rng.bit_generator.state == rng_state
     with pytest.raises(ToolError, match="estimate_theta_dmm" + offsets):
-        estimate_theta_dmm(state, corpus, hp, words=words, tables=tables)
+        estimate_theta_dmm(state, corpus, hp, words, tables)
     assert unchanged()
 
 
@@ -328,17 +361,18 @@ def test_kernel_refuses_words_out_of_order():
     corpus = make_corpus([[0, 1, 0, 2, 0], [0, 0, 1], [2, 2]], 3)
     hp = Hyperparams(model="DMM", ntopics=2)
     state = recount_dmm(corpus, [0, 0, 1], hp.ntopics)
+    tables = _chain_tables(corpus, state, hp)
     swapped = doc_word_counts(corpus)
     swapped[[5, 7]] = swapped[[7, 5]]  # document 1 is 1 0 0; 2 | 0 at a boundary is fine
     before = [t.copy() for t in (state.z, state.mk, state.nkw, state.nk)]
     for words, doc in ((corpus.words, 0), (swapped, 1)):
         with pytest.raises(ToolError, match=f"^dmm_sweep: the word ids of document {doc} do not"):
-            dmm_sweep(corpus, state, hp, make_rng(3)[0], words=words)
+            dmm_sweep(corpus, state, hp, make_rng(3)[0], words, tables)
         with pytest.raises(ToolError, match=f"^estimate_theta_dmm: .* document {doc} do not"):
-            estimate_theta_dmm(state, corpus, hp, words=words)
+            estimate_theta_dmm(state, corpus, hp, words, tables)
         after = (state.z, state.mk, state.nkw, state.nk)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
-    estimate_theta_dmm(state, corpus, hp, words=doc_word_counts(corpus))
+    estimate_theta_dmm(state, corpus, hp, doc_word_counts(corpus), tables)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -363,13 +397,14 @@ def test_kernel_detects_negative_counts(table, run):
     hp = Hyperparams(model="DMM", ntopics=2, beta=0.1)
     rng, _ = make_rng(6)
     state = init_dmm(corpus, hp, rng)
+    sweep, theta = dmm_chain(corpus, state, hp, rng)
     getattr(state, table)[...] -= 100
     before = [t.copy() for t in (state.z, state.mk, state.nkw, state.nk)]
     with pytest.raises(ToolError, match="count bookkeeping corrupt"):
         if run == "sweep":
-            dmm_sweep(corpus, state, hp, rng)
+            sweep()
         else:
-            estimate_theta_dmm(state, corpus, hp)
+            theta()
     # The first document already fails; its counts go back where they were.
     after = (state.z, state.mk, state.nkw, state.nk)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))

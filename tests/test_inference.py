@@ -3,6 +3,7 @@ import math
 import re
 import shutil
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from gibbstopics.core import (
     recount_lda,
 )
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import dmm_sweep, doc_word_counts, estimate_theta_dmm
+from gibbstopics.dmm import dmm_chain
 from gibbstopics.inference import fold_corpus, infer, load_pretrained
 from gibbstopics.lda import lda_sweep
 from gibbstopics.persistence import read_assignments
@@ -203,7 +204,8 @@ def test_all_oov_document_gets_cluster_prior_theta_dmm(tmp_path):
     unseen.write_text("zzz\nqqq qqq\n")
     hp = Hyperparams(model="DMMinf", niters=20, name="inf", seed=3)
     state = infer(model, unseen, hp)
-    theta = estimate_theta_dmm(state, fold_corpus(model, unseen), hp)
+    _, chain_theta = dmm_chain(fold_corpus(model, unseen), state, hp, make_rng(3)[0])
+    theta = chain_theta()
     for d in range(2):
         m = np.bincount(state.z, minlength=3) - np.eye(3, dtype=np.int64)[state.z[d]]
         assert np.allclose(theta[d], (m + 0.1) / (2 - 1 + 3 * 0.1), rtol=1e-12, atol=0)
@@ -227,6 +229,34 @@ def test_frozen_counts_not_mutated(tmp_path):
     recount = frozen_nkw.copy()
     np.add.at(recount, (state.z, folded.words), 1)
     assert np.array_equal(recount, state.nkw)
+
+
+MALFORMED_FROZEN = {  # each breaks one rule: a nonnegative integer K x V table, its row sums
+    "one topic's row": lambda nkw, nk: (nkw[:1], nk[:1]),  # would be added to every topic
+    "nk one higher": lambda nkw, nk: (nkw, nk + 1),
+    "five words": lambda nkw, nk: (nkw[:, :5], nkw[:, :5].sum(axis=1)),
+    "float64 nkw": lambda nkw, nk: (nkw.astype(np.float64), nk),
+    "negative counts": lambda nkw, nk: (nkw - 1, nk - nkw.shape[1]),  # 12 tokens, 24 cells
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FROZEN)
+@pytest.mark.parametrize("kind, train", [("LDA", train_lda), ("DMM", train_dmm)])
+def test_malformed_frozen_counts_refused_before_any_write(tmp_path, kind, train, case):
+    # run_chain adds the frozen tables to the chain's, where NumPy would
+    # broadcast a wrong shape; a refusal names the .paras file they came from.
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b c d\ne f g a\nb c h h\n")
+    train(load_corpus(path), Hyperparams(model=kind, ntopics=3, niters=2, name="m", seed=5))
+    model = load_pretrained(tmp_path / "m.paras")
+    nkw, nk = MALFORMED_FROZEN[case](model.nkw, model.nk)
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text("a b\nzzz c\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(ToolError, match=f"^trained counts of {re.escape(model.paras_path)} "):
+        infer(replace(model, nkw=nkw, nk=nk), unseen,
+              Hyperparams(model=kind + "inf", niters=2, name="inf", seed=6))
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_assignment_count_equals_in_vocab_tokens(tmp_path):
@@ -350,10 +380,7 @@ def test_folding_in_matches_exact_posterior(tmp_path, kind, unseen_text, seed):
         def sweep():
             lda_sweep(corpus, state, hp, rng)
     else:
-        words = doc_word_counts(corpus)
-
-        def sweep():
-            dmm_sweep(corpus, state, hp, rng, words=words)
+        sweep, _ = dmm_chain(corpus, state, hp, rng)
     for _ in range(200):
         sweep()
     n_samples, tally = 15000, Counter()

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from gibbstopics import native, train_dmm, train_lda
 from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng, recount_dmm, recount_lda
 from gibbstopics.corpus import load_corpus
-from gibbstopics.dmm import dmm_sweep, init_dmm
+from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.lda import init_lda, lda_sweep
 
 from conftest import make_corpus
@@ -334,12 +335,13 @@ def test_refused_sweep_restores_its_unit(model):
     corpus = make_corpus([[0, 0], [0], [1, 1]], 2)
     hp = Hyperparams(model=model.upper(), ntopics=2, beta=0.1)
     rng, _ = make_rng(6)
-    init, sweep, recount = ((init_lda, lda_sweep, recount_lda) if model == "lda"
-                            else (init_dmm, dmm_sweep, recount_dmm))
+    init, recount = (init_lda, recount_lda) if model == "lda" else (init_dmm, recount_dmm)
     state = init(corpus, hp, rng)
+    sweep = (partial(lda_sweep, corpus, state, hp, rng) if model == "lda"
+             else dmm_chain(corpus, state, hp, rng)[0])
     state.nkw[:, 1] -= 5
     with pytest.raises(ToolError, match="at (token 3|document 2), count bookkeeping corrupt"):
-        sweep(corpus, state, hp, rng)
+        sweep()
     expected = recount(corpus, state.z, hp.ntopics)
     expected.nkw[:, 1] -= 5
     for name in ("ndk", "mk", "nkw", "nk"):

@@ -1,6 +1,8 @@
 """tools/same_bytes.py, the byte comparison of two trees' CLI runs: one case
 of this tree against itself agrees, and each kind of difference is named."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import same_bytes  # noqa: E402
 
 
 def test_same_bytes_runs_one_case_of_the_tree_against_itself(tmp_path, capsys):
-    src = same_bytes.src_of(ROOT)
+    src = str(ROOT / "src")
     plan = same_bytes.generate(src, "lda-train", 101, str(tmp_path))
     same_bytes.compare([src, src], [step.args for step in plan.steps], str(tmp_path), "case")
     assert capsys.readouterr().out.split() == ["case", "2", "steps,", "7", "files", "identical"]
@@ -29,3 +31,16 @@ def test_first_difference_names_the_step_or_the_file():
         ((ran, {"lda.theta": "1"}), "file lda.phi differs (on one side only)"),
     ]:
         assert same_bytes.first_difference((ran, files), other, steps) == diff
+
+
+def test_a_missing_tree_is_refused_by_name_before_any_input(tmp_path):
+    # No input is generated: tempfile's folder, under TMPDIR, stays empty.
+    (tmp_path / "tmp").mkdir()
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "same_bytes.py"),
+                           str(tmp_path / "no-such"), str(ROOT)], capture_output=True, text=True,
+                          env=dict(os.environ, TMPDIR=str(tmp_path / "tmp")), timeout=60)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"same_bytes.py: error: no gibbstopics package under {tmp_path / 'no-such' / 'src'}\n")
+    assert not list((tmp_path / "tmp").iterdir())

@@ -2,6 +2,7 @@
 itself agrees, a tree that draws otherwise or cannot run is stopped and named,
 and the state digest compares values, not how they are held."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -52,6 +53,20 @@ def test_a_tree_that_cannot_run_is_named_not_waited_for(tmp_path):
     assert proc.returncode == 1
     assert "RuntimeError: broken tree" in proc.stderr
     assert proc.stderr.endswith(f"sweep_ab: {CASES[0]}: tree {tree / 'src'} stopped\n")
+
+
+def test_a_missing_tree_is_refused_by_name_before_any_input(tmp_path):
+    # No workload is generated: tempfile's folder, under TMPDIR, stays empty.
+    (tmp_path / "tmp").mkdir()
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep_ab.py"),
+                           str(tmp_path / "no-such"), str(ROOT), "--pairs", "1"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, TMPDIR=str(tmp_path / "tmp")), timeout=60)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"sweep_ab.py: error: no gibbstopics package under {tmp_path / 'no-such' / 'src'}\n")
+    assert not list((tmp_path / "tmp").iterdir())
 
 
 def test_digest_compares_values():

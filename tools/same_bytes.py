@@ -32,10 +32,11 @@ SEEDS = (101, 102, 103)
 ARG_SETS = {"bench": {}, "-niters 30 -sstep 10": {"-niters": "30", "-sstep": "10"}}
 
 
-def src_of(tree):
+def src_of(parser, tree):
+    """tree's src folder; parser, the running tool's, refuses a tree without the package."""
     src = os.path.join(os.path.abspath(tree), "src")
     if not os.path.isfile(os.path.join(src, "gibbstopics", "__init__.py")):
-        sys.exit(f"same_bytes: no gibbstopics package under {src}")
+        parser.error(f"no gibbstopics package under {src}")
     return src
 
 
@@ -114,7 +115,7 @@ def main(argv=None):
     parser.add_argument("parent", help="source tree A (the parent)")
     parser.add_argument("change", help="source tree B (the change)")
     args = parser.parse_args(argv)
-    srcs = [src_of(args.parent), src_of(args.change)]
+    srcs = [src_of(parser, tree) for tree in (args.parent, args.change)]
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as scratch:
         for workload in workloads.PLANS:
             for seed in SEEDS:

@@ -147,7 +147,7 @@ def main(argv=None):
         if parse_case(case) is None:
             parser.error(f"bad --case {case!r}: cases are (lda|dmm):WORKLOAD:K, WORKLOAD one "
                          f"of {', '.join(CORPORA)}, K an integer >= 1")
-    srcs = [same_bytes.src_of(args.parent), same_bytes.src_of(args.change)]
+    srcs = [same_bytes.src_of(parser, tree) for tree in (args.parent, args.change)]
     print(f"{'case':24} {'A ms':>10} {'B ms':>10} {'B/A':>7} {'B won':>8}")
     with tempfile.TemporaryDirectory(prefix="sweep_ab-") as work:
         for case in cases:
