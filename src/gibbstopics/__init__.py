@@ -9,7 +9,7 @@ import importlib
 
 # Each public name and the module that binds it.
 _HOMES = {
-    "Corpus": "corpus", "load_corpus": "corpus", "load_labels": "corpus",
+    "Corpus": "persistence", "load_corpus": "persistence", "load_labels": "persistence",
     "CountState": "core", "Hyperparams": "core", "ToolError": "core", "estimate_phi": "core",
     "estimate_theta_lda": "core", "make_rng": "core",
     "dmm_sweep": "dmm", "estimate_theta_dmm": "dmm", "init_dmm": "dmm",

@@ -5,13 +5,13 @@ its training entry points; inference.infer is its folding-in one."""
 
 from __future__ import annotations
 
+import math
 import os
 from functools import partial
 
 from gibbstopics import persistence
 from gibbstopics.core import (CountState, Hyperparams, ToolError, estimate_phi,
                               estimate_theta_lda, make_rng)
-from gibbstopics.corpus import split_docs
 from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.lda import init_lda, lda_sweep
 
@@ -21,17 +21,19 @@ def run_chain(corpus, hp: Hyperparams, frozen=None) -> CountState:
     seed is stored in hp, so .paras records it), hp.niters sweeps, saving
     every hp.sstep iterations (when sstep > 0) and always at the end. frozen,
     a PretrainedModel, is required when folding in (LDAinf, DMMinf) and
-    refused otherwise; its counts stay fixed while the corpus is sampled."""
+    refused otherwise; its counts stay fixed while the corpus is sampled.
+    Before any file is written, it refuses frozen counts that are not a K x V
+    table of nonnegative integers, and alpha and beta that would give a
+    kernel a weight that is not a finite, positive double."""
     hp.validate()
     if (frozen is None) != (hp.model in ("LDA", "DMM")):
         need = "needs" if frozen is None else "takes no"
         raise ToolError(f"model {hp.model} {need} trained model counts")
     if frozen is not None:  # before init; added below, a wrong shape would broadcast silently
-        nkw, nk, shape = frozen.nkw, frozen.nk, (hp.ntopics, len(corpus.vocab))
-        if (nkw.dtype.kind, nk.dtype.kind, nkw.shape) != ("i", "i", shape) or (
-                nk.tolist() != nkw.sum(axis=1).tolist() or nkw.min(initial=0) < 0):
+        nkw, shape = frozen.nkw, (hp.ntopics, len(corpus.vocab))
+        if (nkw.dtype.kind, nkw.shape) != ("i", shape) or nkw.min(initial=0) < 0:
             raise ToolError(f"trained counts of {frozen.paras_path} are not a nonnegative integer "
-                            f"{shape[0]} x {shape[1]} table and its row sums")
+                            f"{shape[0]} x {shape[1]} table")
     # .paras stores the corpus path, as given and absolute, one line each.
     for path in (corpus.source_path, os.path.abspath(corpus.source_path)):
         if path.splitlines() != [path]:
@@ -44,7 +46,19 @@ def run_chain(corpus, hp: Hyperparams, frozen=None) -> CountState:
         # the topic-word factor sees training + new counts, while ndk/mk cover
         # only the new documents.
         state.nkw += frozen.nkw
-        state.nk += frozen.nk
+        state.nk += frozen.nkw.sum(axis=1)
+    # Both kernels need K*alpha and V*beta finite; LDA also its least weight (no counts
+    # against N tokens) and K weights at the largest counts (L, W), each in the kernel's order.
+    alpha, beta, vbeta = float(hp.alpha), float(hp.beta), len(corpus.vocab) * float(hp.beta)
+    ok = hp.ntopics * alpha < math.inf and vbeta < math.inf
+    if ok and lda:
+        n, longest = int(state.nk.sum()), int((corpus.offsets[1:] - corpus.offsets[:-1]).max())
+        most = int(state.nkw.sum(axis=0).max())
+        ok = alpha * beta / (n + vbeta) > 0 and (
+            hp.ntopics * ((longest + alpha) * (most + beta) / vbeta) < math.inf)
+    if not ok:
+        raise ToolError(f"alpha {hp.alpha} and beta {hp.beta} give model {hp.model} a weight "
+                        "that is not finite and positive")
     if lda:
         sweep = partial(lda_sweep, corpus, state, hp, rng)
         theta = partial(estimate_theta_lda, state, hp)
@@ -54,7 +68,7 @@ def run_chain(corpus, hp: Hyperparams, frozen=None) -> CountState:
 
     def save(iteration=None):
         # .topicAssignments has one line per document: LDA's flat z is split.
-        z = split_docs(state.z, corpus.offsets) if lda else state.z
+        z = persistence.split_docs(state.z, corpus.offsets) if lda else state.z
         persistence.save_outputs(base, theta(), estimate_phi(state, hp), corpus, z, hp,
                                  iteration=iteration)
 

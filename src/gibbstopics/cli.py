@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass, fields
 
 from gibbstopics.core import Hyperparams, ToolError
-from gibbstopics.corpus import load_corpus, load_labels
 from gibbstopics.evaluation import evaluate_files
+from gibbstopics.persistence import load_corpus, load_labels
 
 # Each mode's required flags, then the other flags it accepts. An inference run
 # takes K, alpha and beta from the paras file: only the sampling run itself is

@@ -16,15 +16,14 @@ import numpy as np
 from gibbstopics import persistence
 from gibbstopics.chain import run_chain
 from gibbstopics.core import CountState, Hyperparams, ToolError, _count_table
-from gibbstopics.corpus import Corpus, load_corpus
+from gibbstopics.persistence import Corpus, load_corpus
 
 
 @dataclass(eq=False)  # arrays have no truth value: equal only to itself
 class PretrainedModel:
     hp: Hyperparams       # hyperparameters of the training run (model is LDA or DMM)
     vocab: tuple          # the training corpus's distinct words, by word id
-    nkw: np.ndarray       # frozen K x V topic-word counts
-    nk: np.ndarray        # frozen length-K topic totals
+    nkw: np.ndarray       # frozen K x V topic-word counts; its row sums are the topic totals
     paras_path: str       # the .paras file the model was loaded from
 
 
@@ -66,8 +65,7 @@ def load_pretrained(paras_path) -> PretrainedModel:
                         f"{np.searchsorted(offsets, bad[0], 'right')} in {assign_path}")
     topics = z if hp.model == "LDA" else z.repeat(np.diff(corpus.offsets))
     nkw = _count_table(topics, corpus.words, hp.ntopics, len(corpus.vocab))
-    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, nk=nkw.sum(axis=1),
-                           paras_path=paras_path)
+    return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, paras_path=paras_path)
 
 
 def fold_corpus(model: PretrainedModel, new_corpus_path) -> Corpus:

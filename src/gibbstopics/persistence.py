@@ -1,22 +1,26 @@
-"""Model artifact IO: .theta, .phi, .topWords, .topicAssignments and .paras.
+"""Every data file, read and written: the corpus (one document per line,
+whitespace tokens, word ids in first-occurrence order), the gold labels (one
+per line, aligned by line number with the corpus) and the model artifacts
+.theta, .phi, .topWords, .topicAssignments and .paras.
 
-All files are UTF-8 with Unix newlines and written atomically (a unique temp
+Outputs are UTF-8 with Unix newlines and written atomically (a unique temp
 file in the same directory, fsync, rename), so an interrupted run never leaves
-a truncated artifact and concurrent runs never share a temp file. Outputs land
-in the directory of the input corpus, named <name>.<suffix> with save-point
-variants <name>.<suffix>.<iteration>.
+a truncated artifact and concurrent runs never share a temp file. They land in
+the input corpus's directory, named <name>.<suffix> with save-point variants
+<name>.<suffix>.<iteration>.
 
-.theta and .phi hold the bytes np.savetxt(fmt="%.6g") would write. The library
-of native.py formats them and tokenizes corpora and .topicAssignments. NumPy and
-native.py are imported by the functions that use them: reading labels and
-matrices takes only the standard library, so Eval needs neither NumPy nor a
-compiler.
+The library of native.py tokenizes corpora and .topicAssignments and writes
+.theta and .phi as the bytes np.savetxt(fmt="%.6g") would; native.check_corpus
+is the rule the kernels hold a corpus to. NumPy and native.py are imported by
+the functions that use them: labels and matrices are read with the standard
+library only, so Eval needs neither NumPy nor a compiler.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from gibbstopics.core import Hyperparams, ToolError, replacing
@@ -106,6 +110,59 @@ def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
     # The distinct tokens, each followed by "\n": none when a file has no token.
     tokens = vocab[:n_vocab].tobytes().decode().split("\n")[:-1]
     return data, words[:n_tokens], offsets[:n_lines + 1], tokens
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: equal only to itself
+class Corpus:
+    words: np.ndarray    # int64 word id of every token, document after document
+    offsets: np.ndarray  # int64, D+1 from 0: document d is words[offsets[d]:offsets[d+1]]
+    vocab: tuple         # the distinct words: word id i is vocab[i]
+    source_path: str
+
+    @cached_property
+    def docs(self) -> tuple:
+        """One view into words per document (empty only after OOV folding)."""
+        return split_docs(self.words, self.offsets)
+
+    @property
+    def n_docs(self) -> int:
+        return self.offsets.size - 1
+
+    @property
+    def n_tokens(self) -> int:
+        return self.words.size
+
+
+def split_docs(flat: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Per-document views of an array holding one value per token."""
+    bounds = offsets.tolist()
+    return tuple(flat[start:end] for start, end in zip(bounds[:-1], bounds[1:]))
+
+
+def load_corpus(path) -> Corpus:
+    """Load a UTF-8 corpus file, one document per line, as read_tokens splits
+    it. Blank lines are fatal so that line numbers stay aligned with any
+    gold-label file."""
+    path = str(path)
+    data, words, offsets, tokens = read_tokens(path, "corpus file")
+    if not data:
+        raise ToolError(f"corpus file {path} is empty")
+    blank = (offsets[1:] == offsets[:-1]).nonzero()[0]
+    if blank.size:
+        raise ToolError(f"blank document at line {blank[0] + 1} in {path}")
+    return Corpus(words=words, offsets=offsets, vocab=tuple(tokens), source_path=path)
+
+
+def load_labels(path) -> tuple:
+    """Load one gold label per line, aligned by line number with the corpus."""
+    path = str(path)
+    labels = []
+    for lineno, line in enumerate(read_lines(path, "label file"), start=1):
+        label = line.strip()
+        if not label:
+            raise ToolError(f"blank label at line {lineno} in {path}")
+        labels.append(label)
+    return tuple(labels)
 
 
 def _atomic_write(path: str, data):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gibbstopics import native
-from gibbstopics.corpus import Corpus
+from gibbstopics.persistence import Corpus
 
 
 def make_corpus(docs, n_vocab, source_path="<memory>"):

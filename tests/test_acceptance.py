@@ -14,11 +14,11 @@ import pytest
 from gibbstopics import train_dmm, train_lda
 from gibbstopics.cli import main
 from gibbstopics.core import CountState, Hyperparams, estimate_theta_lda, make_rng
-from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.evaluation import nmi, purity
 from gibbstopics.inference import infer, load_pretrained
 from gibbstopics.lda import init_lda, lda_sweep
+from gibbstopics.persistence import load_corpus
 
 from conftest import make_corpus, synthetic_lines, two_topic_lines
 from oracles import check_state, lda_conditional, loop_conditional, tv_distance

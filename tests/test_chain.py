@@ -2,6 +2,10 @@
 from hp alone, so a trainer or infer call cannot write artifacts of one kind
 or seed while sampling another."""
 
+import re
+import shutil
+from pathlib import Path
+
 import pytest
 
 from gibbstopics import Hyperparams, ToolError, infer, load_corpus, load_pretrained
@@ -77,3 +81,36 @@ def test_drawn_seed_is_recorded_and_replays(tmp_path, model, capsys):
     assert f"{model} done: 5 iterations" in capsys.readouterr().out
     assert main([*args, "-seed", str(hp.seed)]) == 0
     assert {p.name: p.read_bytes() for p in tmp_path.glob("t.*")} == artifacts
+
+
+PRIORS = {  # -model, the prior flags, and whether every weight stays finite and positive
+    "LDA alpha 1e308": ("LDA", ["-alpha", "1e308"], False),
+    "DMM alpha 1e308": ("DMM", ["-alpha", "1e308"], False),
+    "LDA beta 1e308": ("LDA", ["-beta", "1e308"], False),
+    "DMM beta 1e308": ("DMM", ["-beta", "1e308"], False),
+    "LDA both 1e-170": ("LDA", ["-alpha", "1e-170", "-beta", "1e-170"], False),  # empty topic: 0
+    "LDA alpha 1e-300": ("LDA", ["-alpha", "1e-300"], True),
+    "DMM alpha 1e-300": ("DMM", ["-alpha", "1e-300"], True),
+    "LDA alpha 1e200": ("LDA", ["-alpha", "1e200"], True),
+    "DMM alpha 1e200": ("DMM", ["-alpha", "1e200"], True),
+    "LDA beta 1e300": ("LDA", ["-beta", "1e300"], True),
+    "DMM beta 1e300": ("DMM", ["-beta", "1e300"], True),
+    "DMM both 1e-200": ("DMM", ["-alpha", "1e-200", "-beta", "1e-200"], True),  # log weights
+}
+
+
+@pytest.mark.parametrize("case", PRIORS)
+def test_priors_whose_weights_leave_the_doubles_refused_before_any_write(tmp_path, case, capsys):
+    # Valid alpha and beta can still give a kernel a weight that overflows or
+    # underflows: that is refused up front, not reported by the kernel as
+    # corrupt count bookkeeping, and priors short of that still run.
+    model, flags, runs = PRIORS[case]
+    shutil.copy(Path(__file__).resolve().parent.parent / "sample_data" / "corpus.txt", tmp_path)
+    assert main(["-model", model, "-corpus", str(tmp_path / "corpus.txt"), "-ntopics", "3",
+                 "-niters", "3", "-seed", "1", *flags]) == (0 if runs else 1)
+    if runs:
+        assert len(list(tmp_path.glob("model.*"))) == 5
+    else:
+        assert re.fullmatch(rf"error: alpha \S+ and beta \S+ give model {model} a weight "
+                            r"that is not finite and positive\n", capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]

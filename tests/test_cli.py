@@ -134,14 +134,18 @@ class TestDispatch:
     def test_import_and_eval_load_no_hashing_modules(self, tmp_path):
         # secrets (with hmac and _hashlib) costs ~3 ms of start-up that
         # neither Eval nor loading a corpus uses; NumPy (~78 ms) and the
-        # compiled library serve only the sampling modes.
+        # compiled library serve only the sampling modes. Eval reads its
+        # labels and matrices through persistence alone.
         (tmp_path / "corpus.LABEL").write_text("X\nY\n")
         (tmp_path / "m.theta").write_text("0.9 0.1\n0.2 0.8\n")
         code = ("import sys, gibbstopics.cli; "
                 "assert gibbstopics.cli.main(sys.argv[1:]) == 0; "
                 "loaded = {'secrets', 'hmac', '_hashlib', 'numpy', 'gibbstopics.native'}"
                 " & set(sys.modules); "
-                "assert not loaded, loaded")
+                "assert not loaded, loaded; "
+                "ours = {m for m in sys.modules if m.startswith('gibbstopics')}; "
+                "assert ours == {'gibbstopics', 'gibbstopics.cli', 'gibbstopics.core', "
+                "'gibbstopics.evaluation', 'gibbstopics.persistence'}, ours")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code, "-model", "Eval",
                         "-label", str(tmp_path / "corpus.LABEL"), "-dir", str(tmp_path),

@@ -13,8 +13,7 @@ from gibbstopics.core import (
     make_rng,
 )
 from gibbstopics.chain import train_lda
-from gibbstopics.corpus import load_corpus
-from gibbstopics.persistence import write_top_words
+from gibbstopics.persistence import load_corpus, write_top_words
 
 from oracles import draw
 

@@ -5,10 +5,10 @@ import pytest
 
 from gibbstopics import train_lda
 from gibbstopics.core import Hyperparams, ToolError, make_rng
-from gibbstopics.corpus import load_corpus, load_labels
 from gibbstopics.dmm import _chain_tables, dmm_sweep, doc_word_counts, estimate_theta_dmm, init_dmm
 from gibbstopics.inference import load_pretrained
 from gibbstopics.lda import init_lda, lda_sweep
+from gibbstopics.persistence import load_corpus, load_labels
 
 from conftest import make_corpus
 

@@ -7,9 +7,9 @@ import pytest
 
 from gibbstopics import dmm, infer, load_pretrained, train_dmm
 from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng, recount_dmm
-from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import (_chain_tables, dmm_chain, dmm_sweep, doc_word_counts,
                              estimate_theta_dmm, init_dmm)
+from gibbstopics.persistence import load_corpus
 
 from conftest import make_corpus
 from oracles import check_state, draw, loop_conditional
@@ -207,7 +207,7 @@ def test_theta_matches_conditional_worked_example():
 def test_train_writes_outputs_and_assignment_format(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\nc a\nb b c\n")
-    from gibbstopics.corpus import load_corpus
+    from gibbstopics.persistence import load_corpus
     corpus = load_corpus(path)
     hp = Hyperparams(model="DMM", ntopics=2, beta=0.1, niters=1, name="run", seed=5)
     train_dmm(corpus, hp)
@@ -218,7 +218,7 @@ def test_train_writes_outputs_and_assignment_format(tmp_path):
 
 
 def test_train_deterministic_given_seed(tmp_path):
-    from gibbstopics.corpus import load_corpus
+    from gibbstopics.persistence import load_corpus
     path = tmp_path / "c.txt"
     path.write_text("a b a\nc b\nb c a\n")
     corpus = load_corpus(path)

@@ -19,11 +19,10 @@ from gibbstopics.core import (
     recount_dmm,
     recount_lda,
 )
-from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import dmm_chain
 from gibbstopics.inference import fold_corpus, infer, load_pretrained
 from gibbstopics.lda import lda_sweep
-from gibbstopics.persistence import read_assignments
+from gibbstopics.persistence import load_corpus, read_assignments
 
 from conftest import two_topic_lines
 from oracles import tv_distance
@@ -43,7 +42,6 @@ def test_load_pretrained_replays_counts(tmp_path):
     model = load_pretrained(paras)
     assert model.hp.ntopics == 2
     assert model.nkw.sum() == corpus.n_tokens
-    assert np.array_equal(model.nkw.sum(axis=1), model.nk)
     assert model.vocab == corpus.vocab
 
 
@@ -70,7 +68,7 @@ def test_load_pretrained_replays_the_save_point_it_names(tmp_path, kind, train, 
     assert not np.array_equal(saved, final)
     model = load_pretrained(tmp_path / "m.paras.1")
     state = recount(corpus, saved, 3)
-    assert np.array_equal(model.nkw, state.nkw) and np.array_equal(model.nk, state.nk)
+    assert np.array_equal(model.nkw, state.nkw)
 
 
 def test_load_pretrained_missing_corpus(tmp_path):
@@ -231,12 +229,11 @@ def test_frozen_counts_not_mutated(tmp_path):
     assert np.array_equal(recount, state.nkw)
 
 
-MALFORMED_FROZEN = {  # each breaks one rule: a nonnegative integer K x V table, its row sums
-    "one topic's row": lambda nkw, nk: (nkw[:1], nk[:1]),  # would be added to every topic
-    "nk one higher": lambda nkw, nk: (nkw, nk + 1),
-    "five words": lambda nkw, nk: (nkw[:, :5], nkw[:, :5].sum(axis=1)),
-    "float64 nkw": lambda nkw, nk: (nkw.astype(np.float64), nk),
-    "negative counts": lambda nkw, nk: (nkw - 1, nk - nkw.shape[1]),  # 12 tokens, 24 cells
+MALFORMED_FROZEN = {  # each breaks one rule: a nonnegative integer K x V table
+    "one topic's row": lambda nkw: nkw[:1],  # would be added to every topic
+    "five words": lambda nkw: nkw[:, :5],
+    "float64 nkw": lambda nkw: nkw.astype(np.float64),
+    "negative counts": lambda nkw: nkw - 1,  # 12 tokens, 24 cells
 }
 
 
@@ -249,12 +246,12 @@ def test_malformed_frozen_counts_refused_before_any_write(tmp_path, kind, train,
     path.write_text("a b c d\ne f g a\nb c h h\n")
     train(load_corpus(path), Hyperparams(model=kind, ntopics=3, niters=2, name="m", seed=5))
     model = load_pretrained(tmp_path / "m.paras")
-    nkw, nk = MALFORMED_FROZEN[case](model.nkw, model.nk)
+    nkw = MALFORMED_FROZEN[case](model.nkw)
     unseen = tmp_path / "unseen.txt"
     unseen.write_text("a b\nzzz c\n")
     before = sorted(p.name for p in tmp_path.iterdir())
     with pytest.raises(ToolError, match=f"^trained counts of {re.escape(model.paras_path)} "):
-        infer(replace(model, nkw=nkw, nk=nk), unseen,
+        infer(replace(model, nkw=nkw), unseen,
               Hyperparams(model=kind + "inf", niters=2, name="inf", seed=6))
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 

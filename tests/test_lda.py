@@ -12,9 +12,9 @@ import pytest
 
 from gibbstopics import native, train_dmm, train_lda
 from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng, recount_dmm, recount_lda
-from gibbstopics.corpus import load_corpus
 from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.lda import init_lda, lda_sweep
+from gibbstopics.persistence import load_corpus
 
 from conftest import make_corpus
 from oracles import check_state, draw, lda_conditional
@@ -133,7 +133,7 @@ def test_sweep_draws_one_uniform_per_token():
 def test_train_writes_one_output_set(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\nc a\n")
-    from gibbstopics.corpus import load_corpus
+    from gibbstopics.persistence import load_corpus
     corpus = load_corpus(path)
     hp = Hyperparams(model="LDA", ntopics=2, niters=1, name="run", seed=5)
     train_lda(corpus, hp)
@@ -145,7 +145,7 @@ def test_train_writes_one_output_set(tmp_path):
 def test_train_save_schedule(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("a b\nc a\n")
-    from gibbstopics.corpus import load_corpus
+    from gibbstopics.persistence import load_corpus
     corpus = load_corpus(path)
     hp = Hyperparams(model="LDA", ntopics=2, niters=4, sstep=2, name="run", seed=5)
     train_lda(corpus, hp)
@@ -156,7 +156,7 @@ def test_train_save_schedule(tmp_path):
 
 
 def test_train_deterministic_given_seed(tmp_path):
-    from gibbstopics.corpus import load_corpus
+    from gibbstopics.persistence import load_corpus
     path = tmp_path / "c.txt"
     path.write_text("a b a\nc b\nb c a\n")
     corpus = load_corpus(path)

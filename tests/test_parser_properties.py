@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from gibbstopics import native
 from gibbstopics.core import MODEL_KINDS, Hyperparams, ToolError
-from gibbstopics.corpus import Corpus, load_corpus, load_labels
 from gibbstopics.persistence import (
+    Corpus,
     ParasRecord,
+    load_corpus,
+    load_labels,
     read_assignments,
     read_lines,
     read_matrix,

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gibbstopics.core import Hyperparams, ToolError
-from gibbstopics.corpus import load_corpus, load_labels
 from gibbstopics.persistence import (
+    load_corpus,
+    load_labels,
     read_assignments,
     read_matrix,
     read_paras,

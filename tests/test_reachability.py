@@ -18,7 +18,7 @@ SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 UNREACHED = {
     "native._build": "compiles the library, which these runs find already cached",
     "cli.entry_point": "the console script's wrapper that calls main and exits",
-    "corpus.Corpus.docs": "per-document views that perfbench/tracer.py reads",
+    "persistence.Corpus.docs": "per-document views that perfbench/tracer.py reads",
     "__init__.__getattr__": "library callers and perfbench/tracer.py resolve names through it, "
                             "while the CLI imports modules directly",
     "persistence._refuse_id_lines": "error path: names a malformed assignment line",

@@ -58,8 +58,8 @@ def worker(kernel, corpus_path, beta, k):
     """A tree's side of a case, run in its own interpreter: builds the chain
     from SEED and answers on stdout with one JSON line, then again after each
     sweep that a line on stdin asks for, until stdin closes."""
-    from gibbstopics import core, corpus, dmm, lda
-    data = corpus.load_corpus(corpus_path)
+    from gibbstopics import core, dmm, lda, persistence
+    data = persistence.load_corpus(corpus_path)
     hp = core.Hyperparams(model=kernel.upper(), ntopics=int(k), alpha=same_bytes.workloads.ALPHA,
                           beta=float(beta))
     rng = core.make_rng(SEED)[0]
