@@ -43,8 +43,8 @@ def run_chain(corpus, hp: Hyperparams, frozen=None) -> CountState:
     state = (init_lda if lda else init_dmm)(corpus, hp, rng)
     if frozen is not None:
         # Adding the frozen counts makes the training sweeps reusable verbatim:
-        # the topic-word factor sees training + new counts, while ndk/mk cover
-        # only the new documents.
+        # the topic-word factor sees training + new counts, while the document
+        # counts (LDA's, from z, and DMM's mk) cover only the new documents.
         state.nkw += frozen.nkw
         state.nk += frozen.nkw.sum(axis=1)
     # Both kernels need K*alpha and V*beta finite; LDA also its least weight (no counts
@@ -61,7 +61,7 @@ def run_chain(corpus, hp: Hyperparams, frozen=None) -> CountState:
                         "that is not finite and positive")
     if lda:
         sweep = partial(lda_sweep, corpus, state, hp, rng)
-        theta = partial(estimate_theta_lda, state, hp)
+        theta = partial(estimate_theta_lda, corpus, state, hp)
     else:
         sweep, theta = dmm_chain(corpus, state, hp, rng)
     base = persistence.output_base(corpus.source_path, hp.name)

@@ -93,16 +93,16 @@ class Hyperparams:
 
 @dataclass(eq=False)  # arrays have no truth value: equal only to itself
 class CountState:
-    """Gibbs count tables and current assignments.
+    """Gibbs count tables and current assignments. LDA keeps no per-document
+    counts: a document's are counted from its z when needed.
 
-    ndk: D x K tokens of document d assigned to topic k (LDA only)
     nkw: K x V tokens of word w assigned to topic k
     nk:  length-K topic token totals
     z:   int64 topics, one per token of corpus.words (LDA) or per document (DMM)
     mk:  length-K document counts per topic (DMM only)
     """
 
-    ndk: np.ndarray | None
+    ndk = None  # not a field: the frozen perfbench/tracer.py reads state.ndk
     nkw: np.ndarray
     nk: np.ndarray
     z: np.ndarray
@@ -118,10 +118,13 @@ def make_rng(seed: int | None = None) -> tuple[np.random.Generator, int]:
     return np.random.Generator(np.random.PCG64(seed)), seed
 
 
-def estimate_theta_lda(state: CountState, hp: Hyperparams) -> np.ndarray:
-    """theta[d,k] = (n_dk + alpha) / (N_d + K*alpha), row-stochastic D x K."""
-    nd = state.ndk.sum(axis=1, keepdims=True)
-    return (state.ndk + hp.alpha) / (nd + hp.ntopics * hp.alpha)
+def estimate_theta_lda(corpus, state: CountState, hp: Hyperparams) -> np.ndarray:
+    """theta[d,k] = (n_dk + alpha) / (N_d + K*alpha), row-stochastic D x K,
+    with n_dk counted from the topic of every token."""
+    import numpy as np
+    doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
+    counts = _count_table(doc_of, state.z, corpus.n_docs, hp.ntopics)
+    return (counts + hp.alpha) / (counts.sum(axis=1, keepdims=True) + hp.ntopics * hp.alpha)
 
 
 def estimate_phi(state: CountState, hp: Hyperparams) -> np.ndarray:
@@ -149,10 +152,8 @@ def recount_lda(corpus, z, ntopics: int) -> CountState:
     """Build all LDA count tables from the topic of every token."""
     import numpy as np
     z = np.asarray(z, dtype=np.int64)
-    doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
-    ndk = _count_table(doc_of, z, corpus.n_docs, ntopics)
     nkw = _count_table(z, corpus.words, ntopics, len(corpus.vocab))
-    return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=z)
+    return CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z)
 
 
 def recount_dmm(corpus, z, ntopics: int) -> CountState:
@@ -160,6 +161,5 @@ def recount_dmm(corpus, z, ntopics: int) -> CountState:
     import numpy as np
     z = np.asarray(z, dtype=np.int64)
     nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, len(corpus.vocab))
-    return CountState(ndk=None, nkw=nkw, nk=nkw.sum(axis=1), z=z,
-                      mk=np.bincount(z, minlength=ntopics))
+    return CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z, mk=np.bincount(z, minlength=ntopics))
 

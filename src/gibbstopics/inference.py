@@ -15,7 +15,7 @@ import numpy as np
 
 from gibbstopics import persistence
 from gibbstopics.chain import run_chain
-from gibbstopics.core import CountState, Hyperparams, ToolError, _count_table
+from gibbstopics.core import CountState, Hyperparams, ToolError, recount_dmm, recount_lda
 from gibbstopics.persistence import Corpus, load_corpus
 
 
@@ -63,8 +63,7 @@ def load_pretrained(paras_path) -> PretrainedModel:
     if bad.size:
         raise ToolError(f"topic id {z[bad[0]]} out of range [0, {hp.ntopics}) at line "
                         f"{np.searchsorted(offsets, bad[0], 'right')} in {assign_path}")
-    topics = z if hp.model == "LDA" else z.repeat(np.diff(corpus.offsets))
-    nkw = _count_table(topics, corpus.words, hp.ntopics, len(corpus.vocab))
+    nkw = (recount_lda if hp.model == "LDA" else recount_dmm)(corpus, z, hp.ntopics).nkw
     return PretrainedModel(hp=hp, vocab=corpus.vocab, nkw=nkw, paras_path=paras_path)
 
 

@@ -34,14 +34,13 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     n_topics, n_vocab = hp.ntopics, len(corpus.vocab)
     n_docs = native.check_corpus("lda_sweep", corpus.offsets, corpus.words, n_vocab)
     native.check("lda_sweep", ("topic assignments", state.z, np.int64, (corpus.n_tokens,), True),
-                 ("ndk", state.ndk, np.int64, (n_docs, n_topics), True),
                  ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
                  ("nk", state.nk, np.int64, (n_topics,), True))
     native.check_range("lda_sweep", "topics", state.z, 0, n_topics)
     uniforms = rng.random(corpus.n_tokens)
-    bad = native.call("lda_sweep", n_docs, corpus.offsets, corpus.words, state.z, state.ndk,
-                      state.nkw, state.nk, n_topics, n_vocab, float(hp.alpha), float(hp.beta),
-                      uniforms, np.empty(n_topics))
+    bad = native.call("lda_sweep", n_docs, corpus.offsets, corpus.words, state.z,
+                      np.empty(n_topics, np.int64), state.nkw, state.nk, n_topics, n_vocab,
+                      float(hp.alpha), float(hp.beta), uniforms, np.empty(n_topics))
     if bad >= 0:
         raise ToolError(f"lda_sweep: nonpositive weight at token {bad}, count bookkeeping corrupt")
     return state

@@ -6,10 +6,10 @@
  * which reads corpora and .topicAssignments files).
  *
  * Each sampler step does the arithmetic of the NumPy oracles in tests/oracles.py
- * (the conditional, then the draw) in the same order, so z, the count tables
- * and the draws match them bit for bit; both samplers end in one draw, which
- * totals the weights by their last cumulative sum, not in NumPy's summation
- * order. Build without FMA contraction or fast-math: both change rounding. */
+ * (the conditional, then the draw) in the same order, so z, nkw, nk, mk and the
+ * draws match them bit for bit; both samplers end in one draw, which totals the
+ * weights by their last cumulative sum, not in NumPy's summation order. Build
+ * without FMA contraction or fast-math: both change rounding. */
 
 #include <math.h>
 #include <stdint.h>
@@ -33,7 +33,7 @@ static int64_t draw(double *w, int64_t K, double u)
 
 /* The one count move of both kernels: a unit's tokens words[b] to words[e-1]
  * and its own count unit[k] (a DMM document and mk, or LDA's token [t, t+1)
- * and its document's ndk row) go into (sign 1) or out of (sign -1) topic k. */
+ * and its document's topic counts) go into (sign 1) or out of (sign -1) topic k. */
 static inline void move_unit(int64_t k, int64_t sign, int64_t b, int64_t e, const int64_t *words,
                              int64_t *unit, int64_t *nkw, int64_t *nk, int64_t V)
 {
@@ -45,8 +45,9 @@ static inline void move_unit(int64_t k, int64_t sign, int64_t b, int64_t e, cons
 
 /* Visit the tokens in (document, position) order over the flat words/z,
  * document d holding tokens offsets[d] to offsets[d+1]-1, resampling each
- * with uniforms u[t]; w is K doubles of scratch. Returns -1, or the first
- * token t with a weight not finite and positive, its counts back under z[t]. */
+ * with uniforms u[t]. ndk (K int64s) is document d's topic counts, counted
+ * from its z; w is K doubles of scratch. Returns -1, or the first token t
+ * with a weight not finite and positive, its counts back under z[t]. */
 int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                   int64_t *z, int64_t *ndk, int64_t *nkw, int64_t *nk,
                   int64_t K, int64_t V, double alpha, double beta,
@@ -54,20 +55,22 @@ int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
 {
     const double vbeta = (double)V * beta;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t *ndk_d = ndk + d * K;
+        memset(ndk, 0, K * sizeof *ndk);
+        for (int64_t t = offsets[d]; t < offsets[d + 1]; t++)
+            ndk[z[t]]++;
         for (int64_t t = offsets[d], end = offsets[d + 1]; t < end; t++) {
             int64_t word = words[t], k = z[t];
-            move_unit(k, -1, t, t + 1, words, ndk_d, nkw, nk, V);
+            move_unit(k, -1, t, t + 1, words, ndk, nkw, nk, V);
             for (int64_t j = 0; j < K; j++) {
-                w[j] = ((double)ndk_d[j] + alpha) * ((double)nkw[j * V + word] + beta)
+                w[j] = ((double)ndk[j] + alpha) * ((double)nkw[j * V + word] + beta)
                        / ((double)nk[j] + vbeta);
                 if (!(w[j] > 0 && w[j] < INFINITY)) {
-                    move_unit(k, 1, t, t + 1, words, ndk_d, nkw, nk, V);
+                    move_unit(k, 1, t, t + 1, words, ndk, nkw, nk, V);
                     return t;
                 }
             }
             z[t] = k = draw(w, K, u[t]);
-            move_unit(k, 1, t, t + 1, words, ndk_d, nkw, nk, V);
+            move_unit(k, 1, t, t + 1, words, ndk, nkw, nk, V);
         }
     }
     return -1;

@@ -25,11 +25,11 @@ def draw(weights, u):
     return min(int(cum.searchsorted(u * cum[-1], "right")), weights.size - 1)
 
 
-def lda_conditional(state, hp, d, word, n_vocab):
-    """Unnormalized topic weights for one token of document d, whose current
-    assignment must already be decremented from all tables:
-    (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)."""
-    return (state.ndk[d] + hp.alpha) * (state.nkw[:, word] + hp.beta) / (state.nk + n_vocab * hp.beta)
+def lda_conditional(state, hp, ndk_d, word, n_vocab):
+    """Unnormalized topic weights for one token of a document whose K topic
+    counts are ndk_d, the token's current assignment already decremented from
+    ndk_d and all tables: (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)."""
+    return (ndk_d + hp.alpha) * (state.nkw[:, word] + hp.beta) / (state.nk + n_vocab * hp.beta)
 
 
 def loop_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):
@@ -54,9 +54,9 @@ def tv_distance(empirical, exact):
 
 def check_state(state, corpus, kind):
     """Assert the count-conservation invariants: every table is exactly what
-    state.z recounts to."""
+    state.z recounts to (LDA keeps no per-document table)."""
     dmm = kind in ("DMM", "DMMinf")
     ref = (recount_dmm if dmm else recount_lda)(corpus, state.z, state.nk.size)
-    for table in ("mk" if dmm else "ndk", "nkw", "nk"):
+    for table in ("mk", "nkw", "nk") if dmm else ("nkw", "nk"):
         assert np.array_equal(getattr(state, table), getattr(ref, table)), \
             f"count invariant violated: {table} does not match assignments"

@@ -16,7 +16,7 @@ from gibbstopics.cli import main
 from gibbstopics.core import CountState, Hyperparams, estimate_theta_lda, make_rng
 from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.evaluation import nmi, purity
-from gibbstopics.inference import infer, load_pretrained
+from gibbstopics.inference import fold_corpus, infer, load_pretrained
 from gibbstopics.lda import init_lda, lda_sweep
 from gibbstopics.persistence import load_corpus
 
@@ -164,15 +164,13 @@ def test_criterion_4_conditional_spot_checks():
     with criterion(4, "conditional formulas reproduce the worked examples within 1e-4"):
         hp = Hyperparams(ntopics=2, alpha=0.1, beta=0.01)
         nkw = np.array([[1, 2, 0, 0, 0], [1, 0, 0, 0, 0]], dtype=np.int64)
-        state = CountState(ndk=np.array([[2, 0]], dtype=np.int64), nkw=nkw,
-                           nk=nkw.sum(axis=1), z=[])
-        w = lda_conditional(state, hp, 0, 0, 5)
+        state = CountState(nkw=nkw, nk=nkw.sum(axis=1), z=np.array([0, 0], dtype=np.int64))
+        w = lda_conditional(state, hp, np.bincount(state.z, minlength=2), 0, 5)
         assert np.allclose(w / w.sum(), [0.8785, 0.1215], atol=1e-4)
 
         hp = Hyperparams(model="DMM", ntopics=2, alpha=0.1, beta=0.1)
         nkw = np.array([[2, 1, 1], [0, 1, 0]], dtype=np.int64)
-        state = CountState(ndk=np.zeros((1, 2), dtype=np.int64), nkw=nkw,
-                           nk=nkw.sum(axis=1), z=np.zeros(1, dtype=np.int64),
+        state = CountState(nkw=nkw, nk=nkw.sum(axis=1), z=np.zeros(1, dtype=np.int64),
                            mk=np.array([1, 1], dtype=np.int64))
         logw = loop_conditional(state, hp, np.array([0]), np.array([2]), 3, 3)
         weights = np.exp(logw - logw.max())
@@ -217,7 +215,7 @@ def test_criterion_7_normalization(tmp_path):
         hp = Hyperparams(model="LDA", ntopics=5, niters=40, name="nl", seed=1)
         state = train_lda(corpus, hp)
         from gibbstopics.core import estimate_phi
-        theta = estimate_theta_lda(state, hp)
+        theta = estimate_theta_lda(corpus, state, hp)
         phi = estimate_phi(state, hp)
         assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-9)
@@ -260,12 +258,12 @@ def test_criterion_8_inference_sanity(tmp_path):
         oov.write_text("zz yy\nxx\n")
         state = infer(model, oov, Hyperparams(model="LDAinf", niters=20, twords=5,
             name="oovinf", seed=6))
-        theta = estimate_theta_lda(state, Hyperparams(model="LDAinf", ntopics=2,
-                                                      alpha=hp.alpha, beta=hp.beta))
+        theta = estimate_theta_lda(fold_corpus(model, oov), state, Hyperparams(
+            model="LDAinf", ntopics=2, alpha=hp.alpha, beta=hp.beta))
         assert np.allclose(theta, 0.5, atol=1e-12)
 
         # held-out documents from the same generator land on the matching topic
-        train_theta = estimate_theta_lda(train_state, hp)
+        train_theta = estimate_theta_lda(corpus, train_state, hp)
         votes = {0: [0, 0], 1: [0, 0]}
         for row, t in zip(train_theta, train_topics):
             votes[int(np.argmax(row))][t] += 1
@@ -277,8 +275,8 @@ def test_criterion_8_inference_sanity(tmp_path):
         unseen.write_text("\n".join(heldout_lines) + "\n")
         state = infer(model, unseen, Hyperparams(model="LDAinf", niters=150, twords=5,
             name="hinf", seed=7))
-        inf_theta = estimate_theta_lda(state, Hyperparams(model="LDAinf", ntopics=2,
-                                                          alpha=hp.alpha, beta=hp.beta))
+        inf_theta = estimate_theta_lda(fold_corpus(model, unseen), state, Hyperparams(
+            model="LDAinf", ntopics=2, alpha=hp.alpha, beta=hp.beta))
         hits = sum(mapping[int(np.argmax(row))] == t
                    for row, t in zip(inf_theta, heldout_topics))
         assert hits / len(heldout_topics) >= 0.9, f"recovery {hits}/{len(heldout_topics)}"

@@ -236,9 +236,31 @@ class TestDispatch:
         before = set(tmp_path.iterdir())
         capsys.readouterr()
         assert main(args) == 1
-        shape = (4, ntopics) if model == "LDA" else (ntopics, 3)  # D x K, else K x V
-        assert (f"error: ntopics is too large: its {shape[0]} x {shape[1]} count table "
+        # K x V: the first table every model builds (LDA's D x K only at a save)
+        assert (f"error: ntopics is too large: its {ntopics} x 3 count table "
                 "cannot be allocated" in capsys.readouterr().err)
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("sstep", ["0", "1"])
+    def test_theta_count_table_refused_before_any_write(self, tmp_path, capsys, monkeypatch,
+                                                       sstep):
+        # LDA counts its D x K table from z only for theta, at each save. With
+        # D=4, K=5 and V=3 the K x V table fits and the D x K one does not, so
+        # the first save (iteration 1's save point with -sstep 1) refuses
+        # before it writes.
+        corpus = write_corpus(tmp_path)
+
+        def bincount(x, minlength=0, real=np.bincount):
+            if minlength >= 4 * 5:
+                raise MemoryError
+            return real(x, minlength=minlength)
+        monkeypatch.setattr(np, "bincount", bincount)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["-model", "LDA", "-corpus", str(corpus), "-ntopics", "5", "-niters", "2",
+                     "-sstep", sstep, "-name", "out"]) == 1
+        assert ("error: ntopics is too large: its 4 x 5 count table cannot be allocated"
+                in capsys.readouterr().err)
         assert set(tmp_path.iterdir()) == before
 
     def test_inf_model_kind_mismatch(self, tmp_path, capsys):

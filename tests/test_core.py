@@ -5,23 +5,31 @@ import numpy as np
 import pytest
 
 from gibbstopics.core import (
-    CountState,
     Hyperparams,
     ToolError,
     estimate_phi,
     estimate_theta_lda,
     make_rng,
+    recount_lda,
 )
 from gibbstopics.chain import train_lda
 from gibbstopics.persistence import load_corpus, write_top_words
 
+from conftest import make_corpus
 from oracles import draw
 
 
-def lda_state(ndk, nkw):
-    ndk = np.asarray(ndk, dtype=np.int64)
-    nkw = np.asarray(nkw, dtype=np.int64)
-    return CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=[])
+def lda_state(docs, z, n_vocab, ntopics):
+    """A corpus of docs (word ids) and the LDA state z (each token's topic)
+    recounts to."""
+    corpus = make_corpus(docs, n_vocab)
+    return corpus, recount_lda(corpus, z, ntopics)
+
+
+def random_lda_state(rng, n_docs, n_vocab, ntopics):
+    docs = [rng.integers(0, n_vocab, size=rng.integers(0, 20)) for _ in range(n_docs)]
+    z = rng.integers(0, ntopics, size=sum(map(len, docs)))
+    return lda_state(docs, z, n_vocab, ntopics)
 
 
 class TestSampleCategorical:
@@ -67,40 +75,42 @@ class TestSampleCategorical:
 
 class TestEstimators:
     def test_theta_symmetric_row(self):
-        state = lda_state([[1, 1]], [[1, 0, 0], [0, 1, 0]])
+        # ndk[d] = [1, 1]; nkw = [[1, 0, 0], [0, 1, 0]]
+        corpus, state = lda_state([[0, 1]], [0, 1], 3, 2)
         hp = Hyperparams(ntopics=2, alpha=0.1)
-        assert np.allclose(estimate_theta_lda(state, hp)[0], [0.5, 0.5])
+        assert np.allclose(estimate_theta_lda(corpus, state, hp)[0], [0.5, 0.5])
 
     def test_theta_worked_example(self):
         # ndk[d] = [3, 1], alpha = 0.1, K = 2 -> [3.1/4.2, 1.1/4.2]
-        state = lda_state([[3, 1]], [[2, 1, 0], [1, 0, 0]])
+        # (nkw = [[2, 1, 0], [1, 0, 0]])
+        corpus, state = lda_state([[0, 0, 1, 0]], [0, 0, 0, 1], 3, 2)
         hp = Hyperparams(ntopics=2, alpha=0.1)
-        theta = estimate_theta_lda(state, hp)
+        theta = estimate_theta_lda(corpus, state, hp)
         assert np.allclose(theta[0], [0.7380952380952381, 0.2619047619047619], atol=1e-9)
 
     def test_theta_rows_sum_to_one(self, rng):
-        ndk = rng.integers(0, 9, size=(15, 6))
-        nkw = rng.integers(0, 9, size=(6, 11))
-        state = CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=[])
-        theta = estimate_theta_lda(state, Hyperparams(ntopics=6, alpha=0.1))
+        corpus, state = random_lda_state(rng, 15, 11, 6)
+        theta = estimate_theta_lda(corpus, state, Hyperparams(ntopics=6, alpha=0.1))
         assert np.allclose(theta.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(theta > 0) and np.all(theta < 1)
+        # n_dk are z's topics counted per document, empty documents included
+        counts = np.array([np.bincount(zd, minlength=6)
+                           for zd in np.split(state.z, corpus.offsets[1:-1])])
+        assert np.array_equal(theta, (counts + 0.1) / (counts.sum(axis=1, keepdims=True) + 6 * 0.1))
 
     def test_phi_empty_topic_uniform(self):
-        state = lda_state([[0]], [[0, 0, 0]])
+        _, state = lda_state([[]], [], 3, 1)
         phi = estimate_phi(state, Hyperparams(ntopics=1, beta=0.01))
         assert np.allclose(phi[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_phi_worked_example(self):
         # nkw[k] = [2, 0], beta = 0.01, V = 2 -> [2.01/2.02, 0.01/2.02]
-        state = lda_state([[2]], [[2, 0]])
+        _, state = lda_state([[0, 0]], [0, 0], 2, 1)
         phi = estimate_phi(state, Hyperparams(ntopics=1, beta=0.01))
         assert np.allclose(phi[0], [2.01 / 2.02, 0.01 / 2.02], atol=1e-9)
 
     def test_phi_rows_sum_to_one(self, rng):
-        nkw = rng.integers(0, 20, size=(5, 13))
-        state = CountState(ndk=np.zeros((1, 5), dtype=np.int64), nkw=nkw,
-                           nk=nkw.sum(axis=1), z=[])
+        _, state = random_lda_state(rng, 15, 13, 5)
         phi = estimate_phi(state, Hyperparams(ntopics=5, beta=0.01))
         assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(phi > 0) and np.all(phi < 1)

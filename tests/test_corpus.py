@@ -104,7 +104,7 @@ def test_kernel_callers_refuse_a_malformed_corpus(who, case):
     hp = Hyperparams(model="LDA" if lda else "DMM", ntopics=3)
     rng, _ = make_rng(9)
     state = (init_lda if lda else init_dmm)(corpus, hp, rng)
-    tables = [t for t in (state.z, state.ndk, state.mk, state.nkw, state.nk) if t is not None]
+    tables = [t for t in (state.z, state.mk, state.nkw, state.nk) if t is not None]
     before, rng_state = [t.copy() for t in tables], rng.bit_generator.state
     # The DMM functions check the words they are given: the malformed corpus's own.
     log_tables = None if lda else _chain_tables(corpus, state, hp)

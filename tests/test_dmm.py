@@ -68,7 +68,6 @@ def loop_theta(state, hp, corpus):
 def removed_state(mk, nkw):
     nkw = np.asarray(nkw, dtype=np.int64)
     return CountState(
-        ndk=np.zeros((1, len(mk)), dtype=np.int64),
         nkw=nkw,
         nk=nkw.sum(axis=1),
         z=np.zeros(1, dtype=np.int64),

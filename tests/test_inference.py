@@ -185,7 +185,7 @@ def test_all_oov_document_gets_uniform_theta(tmp_path):
     state = infer(model, unseen, Hyperparams(model="LDAinf", niters=20, twords=10,
         name="inf", seed=3))
     hp = Hyperparams(model="LDAinf", ntopics=4, alpha=model.hp.alpha, beta=model.hp.beta)
-    theta = estimate_theta_lda(state, hp)
+    theta = estimate_theta_lda(fold_corpus(model, unseen), state, hp)
     assert np.allclose(theta[1], 0.25, atol=1e-12)
 
 
@@ -330,16 +330,20 @@ def test_inference_recovers_topics_on_separated_corpus(tmp_path):
 
 def folded_posterior(kind, corpus, frozen_nkw, hp):
     """The exact folding-in posterior p(z | w, frozen counts), enumerated:
-    the collapsed joint of the new documents (ndk for LDA, mk for DMM) with
-    the word term over frozen plus new counts, up to constants."""
+    the collapsed joint of the new documents (for LDA the D x K counts of z,
+    for DMM mk) with the word term over frozen plus new counts, up to
+    constants."""
     lgamma = np.vectorize(math.lgamma)
     recount = recount_lda if kind == "LDA" else recount_dmm
     n = corpus.n_tokens if kind == "LDA" else corpus.n_docs
+    doc_of = np.arange(corpus.n_docs).repeat(np.diff(corpus.offsets))
     scores = {}
     for z in itertools.product(range(hp.ntopics), repeat=n):
         new = recount(corpus, np.array(z), hp.ntopics)
         total = new.nkw + frozen_nkw
-        scores[z] = (lgamma((new.ndk if kind == "LDA" else new.mk) + hp.alpha).sum()
+        docs = (np.bincount(doc_of * hp.ntopics + z, minlength=corpus.n_docs * hp.ntopics)
+                .reshape(corpus.n_docs, hp.ntopics) if kind == "LDA" else new.mk)
+        scores[z] = (lgamma(docs + hp.alpha).sum()
                      + lgamma(total + hp.beta).sum()
                      - lgamma(total.sum(axis=1) + len(corpus.vocab) * hp.beta).sum())
     mx = max(scores.values())

@@ -22,19 +22,19 @@ from oracles import check_state, draw, lda_conditional
 
 def loop_sweep(corpus, state, hp, rng):
     """Reference sweep: lda_sweep as a per-token NumPy loop over
-    lda_conditional and draw."""
+    lda_conditional and draw, each document's topic counts recounted from z."""
     nkw, nk, z = state.nkw, state.nk, state.z
     n_vocab = nkw.shape[1]
     uniforms = rng.random(corpus.n_tokens).tolist()
     words, offsets = corpus.words.tolist(), corpus.offsets.tolist()
     for d in range(corpus.n_docs):
-        ndk_d = state.ndk[d]
+        ndk_d = np.bincount(z[offsets[d]:offsets[d + 1]], minlength=hp.ntopics)
         for t in range(offsets[d], offsets[d + 1]):
             w, k = words[t], z[t]
             ndk_d[k] -= 1
             nkw[k, w] -= 1
             nk[k] -= 1
-            k = draw(lda_conditional(state, hp, d, w, n_vocab), uniforms[t])
+            k = draw(lda_conditional(state, hp, ndk_d, w, n_vocab), uniforms[t])
             z[t] = k
             ndk_d[k] += 1
             nkw[k, w] += 1
@@ -55,7 +55,7 @@ def test_init_conservation():
     rng, _ = make_rng(2)
     state = init_lda(corpus, Hyperparams(ntopics=2), rng)
     assert state.nk.sum() == 3
-    assert state.ndk[0].sum() == 2
+    assert state.nkw.sum() == 3
     check_state(state, corpus, "LDA")
 
 
@@ -69,30 +69,28 @@ def test_init_deterministic():
 def test_conditional_symmetry_with_zero_counts():
     hp = Hyperparams(ntopics=3, alpha=0.7, beta=0.3)
     state = CountState(
-        ndk=np.zeros((1, 3), dtype=np.int64),
         nkw=np.zeros((3, 4), dtype=np.int64),
         nk=np.zeros(3, dtype=np.int64),
-        z=[],
+        z=np.zeros(0, dtype=np.int64),
     )
-    w = lda_conditional(state, hp, 0, 2, 4)
+    w = lda_conditional(state, hp, np.bincount(state.z, minlength=3), 2, 4)
     assert np.allclose(w / w.sum(), [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
 
 def test_conditional_worked_example():
     # K=2, V=5, alpha=0.1, beta=0.01; decremented counts:
-    # ndk[d]=[2,0], nkw[:,w]=[1,1], nk=[3,1]
+    # ndk[d]=[2,0] (the document's z), nkw[:,w]=[1,1], nk=[3,1]
     hp = Hyperparams(ntopics=2, alpha=0.1, beta=0.01)
     nkw = np.zeros((2, 5), dtype=np.int64)
     nkw[0, 0] = 1
     nkw[1, 0] = 1
     nkw[0, 1] = 2  # pads nk[0] to 3
     state = CountState(
-        ndk=np.array([[2, 0]], dtype=np.int64),
         nkw=nkw,
         nk=np.array([3, 1], dtype=np.int64),
-        z=[],
+        z=np.array([0, 0], dtype=np.int64),
     )
-    w = lda_conditional(state, hp, 0, 0, 5)
+    w = lda_conditional(state, hp, np.bincount(state.z, minlength=2), 0, 5)
     assert np.allclose(w, [0.69540984, 0.09619048], atol=1e-4)
     assert np.allclose(w / w.sum(), [0.8785, 0.1215], atol=1e-4)
 
@@ -188,7 +186,7 @@ def test_sweep_bit_identical_to_loop_form(ntopics, alpha, beta):
         states.append(state)
         rngs.append(rng)
     fast, ref = states
-    for table in ("z", "ndk", "nkw", "nk"):
+    for table in ("z", "nkw", "nk"):
         assert np.array_equal(getattr(fast, table), getattr(ref, table))
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
@@ -222,27 +220,28 @@ def test_sweep_draw_at_cumulative_boundary():
     gen = np.random.Generator(np.random.PCG64(0))
     ntopics, hp = 300, Hyperparams(ntopics=300, alpha=0.1, beta=0.01)
     corpus = make_corpus([[0]], 2)
+    z = np.zeros(1, dtype=np.int64)  # the document's one token, on topic 0
     for _ in range(100):
         nkw = gen.integers(1, 50, size=(ntopics, 2))
-        ndk = gen.integers(1, 5, size=(1, ntopics))
-        removed = CountState(ndk=ndk.copy(), nkw=nkw.copy(), nk=nkw.sum(axis=1), z=[])
-        removed.ndk[0, 0] -= 1
+        removed = CountState(nkw=nkw.copy(), nk=nkw.sum(axis=1), z=z)
+        ndk_d = np.bincount(z, minlength=ntopics)
+        ndk_d[0] -= 1
         removed.nkw[0, 0] -= 1
         removed.nk[0] -= 1
-        weights = lda_conditional(removed, hp, 0, 0, 2)
+        weights = lda_conditional(removed, hp, ndk_d, 0, 2)
         found = _boundary_uniform(weights)
         if found:
             break
     u, expected = found
     assert draw(weights, u) == expected
-    state = CountState(ndk=ndk, nkw=nkw, nk=nkw.sum(axis=1), z=np.zeros(1, dtype=np.int64))
+    state = CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z)
     lda_sweep(corpus, state, hp, _FixedUniform(u))
     assert state.z[0] == expected
 
 
-@pytest.mark.parametrize("case", ["topic K", "word V", "float64 nkw", "short ndk",
-                                  "offsets past words", "empty offsets", "short z", "strided z",
-                                  "read-only nkw", "read-only ndk", "read-only nk"])
+@pytest.mark.parametrize("case", ["topic K", "word V", "float64 nkw", "offsets past words",
+                                  "empty offsets", "short z", "strided z", "read-only nkw",
+                                  "read-only nk"])
 def test_sweep_rejects_out_of_bounds_input(case):
     # The kernel reads and writes through raw pointers, so each of these must
     # be refused before the first draw.
@@ -256,8 +255,6 @@ def test_sweep_rejects_out_of_bounds_input(case):
         docs[1][0] = 3
     elif case == "float64 nkw":
         state.nkw = state.nkw.astype(np.float64)
-    elif case == "short ndk":
-        state.ndk = state.ndk[:-1].copy()
     elif case == "short z":
         state.z = state.z[:-1].copy()
     elif case == "strided z":
@@ -269,13 +266,13 @@ def test_sweep_rejects_out_of_bounds_input(case):
         corpus = replace(corpus, offsets=corpus.offsets + [0, 0, 1])
     elif case == "empty offsets":
         corpus = replace(corpus, offsets=np.empty(0, np.int64))
-    before = [t.copy() for t in (state.z, state.ndk, state.nkw, state.nk)]
+    before = [t.copy() for t in (state.z, state.nkw, state.nk)]
     rng_state = rng.bit_generator.state
-    # empty offsets give n_docs = -1, so they must be named before ndk's shape
+    # empty offsets (n_docs = -1) must be refused as offsets
     with pytest.raises(ToolError, match="lda_sweep: document offsets" if case == "empty offsets"
                        else "lda_sweep"):
         lda_sweep(corpus, state, hp, rng)
-    after = (state.z, state.ndk, state.nkw, state.nk)
+    after = (state.z, state.nkw, state.nk)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
     assert rng.bit_generator.state == rng_state
 
@@ -321,7 +318,7 @@ def test_sweep_detects_corrupt_counts():
     hp = Hyperparams(ntopics=2)
     rng, _ = make_rng(6)
     state = init_lda(corpus, hp, rng)
-    state.ndk[0] -= 5  # weights (n_dk + alpha) go negative
+    state.nkw[:, 0] -= 5  # weights (n_kw + beta) go negative
     with pytest.raises(ToolError, match="nonpositive weight"):
         lda_sweep(corpus, state, hp, rng)
 
@@ -344,7 +341,7 @@ def test_refused_sweep_restores_its_unit(model):
         sweep()
     expected = recount(corpus, state.z, hp.ntopics)
     expected.nkw[:, 1] -= 5
-    for name in ("ndk", "mk", "nkw", "nk"):
+    for name in ("mk", "nkw", "nk"):
         a, b = getattr(state, name), getattr(expected, name)
         assert (a is None and b is None) or np.array_equal(a, b), name
 

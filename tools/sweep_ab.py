@@ -43,7 +43,7 @@ CORPORA = {"lda-train": ("corpus.txt", 0.01), "dmm-short": ("corpus.txt", 0.1),
            "infer-replay": (os.path.join("train", "corpus.txt"), 0.01)}
 DEFAULT_CASES = ("lda:lda-train:20", "lda:lda-train:100", "dmm:dmm-short:20",
                  "dmm:dmm-short:50", "dmm:infer-replay:20")
-TABLES = {"lda": ("z", "ndk", "nkw", "nk"), "dmm": ("z", "mk", "nkw", "nk")}
+TABLES = {"lda": ("z", "nkw", "nk"), "dmm": ("z", "mk", "nkw", "nk")}
 SEED = 101  # the workloads' and the chains' seed
 
 
