@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, fields
 
 from gibbstopics.core import Hyperparams, ToolError
-from gibbstopics.evaluation import evaluate_files
 from gibbstopics.persistence import load_corpus, load_labels
 
 # Each mode's required flags, then the other flags it accepts. An inference run
@@ -103,7 +102,7 @@ def parse_args(argv) -> CliCommand:
 
 
 def dispatch(cmd: CliCommand) -> int:
-    try:  # the samplers, and NumPy with them, are imported only by the modes that run them
+    try:  # the samplers, NumPy with them, and Eval's metrics only by the modes that run them
         if cmd.mode in ("LDA", "DMM"):
             from gibbstopics.chain import train_dmm, train_lda
             (train_lda if cmd.mode == "LDA" else train_dmm)(load_corpus(cmd.corpus), cmd.hp)
@@ -111,6 +110,7 @@ def dispatch(cmd: CliCommand) -> int:
             from gibbstopics.inference import infer, load_pretrained
             infer(load_pretrained(cmd.paras), cmd.corpus, cmd.hp)
         else:
+            from gibbstopics import evaluate_files  # the package's binding: perfbench wraps it
             labels = load_labels(cmd.label)
             summary = evaluate_files(cmd.dir, cmd.prob, labels)
             for r in summary.results:

@@ -96,7 +96,8 @@ class CountState:
     """Gibbs count tables and current assignments. LDA keeps no per-document
     counts: a document's are counted from its z when needed.
 
-    nkw: K x V tokens of word w assigned to topic k
+    nkw: K x V tokens of word w assigned to topic k: an F-contiguous view of
+         a word-major V x K table, which the kernels get as state.nkw.T
     nk:  length-K topic token totals
     z:   int64 topics, one per token of corpus.words (LDA) or per document (DMM)
     mk:  length-K document counts per topic (DMM only)
@@ -128,21 +129,26 @@ def estimate_theta_lda(corpus, state: CountState, hp: Hyperparams) -> np.ndarray
 
 
 def estimate_phi(state: CountState, hp: Hyperparams) -> np.ndarray:
-    """phi[k,w] = (n_kw + beta) / (n_k + V*beta), row-stochastic K x V."""
-    n_vocab = state.nkw.shape[1]
-    return (state.nkw + hp.beta) / (state.nk[:, None] + n_vocab * hp.beta)
+    """phi[k,w] = (n_kw + beta) / (n_k + V*beta), row-stochastic K x V in C order."""
+    import numpy as np
+    phi = np.add(state.nkw, hp.beta, order="C", dtype=np.float64)
+    phi /= state.nk[:, None] + state.nkw.shape[1] * hp.beta
+    return phi
 
 
-def _count_table(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
+def _count_table(rows, cols, n_rows: int, n_cols: int, by_col=False) -> np.ndarray:
     """Counts of the cells (rows[i], cols[i]) in an n_rows x n_cols table, D x K
-    or K x V. One that cannot be allocated is a ToolError naming ntopics."""
+    or K x V; by_col stores it column-major, the transpose of an n_cols x
+    n_rows table. One that cannot be allocated is a ToolError naming ntopics."""
     import numpy as np
     try:
         if int(n_rows) * int(n_cols) > np.iinfo(np.intp).max // 8:  # numpy cannot size its bytes
             raise MemoryError
-        cells = rows * n_cols
-        cells += cols
-        return np.bincount(cells, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
+        major, minor, n_minor = (cols, rows, n_rows) if by_col else (rows, cols, n_cols)
+        cells = major * n_minor
+        cells += minor
+        table = np.bincount(cells, minlength=n_rows * n_cols)
+        return table.reshape(n_cols, n_rows).T if by_col else table.reshape(n_rows, n_cols)
     except MemoryError as exc:
         raise ToolError(f"ntopics is too large: its {n_rows} x {n_cols} count table "
                         "cannot be allocated") from exc
@@ -152,7 +158,7 @@ def recount_lda(corpus, z, ntopics: int) -> CountState:
     """Build all LDA count tables from the topic of every token."""
     import numpy as np
     z = np.asarray(z, dtype=np.int64)
-    nkw = _count_table(z, corpus.words, ntopics, len(corpus.vocab))
+    nkw = _count_table(z, corpus.words, ntopics, len(corpus.vocab), by_col=True)
     return CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z)
 
 
@@ -160,6 +166,7 @@ def recount_dmm(corpus, z, ntopics: int) -> CountState:
     """Build all DMM count tables from the per-document topics."""
     import numpy as np
     z = np.asarray(z, dtype=np.int64)
-    nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, len(corpus.vocab))
+    nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, len(corpus.vocab),
+                       by_col=True)
     return CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z, mk=np.bincount(z, minlength=ntopics))
 

@@ -68,7 +68,7 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tab
     lnum, lden, lpri = tables
     native.check(who, ("topic assignments", state.z, np.int64, (n_docs,), True),
                  ("mk", state.mk, np.int64, (n_topics,), True),
-                 ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
+                 ("nkw.T", state.nkw.T, np.int64, (n_vocab, n_topics), True),
                  ("nk", state.nk, np.int64, (n_topics,), True),
                  ("lnum", lnum, np.float64, (np.size(lnum),), False),
                  ("lden", lden, np.float64, (np.size(lden),), False),
@@ -76,8 +76,8 @@ def _run_kernel(who: str, corpus, state: CountState, hp: Hyperparams, words, tab
     native.check_range(who, "topics", state.z, 0, n_topics)
     theta = np.empty((n_docs, n_topics)) if rng is None else None
     uniforms = None if rng is None else rng.random(n_docs)
-    bad = native.call("dmm_sweep", n_docs, corpus.offsets, words, state.z, state.mk, state.nkw,
-                      state.nk, n_topics, n_vocab, lnum, lnum.size, lden, lden.size, lpri,
+    bad = native.call("dmm_sweep", n_docs, corpus.offsets, words, state.z, state.mk, state.nkw.T,
+                      state.nk, n_topics, lnum, lnum.size, lden, lden.size, lpri,
                       uniforms, np.empty(n_topics), theta)
     if bad >= n_docs:  # refused before any count moved: a repeat's index would be wrong
         raise ToolError(f"{who}: the word ids of document {bad - n_docs} do not ascend")

@@ -7,8 +7,9 @@ already removed from the tables:
 
 A sweep runs in a compiled C kernel (native.py, sweeps.c); the tests hold
 its NumPy oracle (tests/oracles.py), which the kernel matches bit for bit.
-Each draw builds the K weights' cumulative sums left to right and picks the
-first topic whose sum exceeds the uniform times the last (the total).
+Each draw builds the K weights' cumulative sums left to right as it computes
+them, then searches for the first topic whose sum exceeds the uniform times
+the last (the total).
 
 This module is the sampler only: init and sweep. chain.run_chain seeds,
 runs and saves an LDA or LDAinf chain with them.
@@ -34,12 +35,12 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     n_topics, n_vocab = hp.ntopics, len(corpus.vocab)
     n_docs = native.check_corpus("lda_sweep", corpus.offsets, corpus.words, n_vocab)
     native.check("lda_sweep", ("topic assignments", state.z, np.int64, (corpus.n_tokens,), True),
-                 ("nkw", state.nkw, np.int64, (n_topics, n_vocab), True),
+                 ("nkw.T", state.nkw.T, np.int64, (n_vocab, n_topics), True),
                  ("nk", state.nk, np.int64, (n_topics,), True))
     native.check_range("lda_sweep", "topics", state.z, 0, n_topics)
     uniforms = rng.random(corpus.n_tokens)
     bad = native.call("lda_sweep", n_docs, corpus.offsets, corpus.words, state.z,
-                      np.empty(n_topics, np.int64), state.nkw, state.nk, n_topics, n_vocab,
+                      np.empty(n_topics, np.int64), state.nkw.T, state.nk, n_topics, n_vocab,
                       float(hp.alpha), float(hp.beta), uniforms, np.empty(n_topics))
     if bad >= 0:
         raise ToolError(f"lda_sweep: nonpositive weight at token {bad}, count bookkeeping corrupt")

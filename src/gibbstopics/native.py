@@ -1,6 +1,7 @@
 """The compiled kernels (sweeps.c) in one library: lda_sweep and dmm_sweep,
-the sweeps of both samplers, format_matrix, the matrix writer's formatter,
-and tokenize, which persistence.read_tokens reads corpora and .topicAssignments
+the sweeps of both samplers; format_matrix, format_ids and top_ids, which
+persistence writes .theta, .phi, .topicAssignments and .topWords with; and
+tokenize, which persistence.read_tokens reads corpora and .topicAssignments
 with. Every mode but Eval, which only reads matrices, loads the library.
 
 It is compiled with the system `cc` on first use and cached under
@@ -13,9 +14,9 @@ offsets and word ids (or DMM's sorted words) to check_corpus, and count
 tables, assignments and log tables to check (exact dtype and shape,
 C-contiguous, writable if written) and their ids to check_range. Arrays the
 caller makes with the kernel's dtype and shape (uniforms, scratch and output
-buffers, tokenize's arrays, write_matrix's matrix) need no check. call runs a
-kernel, passing each ndarray as its .ctypes object, which keeps the array alive
-for the call.
+buffers, tokenize's arrays, the writers' matrices and ids) need no check.
+call runs a kernel, passing each ndarray as its .ctypes object, which keeps
+the array alive for the call.
 """
 
 from __future__ import annotations
@@ -77,13 +78,13 @@ def _kernel():
     except OSError as exc:
         raise ToolError(f"cannot load the compiled kernels {lib_path}: {exc}") from exc
     i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    lib.lda_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, f64, ptr, ptr)
-    lib.dmm_sweep.argtypes = (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64,
-                              ptr, i64, ptr, i64, ptr, ptr, ptr, ptr)
-    lib.format_matrix.argtypes = (i64, i64, ptr, ptr)
-    lib.tokenize.argtypes = (i64, ptr, ptr, ptr, ptr, ptr)
-    for kernel in (lib.lda_sweep, lib.dmm_sweep, lib.format_matrix, lib.tokenize):
-        kernel.restype = i64
+    kernels = {"lda_sweep": (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, f64, ptr, ptr),
+               "dmm_sweep": (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr,
+                             ptr, ptr, ptr),
+               "format_matrix": (i64, i64, ptr, ptr, ptr), "format_ids": (i64, ptr, ptr, ptr),
+               "top_ids": (i64, i64, ptr, i64, ptr), "tokenize": (i64, ptr, ptr, ptr, ptr, ptr)}
+    for name, argtypes in kernels.items():
+        getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, i64
     return lib
 
 

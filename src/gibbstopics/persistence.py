@@ -9,9 +9,10 @@ a truncated artifact and concurrent runs never share a temp file. They land in
 the input corpus's directory, named <name>.<suffix> with save-point variants
 <name>.<suffix>.<iteration>.
 
-The library of native.py tokenizes corpora and .topicAssignments and writes
-.theta and .phi as the bytes np.savetxt(fmt="%.6g") would; native.check_corpus
-is the rule the kernels hold a corpus to. NumPy and native.py are imported by
+The library of native.py tokenizes corpora and .topicAssignments, writes
+.theta and .phi as the bytes np.savetxt(fmt="%.6g") would, writes the ids of
+.topicAssignments and ranks .topWords; native.check_corpus is the rule the
+kernels hold a corpus to. NumPy and native.py are imported by
 the functions that use them: labels and matrices are read with the standard
 library only, so Eval needs neither NumPy nor a compiler.
 """
@@ -187,7 +188,7 @@ def write_matrix(matrix, path: str):
     rows, cols = matrix.shape
     # At most 13 bytes per "%.6g" value, plus its space or newline.
     out = np.empty(rows * (14 * cols + 1), np.uint8)
-    size = native.call("format_matrix", rows, cols, matrix, out)
+    size = native.call("format_matrix", rows, cols, matrix, out, np.empty(768, np.uint64))
     _atomic_write(path, out[:size])
 
 
@@ -222,9 +223,14 @@ def read_matrix(path: str) -> list:
 
 def write_top_words(phi, vocab, twords: int, path: str):
     """Write each topic's min(twords, V) most probable words, descending by
-    probability; the stable sort breaks ties by ascending word id."""
+    probability, ties by ascending word id, as a stable sort ranks them."""
     import numpy as np
-    ranked = np.argsort(-np.asarray(phi, np.float64), axis=1, kind="stable")[:, :max(twords, 0)]
+    from gibbstopics import native
+    phi = np.ascontiguousarray(phi, dtype=np.float64)
+    if phi.ndim != 2 or not np.isfinite(phi).all():
+        raise ToolError(f"cannot write {path}: not a 2-D matrix of finite values")
+    ranked = np.empty((phi.shape[0], min(max(twords, 0), phi.shape[1])), np.int64)
+    native.call("top_ids", *phi.shape, phi, ranked.shape[1], ranked)
     lines = (f"Topic {k}:" + "".join(" " + vocab[i] for i in row)
              for k, row in enumerate(ranked.tolist()))
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
@@ -232,12 +238,17 @@ def write_top_words(phi, vocab, twords: int, path: str):
 
 def write_assignments(z, path: str, kind: str):
     """z is one int array of topics per document (DMM) or one per document
-    of its tokens' topics (LDA); each document is one line."""
+    of its tokens' topics (LDA): a line per document, ids as str() writes them."""
+    import numpy as np
+    from gibbstopics import native
     if kind in ("DMM", "DMMinf"):
-        lines = map(str, z.tolist())
+        ids, offsets = np.ascontiguousarray(z, np.int64), np.arange(np.size(z) + 1)
     else:
-        lines = (" ".join(map(str, row.tolist())) for row in z)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+        ids = np.concatenate([np.empty(0, np.int64), *z]).astype(np.int64, copy=False)
+        offsets = np.cumsum([0, *map(len, z)], dtype=np.int64)
+    # At most 20 bytes per int64, plus its space or newline; a newline per line.
+    out = np.empty(21 * ids.size + offsets.size - 1, np.uint8)
+    _atomic_write(path, out[:native.call("format_ids", offsets.size - 1, offsets, ids, out)])
 
 
 def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:

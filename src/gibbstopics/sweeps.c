@@ -1,15 +1,18 @@
-/* The collapsed Gibbs sweeps of both samplers, the matrix writer's
- * formatter and the tokenizer, built and loaded by gibbstopics.native:
+/* The collapsed Gibbs sweeps of both samplers, the artifact writers'
+ * formatters and the tokenizer, built and loaded by gibbstopics.native:
  * lda_sweep (called from lda.lda_sweep), dmm_sweep (called from
- * dmm.dmm_sweep and dmm.estimate_theta_dmm), format_matrix (called from
- * persistence.write_matrix) and tokenize (called from persistence.read_tokens,
- * which reads corpora and .topicAssignments files).
+ * dmm.dmm_sweep and dmm.estimate_theta_dmm), format_matrix, format_ids and
+ * top_ids (called from persistence.write_matrix, write_assignments and
+ * write_top_words) and tokenize (called from persistence.read_tokens, which
+ * reads corpora and .topicAssignments files).
  *
  * Each sampler step does the arithmetic of the NumPy oracles in tests/oracles.py
  * (the conditional, then the draw) in the same order, so z, nkw, nk, mk and the
- * draws match them bit for bit; both samplers end in one draw, which totals the
- * weights by their last cumulative sum, not in NumPy's summation order. Build
- * without FMA contraction or fast-math: both change rounding. */
+ * draws match them bit for bit; both samplers end in one search of the weights'
+ * cumulative sums, which totals them by the last sum, not in NumPy's summation
+ * order. nkw is stored word-major, V x K (state.nkw is its K x V transpose), so
+ * a word's K topic counts are adjacent. Build without FMA contraction or
+ * fast-math: both change rounding. */
 
 #include <math.h>
 #include <stdint.h>
@@ -17,15 +20,16 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Turn the K weights w into their cumulative sums, in place and left to
- * right, and map the uniform u to the first k with w[k] > u * w[K-1], the
- * total; K-1 when rounding leaves none. */
-static int64_t draw(double *w, int64_t K, double u)
+/* The first k with w[k] > u * w[K-1], or K-1 when rounding leaves none. The K
+ * cumulative sums w never decrease, so eight at a time are passed over when
+ * the eighth does not exceed: the topic is the one a sum-by-sum scan finds.
+ * (A binary search puts a chain of loads before each token's next one.) */
+static int64_t search(const double *w, int64_t K, double u)
 {
-    for (int64_t j = 1; j < K; j++)
-        w[j] += w[j - 1];
     double x = u * w[K - 1];
     int64_t k = 0;
+    while (k + 8 < K && !(w[k + 7] > x))
+        k += 8;
     while (k < K - 1 && !(w[k] > x))
         k++;
     return k;
@@ -33,20 +37,22 @@ static int64_t draw(double *w, int64_t K, double u)
 
 /* The one count move of both kernels: a unit's tokens words[b] to words[e-1]
  * and its own count unit[k] (a DMM document and mk, or LDA's token [t, t+1)
- * and its document's topic counts) go into (sign 1) or out of (sign -1) topic k. */
+ * and its document's topic counts) go into (sign 1) or out of (sign -1) topic
+ * k, each token's count at nkw[word * K + k]. */
 static inline void move_unit(int64_t k, int64_t sign, int64_t b, int64_t e, const int64_t *words,
-                             int64_t *unit, int64_t *nkw, int64_t *nk, int64_t V)
+                             int64_t *unit, int64_t *nkw, int64_t *nk, int64_t K)
 {
     unit[k] += sign;
     for (int64_t i = b; i < e; i++)
-        nkw[k * V + words[i]] += sign;
+        nkw[words[i] * K + k] += sign;
     nk[k] += sign * (e - b);
 }
 
 /* Visit the tokens in (document, position) order over the flat words/z,
  * document d holding tokens offsets[d] to offsets[d+1]-1, resampling each
  * with uniforms u[t]. ndk (K int64s) is document d's topic counts, counted
- * from its z; w is K doubles of scratch. Returns -1, or the first token t
+ * from its z; w is K doubles of scratch for each token's cumulative weights,
+ * summed left to right as they are computed. Returns -1, or the first token t
  * with a weight not finite and positive, its counts back under z[t]. */
 int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                   int64_t *z, int64_t *ndk, int64_t *nkw, int64_t *nk,
@@ -59,18 +65,21 @@ int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
         for (int64_t t = offsets[d]; t < offsets[d + 1]; t++)
             ndk[z[t]]++;
         for (int64_t t = offsets[d], end = offsets[d + 1]; t < end; t++) {
-            int64_t word = words[t], k = z[t];
-            move_unit(k, -1, t, t + 1, words, ndk, nkw, nk, V);
+            const int64_t *counts = nkw + words[t] * K;
+            int64_t k = z[t];
+            move_unit(k, -1, t, t + 1, words, ndk, nkw, nk, K);
+            double c = 0.;
             for (int64_t j = 0; j < K; j++) {
-                w[j] = ((double)ndk[j] + alpha) * ((double)nkw[j * V + word] + beta)
-                       / ((double)nk[j] + vbeta);
-                if (!(w[j] > 0 && w[j] < INFINITY)) {
-                    move_unit(k, 1, t, t + 1, words, ndk, nkw, nk, V);
+                double x = ((double)ndk[j] + alpha) * ((double)counts[j] + beta)
+                           / ((double)nk[j] + vbeta);
+                if (!(x > 0 && x < INFINITY)) {
+                    move_unit(k, 1, t, t + 1, words, ndk, nkw, nk, K);
                     return t;
                 }
+                w[j] = c += x;
             }
-            z[t] = k = draw(w, K, u[t]);
-            move_unit(k, 1, t, t + 1, words, ndk, nkw, nk, V);
+            z[t] = k = search(w, K, u[t]);
+            move_unit(k, 1, t, t + 1, words, ndk, nkw, nk, K);
         }
     }
     return -1;
@@ -79,7 +88,8 @@ int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
 /* For each document d in turn, its tokens words[offsets[d]] to
  * words[offsets[d+1]-1] sorted by word id, with its counts removed from
  * topic z[d]: the log-weight of every topic, summed left to right in the
- * formula's order (prior, word terms, then length terms) from the tables
+ * formula's order (prior, word terms, then length terms; each token adds its
+ * term to all K topics, reading its word's K adjacent counts) from the tables
  * lnum[m] = log(m + beta), lden[m] = log(m + V*beta) and
  * lpri[m] = log(m + alpha) - log(D - 1 + K*alpha), m < D; a word's t-th token
  * in the document (t from 0) adds lnum[n_kw + t]. Then the weights
@@ -92,7 +102,7 @@ int64_t lda_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
  * table (never read) or a log-weight not finite, its counts back under z[d]. */
 int64_t dmm_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                   int64_t *z, int64_t *mk, int64_t *nkw, int64_t *nk,
-                  int64_t K, int64_t V, const double *lnum, int64_t n_num,
+                  int64_t K, const double *lnum, int64_t n_num,
                   const double *lden, int64_t n_den, const double *lpri,
                   const double *u, double *w, double *theta)
 {
@@ -102,43 +112,49 @@ int64_t dmm_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
                 return n_docs + d;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t b = offsets[d], e = offsets[d + 1], k = z[d];
-        move_unit(k, -1, b, e, words, mk, nkw, nk, V);
+        move_unit(k, -1, b, e, words, mk, nkw, nk, K);
         double top = -INFINITY;
         for (int64_t j = 0; j < K; j++) {
             int64_t m = mk[j], c = nk[j];
             if (m < 0 || m >= n_docs || c < 0 || c + (e - b) > n_den)
                 goto corrupt;
-            double s = lpri[m];
-            for (int64_t i = b, t = 0; i < e; i++) {
-                t = i > b && words[i] == words[i - 1] ? t + 1 : 0;
-                int64_t a = nkw[j * V + words[i]];
-                if (a < 0 || a + t >= n_num)
+            w[j] = lpri[m];
+        }
+        for (int64_t i = b, t = 0; i < e; i++) {
+            t = i > b && words[i] == words[i - 1] ? t + 1 : 0;
+            const int64_t *counts = nkw + words[i] * K;
+            for (int64_t j = 0; j < K; j++) {
+                if (counts[j] < 0 || counts[j] + t >= n_num)
                     goto corrupt;
-                s += lnum[a + t];
+                w[j] += lnum[counts[j] + t];
             }
+        }
+        for (int64_t j = 0; j < K; j++) {
+            double s = w[j];
             for (int64_t t = 0; t < e - b; t++)
-                s -= lden[c + t];
+                s -= lden[nk[j] + t];
             if (!(s > -INFINITY && s < INFINITY))
                 goto corrupt;
             w[j] = s;
             if (s > top)
                 top = s;
         }
-        for (int64_t j = 0; j < K; j++)
-            w[j] = exp(w[j] - top);
-        if (u) {
-            z[d] = k = draw(w, K, u[d]);
-        } else {
-            double total = 0.;
-            for (int64_t j = 0; j < K; j++)
-                total += w[j];
-            for (int64_t j = 0; j < K; j++)
-                theta[d * K + j] = w[j] / total;
+        double total = 0.;
+        for (int64_t j = 0; j < K; j++) {  /* the weights' cumulative sums, as LDA's */
+            double x = exp(w[j] - top);
+            if (!u)
+                theta[d * K + j] = x;
+            w[j] = total += x;
         }
-        move_unit(k, 1, b, e, words, mk, nkw, nk, V);
+        if (u)
+            z[d] = k = search(w, K, u[d]);
+        else
+            for (int64_t j = 0; j < K; j++)
+                theta[d * K + j] /= total;
+        move_unit(k, 1, b, e, words, mk, nkw, nk, K);
         continue;
     corrupt:
-        move_unit(k, 1, b, e, words, mk, nkw, nk, V);
+        move_unit(k, 1, b, e, words, mk, nkw, nk, K);
         return d;
     }
     return -1;
@@ -232,22 +248,106 @@ fallback:;
     return n;
 }
 
+/* A formatted value: the 64 bits of a double, and its "%.6g" text. */
+typedef struct { uint64_t key; char text[15]; uint8_t len; } formatted_t;
+
+/* Copy the n <= 16 bytes at s to p in fixed-size moves (two overlapping ones
+ * from 4 bytes up): at -O2 a memcpy of n bytes compiles to rep movsq, which
+ * costs about 50 ns a call. */
+static inline void copy_short(char *p, const char *s, int n)
+{
+    if (n >= 8) {
+        memcpy(p, s, 8);
+        memcpy(p + n - 8, s + n - 8, 8);
+    } else if (n >= 4) {
+        memcpy(p, s, 4);
+        memcpy(p + n - 4, s + n - 4, 4);
+    } else {  /* 1 to 3 bytes */
+        p[0] = s[0], p[n / 2] = s[n / 2], p[n - 1] = s[n - 1];
+    }
+}
+
 /* Write the rows x cols row-major matrix x to out as
  * np.savetxt(fmt="%.6g") does: values separated by one space, each row
  * ending in a newline. out holds at least rows * (14 * cols + 1) bytes.
- * Returns the number of bytes written. */
-int64_t format_matrix(int64_t rows, int64_t cols, const double *x, char *out)
+ * cache is 256 * 24 bytes of scratch (768 uint64s): a direct-mapped table of
+ * formatted values keyed by their 64 bits, so a value that repeats (as a row
+ * of phi repeats one value per distinct count) is formatted once. Returns the
+ * number of bytes written. */
+int64_t format_matrix(int64_t rows, int64_t cols, const double *x, char *out, void *cache)
 {
+    formatted_t *slots = cache;
+    for (int s = 0; s < 256; s++)  /* every slot starts as a true entry: 0.0 is "0" */
+        slots[s] = (formatted_t){.key = 0, .text = "0", .len = 1};
     char *p = out;
     for (int64_t r = 0; r < rows; r++) {
         for (int64_t c = 0; c < cols; c++) {
-            p += format_g6(x[r * cols + c], p);
+            uint64_t key;
+            memcpy(&key, &x[r * cols + c], sizeof key);
+            formatted_t *slot = &slots[(key * 0x9E3779B97F4A7C15ULL) >> 56];
+            if (slot->key != key) {
+                slot->key = key;
+                slot->len = (uint8_t)format_g6(x[r * cols + c], slot->text);
+            }
+            copy_short(p, slot->text, slot->len);
+            p += slot->len;
             *p++ = c + 1 < cols ? ' ' : '\n';
         }
         if (cols == 0)
             *p++ = '\n';
     }
     return p - out;
+}
+
+/* Write line l of ids, ids[offsets[l]] to ids[offsets[l+1]-1], to out for
+ * each of the n_lines lines as " ".join(map(str, line)) does, each line ending
+ * in a newline. out holds at least 21 * offsets[n_lines] + n_lines bytes.
+ * Returns the number of bytes written. */
+int64_t format_ids(int64_t n_lines, const int64_t *offsets, const int64_t *ids, char *out)
+{
+    char *p = out;
+    for (int64_t l = 0; l < n_lines; l++) {
+        for (int64_t i = offsets[l]; i < offsets[l + 1]; i++) {
+            if (i > offsets[l])
+                *p++ = ' ';
+            /* the magnitude as unsigned: -INT64_MIN is not an int64 */
+            uint64_t m = ids[i] < 0 ? 0 - (uint64_t)ids[i] : (uint64_t)ids[i];
+            char digits[20], *q = digits + 20;
+            do
+                *--q = (char)('0' + m % 10);
+            while (m /= 10);
+            if (ids[i] < 0)
+                *p++ = '-';
+            while (q < digits + 20)
+                *p++ = *q++;
+        }
+        *p++ = '\n';
+    }
+    return p - out;
+}
+
+/* For each row of the rows x cols row-major matrix x, which holds no NaN,
+ * write to row r of the rows x t ids the columns of its t <= cols largest
+ * values, largest first and a tie's lower column first: the first t of the
+ * row's stable descending argsort. One pass per row: a value enters only if
+ * it is greater than the t-th so far, shifting the smaller ones down.
+ * Returns rows * t. */
+int64_t top_ids(int64_t rows, int64_t cols, const double *x, int64_t t, int64_t *ids)
+{
+    for (int64_t r = 0; r < rows && t > 0; r++) {
+        const double *row = x + r * cols;
+        int64_t *top = ids + r * t, n = 0;
+        for (int64_t c = 0; c < cols; c++) {
+            double v = row[c];
+            if (n == t && !(v > row[top[t - 1]]))
+                continue;
+            int64_t i = n < t ? n++ : t - 1;
+            for (; i > 0 && v > row[top[i - 1]]; i--)
+                top[i] = top[i - 1];
+            top[i] = c;
+        }
+    }
+    return rows * t;
 }
 
 

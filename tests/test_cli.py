@@ -151,6 +151,19 @@ class TestDispatch:
                         "-label", str(tmp_path / "corpus.LABEL"), "-dir", str(tmp_path),
                         "-prob", "theta"], check=True, env=env, capture_output=True)
 
+    @pytest.mark.parametrize("model", ["LDA", "DMM"])
+    def test_sampling_runs_load_no_evaluation(self, tmp_path, model):
+        # Only Eval computes purity and NMI: a sampling run does not import
+        # (or, without bytecode, compile) gibbstopics.evaluation.
+        corpus = write_corpus(tmp_path)
+        code = ("import sys, gibbstopics.cli; "
+                "assert gibbstopics.cli.main(sys.argv[1:]) == 0; "
+                "assert 'gibbstopics.evaluation' not in sys.modules")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code, "-model", model, "-corpus", str(corpus),
+                        "-ntopics", "2", "-niters", "1", "-seed", "1"],
+                       check=True, env=env, capture_output=True)
+
     def test_unreadable_corpus_diagnostic(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
         assert main(["-model", "LDA", "-corpus", str(missing)]) == 1

@@ -234,7 +234,8 @@ def test_sweep_draw_at_cumulative_boundary():
             break
     u, expected = found
     assert draw(weights, u) == expected
-    state = CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z)
+    # word-major, as the kernel reads it: the K x V view of a V x K table
+    state = CountState(nkw=np.asfortranarray(nkw), nk=nkw.sum(axis=1), z=z)
     lda_sweep(corpus, state, hp, _FixedUniform(u))
     assert state.z[0] == expected
 

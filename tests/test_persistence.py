@@ -166,6 +166,65 @@ def test_top_words_tie_goes_to_lower_word_id(tmp_path):
         f"Topic {k}: {' '.join(map(str, ids))}\n" for k, ids in enumerate(ranked))
 
 
+@pytest.mark.parametrize("twords", [0, 1, 7, 40, 41])
+def test_top_words_match_stable_argsort(tmp_path, twords):
+    # Rows full of ties (a few levels, all equal, ascending, descending), with
+    # twords from 0 to V = 40 and past it: the words are the first twords of
+    # the stable argsort, so a tie at the cut keeps its lower word ids.
+    gen = np.random.Generator(np.random.PCG64(5))
+    phi = np.vstack([gen.integers(0, 4, size=(6, 40)), np.ones((1, 40)), np.arange(40),
+                     np.arange(40)[::-1], np.arange(40) // 3, np.arange(40) % 5]) / 64
+    vocab = make_vocab([f"w{i}" for i in range(40)])
+    path = tmp_path / "m.topWords"
+    write_top_words(phi, vocab, twords, str(path))
+    ranked = np.argsort(-phi, axis=1, kind="stable")[:, :twords]
+    assert path.read_text() == "".join(f"Topic {k}:" + "".join(" " + vocab[i] for i in row) + "\n"
+                                       for k, row in enumerate(ranked.tolist()))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_top_words_refuse_non_finite_phi(tmp_path, bad):
+    # A NaN has no rank (argsort puts it last, a scan never admits it).
+    path = tmp_path / "m.topWords"
+    with pytest.raises(ToolError, match=re.escape(f"cannot write {path}: not a 2-D matrix")):
+        write_top_words([[0.5, bad, 0.25]], make_vocab("abc"), 2, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_matrix_cache_matches_savetxt(tmp_path):
+    # The formatter keeps 256 formatted values, one per slot, keyed by the
+    # value's 64 bits. Here 1600 distinct values collide in the slots; groups
+    # of them (one mantissa times powers of two) share their low 32 bits. They
+    # repeat within and across rows, with texts of every length from "0" to
+    # "1.23457e+100" (12 bytes, the longest a non-negative value takes).
+    by_length = [0.0, 1.0, 10.0, -0.0, 0.5, 100.0, 0.25, 0.125, 1e-05, 0.0625, 0.03125,
+                 0.015625, 0.0078125, 1.2345e-05, 0.00390625, 1.23457e-05, 1.23457e+28,
+                 1.23457e+100, 1.23457e-100]
+    powers = [m * 2.0 ** e for m in (1.1, 1.3, 1.23456789, 1.7) for e in range(-60, 61)]
+    gen = np.random.Generator(np.random.PCG64(3))
+    pool = np.concatenate([by_length, powers, gen.random(1100)])
+    matrix = np.vstack([pool, gen.choice(pool, size=(40, pool.size))])
+    path = tmp_path / "m.phi"
+    write_matrix(matrix, str(path))
+    assert np.unique(matrix).size > 1500
+    assert path.read_bytes() == savetxt_bytes(matrix)
+    assert {len(v) for v in path.read_text().split()} == set(range(1, 13))
+
+
+def test_write_assignments_match_str(tmp_path):
+    # Every int64 as str() writes it: each digit count, both signs, 0, the
+    # extremes; LDA lines may be empty (a document whose every token was out
+    # of vocabulary), DMM has one id per line.
+    ids = [0, -2**63, 2**63 - 1] + [s * (10**i - d) for i in range(1, 19) for d in (0, 1)
+                                     for s in (1, -1)]
+    rows = [[], ids, [], [7], ids[::-1], []]
+    path = tmp_path / "m.topicAssignments"
+    write_assignments([np.array(row, np.int64) for row in rows], str(path), "LDA")
+    assert path.read_text() == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    write_assignments(np.array(ids, np.int64), str(path), "DMM")
+    assert path.read_text() == "".join(f"{v}\n" for v in ids)
+
+
 def test_assignments_lda(tmp_path):
     path = str(tmp_path / "m.topicAssignments")
     write_assignments([np.array([0, 1]), np.array([1])], path, "LDA")

@@ -48,3 +48,19 @@ def test_tracer_runs_every_sampling_mode(tmp_path):
         spans = [s for s in all_spans if s["name"] == sweep]
         assert len(spans) == 2, args
         assert all(s["counts"]["draws"] == s["counts"][unit] > 0 for s in spans), args
+
+
+def test_tracer_wraps_eval(tmp_path):
+    # Eval imports its metrics only when it runs; the tracer must still find
+    # evaluate_files, or Eval's time would move into cli.other_s.
+    (tmp_path / "corpus.LABEL").write_text("X\nY\n")
+    (tmp_path / "m.theta").write_text("0.9 0.1\n0.2 0.8\n")
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), "0",
+                           str(spans_path), "-model", "Eval", "-label",
+                           str(tmp_path / "corpus.LABEL"), "-dir", str(tmp_path), "-prob", "theta"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = Counter(s["name"] for s in json.loads(spans_path.read_text())["spans"])
+    assert names["evaluate_files"] == names["read_matrix"] == 1, names

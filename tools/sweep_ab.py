@@ -41,8 +41,8 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 # Each workload's corpus, relative to its plan's folder, and its beta.
 CORPORA = {"lda-train": ("corpus.txt", 0.01), "dmm-short": ("corpus.txt", 0.1),
            "infer-replay": (os.path.join("train", "corpus.txt"), 0.01)}
-DEFAULT_CASES = ("lda:lda-train:20", "lda:lda-train:100", "dmm:dmm-short:20",
-                 "dmm:dmm-short:50", "dmm:infer-replay:20")
+DEFAULT_CASES = ("lda:lda-train:20", "lda:lda-train:100", "lda:infer-replay:100",
+                 "dmm:dmm-short:20", "dmm:dmm-short:50", "dmm:infer-replay:20")
 TABLES = {"lda": ("z", "nkw", "nk"), "dmm": ("z", "mk", "nkw", "nk")}
 SEED = 101  # the workloads' and the chains' seed
 
