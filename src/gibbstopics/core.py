@@ -125,7 +125,9 @@ def estimate_theta_lda(corpus, state: CountState, hp: Hyperparams) -> np.ndarray
     import numpy as np
     doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
     counts = _count_table(doc_of, state.z, corpus.n_docs, hp.ntopics)
-    return (counts + hp.alpha) / (counts.sum(axis=1, keepdims=True) + hp.ntopics * hp.alpha)
+    theta = np.add(counts, hp.alpha, order="C", dtype=np.float64)
+    theta /= counts.sum(axis=1, keepdims=True) + hp.ntopics * hp.alpha
+    return theta
 
 
 def estimate_phi(state: CountState, hp: Hyperparams) -> np.ndarray:
@@ -136,19 +138,18 @@ def estimate_phi(state: CountState, hp: Hyperparams) -> np.ndarray:
     return phi
 
 
-def _count_table(rows, cols, n_rows: int, n_cols: int, by_col=False) -> np.ndarray:
+def _count_table(rows, cols, n_rows: int, n_cols: int) -> np.ndarray:
     """Counts of the cells (rows[i], cols[i]) in an n_rows x n_cols table, D x K
-    or K x V; by_col stores it column-major, the transpose of an n_cols x
-    n_rows table. One that cannot be allocated is a ToolError naming ntopics."""
+    or K x V, stored column-major: the transpose of an n_cols x n_rows table, so
+    a K x V one is word-major, as the kernels read it. One that cannot be
+    allocated is a ToolError naming ntopics."""
     import numpy as np
     try:
         if int(n_rows) * int(n_cols) > np.iinfo(np.intp).max // 8:  # numpy cannot size its bytes
             raise MemoryError
-        major, minor, n_minor = (cols, rows, n_rows) if by_col else (rows, cols, n_cols)
-        cells = major * n_minor
-        cells += minor
-        table = np.bincount(cells, minlength=n_rows * n_cols)
-        return table.reshape(n_cols, n_rows).T if by_col else table.reshape(n_rows, n_cols)
+        cells = cols * n_rows
+        cells += rows
+        return np.bincount(cells, minlength=n_rows * n_cols).reshape(n_cols, n_rows).T
     except MemoryError as exc:
         raise ToolError(f"ntopics is too large: its {n_rows} x {n_cols} count table "
                         "cannot be allocated") from exc
@@ -158,7 +159,7 @@ def recount_lda(corpus, z, ntopics: int) -> CountState:
     """Build all LDA count tables from the topic of every token."""
     import numpy as np
     z = np.asarray(z, dtype=np.int64)
-    nkw = _count_table(z, corpus.words, ntopics, len(corpus.vocab), by_col=True)
+    nkw = _count_table(z, corpus.words, ntopics, len(corpus.vocab))
     return CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z)
 
 
@@ -166,7 +167,6 @@ def recount_dmm(corpus, z, ntopics: int) -> CountState:
     """Build all DMM count tables from the per-document topics."""
     import numpy as np
     z = np.asarray(z, dtype=np.int64)
-    nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, len(corpus.vocab),
-                       by_col=True)
+    nkw = _count_table(z.repeat(np.diff(corpus.offsets)), corpus.words, ntopics, len(corpus.vocab))
     return CountState(nkw=nkw, nk=nkw.sum(axis=1), z=z, mk=np.bincount(z, minlength=ntopics))
 

@@ -81,7 +81,7 @@ def _kernel():
     kernels = {"lda_sweep": (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, f64, f64, ptr, ptr),
                "dmm_sweep": (i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, ptr,
                              ptr, ptr, ptr),
-               "format_matrix": (i64, i64, ptr, ptr, ptr), "format_ids": (i64, ptr, ptr, ptr),
+               "format_matrix": (i64, i64, ptr, ptr), "format_ids": (i64, ptr, ptr, ptr),
                "top_ids": (i64, i64, ptr, i64, ptr), "tokenize": (i64, ptr, ptr, ptr, ptr, ptr)}
     for name, argtypes in kernels.items():
         getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, i64

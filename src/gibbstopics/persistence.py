@@ -186,9 +186,10 @@ def write_matrix(matrix, path: str):
     if matrix.ndim != 2 or not np.isfinite(matrix).all() or (matrix < 0).any():
         raise ToolError(f"cannot write {path}: not a 2-D matrix of finite, non-negative values")
     rows, cols = matrix.shape
-    # At most 13 bytes per "%.6g" value, plus its space or newline.
-    out = np.empty(rows * (14 * cols + 1), np.uint8)
-    size = native.call("format_matrix", rows, cols, matrix, out, np.empty(768, np.uint64))
+    # At most 13 bytes per "%.6g" value, plus its space or newline, and room
+    # for the kernel's 16-byte copy of the last value.
+    out = np.empty(rows * (14 * cols + 1) + 16, np.uint8)
+    size = native.call("format_matrix", rows, cols, matrix, out)
     _atomic_write(path, out[:size])
 
 

@@ -174,8 +174,8 @@ static int scale(double x, int k, double *s)
     return 1;
 }
 
-/* Write x to out as printf("%.6g") does, without the terminating NUL, and
- * return its length (at most 13).
+/* Write x to the 16 bytes at out as printf("%.6g") does and return its
+ * length (at most 13); only the snprintf fallback writes a NUL after it.
  *
  * For positive x in decade e (10^e <= x < 10^(e+1)) the six significant
  * digits are the scaled value s = x * 10^(5-e), in [1e5, 1e6), rounded to
@@ -241,42 +241,26 @@ static int format_g6(double x, char *out)
         out[n++] = (char)('0' + e % 10);
     }
     return n;
-fallback:;
-    char tmp[32];
-    n = snprintf(tmp, sizeof tmp, "%.6g", x);
-    memcpy(out, tmp, n);
-    return n;
+fallback:
+    return snprintf(out, 16, "%.6g", x);
 }
 
 /* A formatted value: the 64 bits of a double, and its "%.6g" text. */
-typedef struct { uint64_t key; char text[15]; uint8_t len; } formatted_t;
-
-/* Copy the n <= 16 bytes at s to p in fixed-size moves (two overlapping ones
- * from 4 bytes up): at -O2 a memcpy of n bytes compiles to rep movsq, which
- * costs about 50 ns a call. */
-static inline void copy_short(char *p, const char *s, int n)
-{
-    if (n >= 8) {
-        memcpy(p, s, 8);
-        memcpy(p + n - 8, s + n - 8, 8);
-    } else if (n >= 4) {
-        memcpy(p, s, 4);
-        memcpy(p + n - 4, s + n - 4, 4);
-    } else {  /* 1 to 3 bytes */
-        p[0] = s[0], p[n / 2] = s[n / 2], p[n - 1] = s[n - 1];
-    }
-}
+typedef struct { uint64_t key; char text[16]; uint8_t len; } formatted_t;
 
 /* Write the rows x cols row-major matrix x to out as
  * np.savetxt(fmt="%.6g") does: values separated by one space, each row
- * ending in a newline. out holds at least rows * (14 * cols + 1) bytes.
- * cache is 256 * 24 bytes of scratch (768 uint64s): a direct-mapped table of
- * formatted values keyed by their 64 bits, so a value that repeats (as a row
- * of phi repeats one value per distinct count) is formatted once. Returns the
- * number of bytes written. */
-int64_t format_matrix(int64_t rows, int64_t cols, const double *x, char *out, void *cache)
+ * ending in a newline. out holds at least rows * (14 * cols + 1) + 16 bytes:
+ * each value is copied as all 16 bytes of its slot's text, one fixed-size
+ * move (a memcpy of the value's own length compiles to rep movsq at -O2,
+ * about 50 ns a call), and the next value or separator overwrites the tail.
+ * The 256 slots are a direct-mapped table of formatted values keyed by their
+ * 64 bits, 8 KiB on the stack, so a value that repeats (as a row of phi
+ * repeats one value per distinct count) is formatted once. Returns the number
+ * of bytes written. */
+int64_t format_matrix(int64_t rows, int64_t cols, const double *x, char *out)
 {
-    formatted_t *slots = cache;
+    formatted_t slots[256];
     for (int s = 0; s < 256; s++)  /* every slot starts as a true entry: 0.0 is "0" */
         slots[s] = (formatted_t){.key = 0, .text = "0", .len = 1};
     char *p = out;
@@ -289,7 +273,7 @@ int64_t format_matrix(int64_t rows, int64_t cols, const double *x, char *out, vo
                 slot->key = key;
                 slot->len = (uint8_t)format_g6(x[r * cols + c], slot->text);
             }
-            copy_short(p, slot->text, slot->len);
+            memcpy(p, slot->text, 16);
             p += slot->len;
             *p++ = c + 1 < cols ? ' ' : '\n';
         }

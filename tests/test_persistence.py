@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gibbstopics import native
 from gibbstopics.core import Hyperparams, ToolError
 from gibbstopics.persistence import (
     load_corpus,
@@ -191,24 +192,42 @@ def test_top_words_refuse_non_finite_phi(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_matrix_cache_matches_savetxt(tmp_path):
-    # The formatter keeps 256 formatted values, one per slot, keyed by the
-    # value's 64 bits. Here 1600 distinct values collide in the slots; groups
-    # of them (one mantissa times powers of two) share their low 32 bits. They
-    # repeat within and across rows, with texts of every length from "0" to
-    # "1.23457e+100" (12 bytes, the longest a non-negative value takes).
+def colliding_matrix():
+    """1600 distinct values that collide in the formatter's 256 slots, keyed
+    by the value's 64 bits; groups of them (one mantissa times powers of two)
+    share their low 32 bits. They repeat within and across rows, with texts of
+    every length from "0" to "1.23457e+100" (12 bytes, the longest a
+    non-negative value takes)."""
     by_length = [0.0, 1.0, 10.0, -0.0, 0.5, 100.0, 0.25, 0.125, 1e-05, 0.0625, 0.03125,
                  0.015625, 0.0078125, 1.2345e-05, 0.00390625, 1.23457e-05, 1.23457e+28,
                  1.23457e+100, 1.23457e-100]
     powers = [m * 2.0 ** e for m in (1.1, 1.3, 1.23456789, 1.7) for e in range(-60, 61)]
     gen = np.random.Generator(np.random.PCG64(3))
     pool = np.concatenate([by_length, powers, gen.random(1100)])
-    matrix = np.vstack([pool, gen.choice(pool, size=(40, pool.size))])
+    return np.vstack([pool, gen.choice(pool, size=(40, pool.size))])
+
+
+def test_write_matrix_cache_matches_savetxt(tmp_path):
+    matrix = colliding_matrix()
     path = tmp_path / "m.phi"
     write_matrix(matrix, str(path))
     assert np.unique(matrix).size > 1500
     assert path.read_bytes() == savetxt_bytes(matrix)
     assert {len(v) for v in path.read_text().split()} == set(range(1, 13))
+
+
+@pytest.mark.parametrize("matrix", [colliding_matrix(), np.array([[1.23457e+100]])],
+                         ids=["colliding", "one-longest"])
+def test_format_matrix_writes_nothing_past_its_bound(matrix):
+    # Each value is copied as its slot's 16 bytes, so the last one's copy runs
+    # past its text: write_matrix's size for out must hold it, and a guard of
+    # sentinel bytes after that size must stay as it was.
+    rows, cols = matrix.shape
+    size = rows * (14 * cols + 1) + 16
+    buf = np.full(size + 64, 0xA5, np.uint8)
+    n = native.call("format_matrix", rows, cols, matrix, buf)
+    assert (buf[size:] == 0xA5).all()
+    assert buf[:n].tobytes() == savetxt_bytes(matrix)
 
 
 def test_write_assignments_match_str(tmp_path):
