@@ -22,6 +22,7 @@ OS entropy (and is recorded in the .paras file).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -129,7 +130,18 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    sys.exit(main())
+    """Run main and end the process at its status, skipping the interpreter's
+    teardown: every file main wrote is closed and renamed into place by then,
+    and the package registers no exit handler. A stream that cannot be
+    flushed (a broken pipe) leaves through sys.exit, which reports it."""
+    status = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

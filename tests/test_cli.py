@@ -294,3 +294,82 @@ class TestDispatch:
                   "-ntopics", "2", "-niters", "25", "-seed", "7"])
             blobs.append((tmp_path / "t.theta").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestExitPath:
+    """`python -m gibbstopics.cli`, which runs entry_point: main, a flush of
+    stdout and stderr, then os._exit. PYTHONUNBUFFERED is removed, so stdout
+    is block-buffered as in a user's redirect and the flush at exit is what
+    delivers it. Each exit status is the one sys.exit(main()) gave."""
+
+    LDA = ["-model", "LDA", "-ntopics", "2", "-niters", "4", "-sstep", "2", "-name", "t",
+           "-seed", "1"]
+
+    @staticmethod
+    def run(args, cwd, wrapper=(), **streams):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        return subprocess.run([*wrapper, sys.executable, "-m", "gibbstopics.cli", *args],
+                              cwd=cwd, env=env, stdin=subprocess.DEVNULL, timeout=300, **streams)
+
+    def lda_args(self, tmp_path):
+        return [*self.LDA, "-corpus", str(write_corpus(tmp_path))]
+
+    @staticmethod
+    def outputs(tmp_path):
+        return {p.name: p.read_bytes() for p in tmp_path.glob("t.*")}
+
+    @pytest.mark.parametrize("to", ["pipe", "file"])
+    def test_lda_run_writes_what_main_does(self, tmp_path, capsys, to):
+        args = self.lda_args(tmp_path)
+        assert main(args) == 0
+        out, expected = capsys.readouterr().out, self.outputs(tmp_path)
+        assert out.count("\n") == 2  # the -sstep save, then the final one
+        for path in expected:
+            (tmp_path / path).unlink()
+        if to == "pipe":
+            proc = self.run(args, tmp_path, capture_output=True)
+            stdout = proc.stdout
+        else:
+            with open(tmp_path / "stdout", "wb") as f:
+                proc = self.run(args, tmp_path, stdout=f, stderr=subprocess.PIPE)
+            stdout = (tmp_path / "stdout").read_bytes()
+        assert (proc.returncode, stdout, proc.stderr) == (0, out.encode(), b"")
+        assert self.outputs(tmp_path) == expected
+        assert len(expected) == 10 and not list(tmp_path.glob("*.tmp"))
+
+    def test_tool_error_exits_1_with_one_error_line(self, tmp_path):
+        proc = self.run([*self.LDA, "-corpus", "nope.txt"], tmp_path, capture_output=True)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: cannot read corpus file nope.txt")
+        assert proc.stderr.count(b"\n") == 1
+
+    def test_argparse_error_exits_2(self, tmp_path):
+        proc = self.run(["-model", "LDA"], tmp_path, capture_output=True)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.endswith(b"gibbstopics: error: -corpus is required with -model LDA\n")
+
+    def test_closed_stdout_exits_0(self, tmp_path):
+        # With fd 1 closed, sys.stdout is None: print writes nothing, and the
+        # flush at exit skips it.
+        proc = self.run(self.lda_args(tmp_path), tmp_path, capture_output=True,
+                        wrapper=("sh", "-c", 'exec "$@" >&-', "sh"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert len(self.outputs(tmp_path)) == 10
+
+    def test_broken_pipe_exits_120(self, tmp_path):
+        # The buffered lines meet a pipe with no reader only at the flush. The
+        # run then leaves through sys.exit, whose own flush fails again: the
+        # interpreter reports that once, as an ignored exception, and exits 120.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run(self.lda_args(tmp_path), tmp_path, stdout=write,
+                            stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 120
+        assert len(lines) == 2 and lines[0].startswith("Exception ignored")
+        assert lines[1] == "BrokenPipeError: [Errno 32] Broken pipe"
+        assert len(self.outputs(tmp_path)) == 10

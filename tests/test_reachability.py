@@ -17,7 +17,8 @@ SAMPLE_DATA = Path(__file__).resolve().parent.parent / "sample_data"
 # The functions these runs cannot enter, each with the reason it stays.
 UNREACHED = {
     "native._build": "compiles the library, which these runs find already cached",
-    "cli.entry_point": "the console script's wrapper that calls main and exits",
+    "cli.entry_point": "the console script's wrapper that calls main and ends the process; "
+                       "tests/test_cli.py's TestExitPath runs it in child processes",
     "persistence.Corpus.docs": "per-document views that perfbench/tracer.py reads",
     "__init__.__getattr__": "library callers and perfbench/tracer.py resolve names through it, "
                             "while the CLI imports modules directly",

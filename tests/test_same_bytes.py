@@ -18,6 +18,21 @@ def test_same_bytes_runs_one_case_of_the_tree_against_itself(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["case", "2", "steps,", "7", "files", "identical"]
 
 
+def test_steps_run_block_buffered(tmp_path, monkeypatch):
+    # A stand-in package whose CLI reports whether its stdout writes through
+    # its buffer, as PYTHONUNBUFFERED makes it do, and whether it sees that
+    # variable.
+    package = tmp_path / "src" / "gibbstopics"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import os, sys\nprint(sys.stdout.write_through, 'PYTHONUNBUFFERED' in os.environ)\n")
+    (tmp_path / "work").mkdir()
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    results, _ = same_bytes.run_tree(str(tmp_path / "src"), [[]], str(tmp_path / "work"))
+    assert results == [(0, b"False False\n", b"")]
+
+
 def test_first_difference_names_the_step_or_the_file():
     steps = [["-model", "LDA", "-corpus", "c.txt"], ["-model", "Eval"]]
     ran = [(0, b"LDA done\n", b""), (0, b"NMI 1\n", b"")]

@@ -8,9 +8,12 @@ models through it). Then each argument set in ARG_SETS runs every CLI step of
 the workload, first with PARENT_TREE's src, then with CHANGE_TREE's, each
 time `python -m gibbstopics.cli` in one work folder restored to the generated
 inputs. Both trees thus see the same paths, and .paras files need no
-normalising. The run stops, with exit status 1, at the first step whose exit
-code, stdout or stderr differs, or the first file (by sha256) that differs or
-exists on one side only; otherwise it prints one line per case.
+normalising. The steps run with PYTHONUNBUFFERED unset, so that stdout is
+block-buffered into its pipe, as into a user's redirect, and the comparison of
+stdout covers its flush at exit. The run stops, with exit status 1, at the
+first step whose exit code, stdout or stderr differs, or the first file (by
+sha256) that differs or exists on one side only; otherwise it prints one line
+per case.
 """
 
 from __future__ import annotations
@@ -54,11 +57,12 @@ def with_flags(args, flags):
 def run_tree(src, steps, work):
     """Run the steps with src's package in work; each step's (exit code,
     stdout, stderr), then each file's sha256 by its path under work."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
     results = []
     for args in steps:
         proc = subprocess.run([sys.executable, "-m", "gibbstopics.cli", *args], cwd=work,
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                              stdin=subprocess.DEVNULL, timeout=300)
+                              env=env, capture_output=True, stdin=subprocess.DEVNULL, timeout=300)
         results.append((proc.returncode, proc.stdout, proc.stderr))
     files = {}
     for folder, _, names in os.walk(work):
