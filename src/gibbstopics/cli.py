@@ -24,23 +24,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
 
-from gibbstopics.core import Hyperparams, ToolError
+from gibbstopics.core import Hyperparams, Record, ToolError
 from gibbstopics.persistence import load_corpus, load_labels
 
 # Each mode's required flags, then the other flags it accepts. An inference run
 # takes K, alpha and beta from the paras file: only the sampling run itself is
 # configurable there.
-_HP_FLAGS = tuple(f.name for f in fields(Hyperparams) if f.name != "model")
+_HP_FLAGS = tuple(name for name in Hyperparams.__annotations__ if name != "model")
 _RUN_FLAGS = tuple(f for f in _HP_FLAGS if f not in ("ntopics", "alpha", "beta"))
 MODES = {"LDA": (("corpus",), _HP_FLAGS), "DMM": (("corpus",), _HP_FLAGS),
          "LDAinf": (("corpus", "paras"), _RUN_FLAGS), "DMMinf": (("corpus", "paras"), _RUN_FLAGS),
          "Eval": (("label", "dir", "prob"), ())}
 
 
-@dataclass
-class CliCommand:
+class CliCommand(Record):
     mode: str
     hp: Hyperparams | None   # train and inf modes
     corpus: str | None       # train and inf modes
@@ -52,8 +50,8 @@ class CliCommand:
 
 def _build_parser() -> argparse.ArgumentParser:
     d = Hyperparams()  # the one statement of every default
-    defaults = " ".join(f"-{f.name} {getattr(d, f.name)}" for f in fields(Hyperparams)
-                        if f.name not in ("model", "seed"))
+    defaults = " ".join(f"-{name} {value}" for name, value in vars(d).items()
+                        if name not in ("model", "seed"))
     p = argparse.ArgumentParser(
         prog="gibbstopics",
         allow_abbrev=False,
@@ -93,8 +91,8 @@ def parse_args(argv) -> CliCommand:
             parser.error(f"-{flag} is not accepted with -model {mode}")
     hp = None
     if mode != "Eval":  # flags left unset take the Hyperparams defaults
-        hp = Hyperparams(**{f.name: getattr(args, f.name) for f in fields(Hyperparams)
-                            if getattr(args, f.name) is not None})
+        hp = Hyperparams(**{name: getattr(args, name) for name in Hyperparams.__annotations__
+                            if getattr(args, name) is not None})
         try:
             hp.validate()
         except ToolError as exc:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import contextlib
 import numbers
 import os
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -17,6 +17,30 @@ MODEL_KINDS = ("LDA", "DMM", "LDAinf", "DMMinf")
 
 class ToolError(Exception):
     """Fatal, user-facing error: bad input, corrupt state or failed IO."""
+
+
+class Record(SimpleNamespace):
+    """A record whose fields are its class's annotations, in order, each
+    defaulting to its class attribute if it has one; SimpleNamespace gives the
+    repr and the equality by value."""
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = list(cls.__annotations__)
+        values = {name: value for name, value in vars(cls).items() if name in names}
+        values.update(zip(names, args), **kwargs)
+        if (len(args) > len(names) or not kwargs.keys() <= set(names[len(args):])
+                or len(values) < len(names)):
+            raise TypeError(f"{cls.__name__}() takes {', '.join(names)}, each once, by position "
+                            "or keyword; only a field with a default may be left out")
+        super().__init__(**{name: values[name] for name in names})
+
+
+class ArrayRecord(Record):
+    """A Record that holds arrays, which have no truth value: equal only to
+    itself, and hashable by identity."""
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 @contextlib.contextmanager
@@ -39,8 +63,7 @@ def replacing(path: str):
         raise
 
 
-@dataclass
-class Hyperparams:
+class Hyperparams(Record):
     model: str = "LDA"
     ntopics: int = 20
     alpha: float = 0.1
@@ -91,8 +114,7 @@ class Hyperparams:
         return self
 
 
-@dataclass(eq=False)  # arrays have no truth value: equal only to itself
-class CountState:
+class CountState(ArrayRecord):
     """Gibbs count tables and current assignments. LDA keeps no per-document
     counts: a document's are counted from its z when needed.
 

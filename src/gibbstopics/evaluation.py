@@ -7,21 +7,18 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 
-from gibbstopics.core import ToolError
+from gibbstopics.core import Record, ToolError
 from gibbstopics.persistence import read_matrix
 
 
-@dataclass
-class ClusteringResult:
+class ClusteringResult(Record):
     file: str
     purity: float
     nmi: float
 
 
-@dataclass
-class EvalSummary:
+class EvalSummary(Record):
     results: list
     purity_mean: float
     purity_std: float
@@ -40,10 +37,10 @@ def purity(clusters, labels) -> float:
     """Fraction of documents in the majority gold class of their cluster:
     (1/N) * sum_k max_j |cluster_k intersect class_j|."""
     _check_lengths(clusters, labels)
-    by_cluster: dict = {}
-    for c, l in zip(clusters, labels):
-        by_cluster.setdefault(c, Counter())[l] += 1
-    return sum(max(counts.values()) for counts in by_cluster.values()) / len(clusters)
+    majority: dict = {}
+    for (c, _), n in Counter(zip(clusters, labels)).items():
+        majority[c] = max(majority.get(c, 0), n)
+    return sum(majority.values()) / len(clusters)
 
 
 def nmi(clusters, labels) -> float:

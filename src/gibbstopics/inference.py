@@ -9,18 +9,16 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from gibbstopics import persistence
 from gibbstopics.chain import run_chain
-from gibbstopics.core import CountState, Hyperparams, ToolError, recount_dmm, recount_lda
+from gibbstopics.core import ArrayRecord, CountState, Hyperparams, ToolError, recount_dmm, recount_lda
 from gibbstopics.persistence import Corpus, load_corpus
 
 
-@dataclass(eq=False)  # arrays have no truth value: equal only to itself
-class PretrainedModel:
+class PretrainedModel(ArrayRecord):
     hp: Hyperparams       # hyperparameters of the training run (model is LDA or DMM)
     vocab: tuple          # the training corpus's distinct words, by word id
     nkw: np.ndarray       # frozen K x V topic-word counts; its row sums are the topic totals

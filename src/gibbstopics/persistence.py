@@ -20,11 +20,10 @@ library only, so Eval needs neither NumPy nor a compiler.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from gibbstopics.core import Hyperparams, ToolError, replacing
+from gibbstopics.core import ArrayRecord, Hyperparams, Record, ToolError, replacing
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,7 +31,7 @@ if TYPE_CHECKING:
 # The .paras keys: the model kind, the training corpus as given and as an
 # absolute path, then the other Hyperparams fields in declaration order.
 PARAS_KEYS = ("model", "corpus", "corpus_abs") + tuple(
-    f.name for f in fields(Hyperparams) if f.name != "model")
+    name for name in Hyperparams.__annotations__ if name != "model")
 
 
 def _parse_int(v: str) -> int:
@@ -55,8 +54,7 @@ _PARSE = {"str": str, "int": _parse_int, "float": _parse_float,
           "int | None": lambda v: None if v == "None" else _parse_int(v)}
 
 
-@dataclass
-class ParasRecord:
+class ParasRecord(Record):
     hp: Hyperparams   # as read, not yet validated
     corpus: str
     corpus_abs: str
@@ -113,8 +111,7 @@ def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
     return data, words[:n_tokens], offsets[:n_lines + 1], tokens
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no truth value: equal only to itself
-class Corpus:
+class Corpus(ArrayRecord):
     words: np.ndarray    # int64 word id of every token, document after document
     offsets: np.ndarray  # int64, D+1 from 0: document d is words[offsets[d]:offsets[d+1]]
     vocab: tuple         # the distinct words: word id i is vocab[i]
@@ -200,10 +197,16 @@ def read_matrix(path: str) -> list:
     decimals (no "_"), bit for bit as float() parses them. The first value
     that breaks this rule is reported, else the first line whose value count
     differs from line 1's, else the first row that is not a distribution."""
+    data, text = read_text(path, "matrix file")
+    # Bytes end lines where read_lines does and values where str.split() does,
+    # but for \x1c-\x1f, and float() of ASCII bytes is float() of their text:
+    # an ASCII file with neither those nor "_" is parsed as bytes, accepting and
+    # refusing what its text would, without a str made of every line and value.
+    plain = data.isascii() and not any(c in data for c in b"_\x1c\x1d\x1e\x1f")
     rows = []
-    for lineno, line in enumerate(read_lines(path, "matrix file"), start=1):
+    for lineno, line in enumerate(data.splitlines() if plain else _split_lines(text), start=1):
         # On an ASCII line with no "_", float() alone holds every value to the rule.
-        parse = float if line.isascii() and "_" not in line else _parse_float
+        parse = float if plain or line.isascii() and "_" not in line else _parse_float
         try:
             rows.append(list(map(parse, line.split())))
         except ValueError as exc:
@@ -285,7 +288,7 @@ def _refuse_id_lines(lines, path):
 
 
 def write_paras(hp: Hyperparams, corpus_path: str, path: str):
-    values = {**asdict(hp), "corpus": corpus_path, "corpus_abs": os.path.abspath(corpus_path),
+    values = {**vars(hp), "corpus": corpus_path, "corpus_abs": os.path.abspath(corpus_path),
               "alpha": float(hp.alpha), "beta": float(hp.beta)}
     _atomic_write(path, "".join(f"{key}={values[key]}\n" for key in PARAS_KEYS).encode())
 
@@ -307,7 +310,8 @@ def read_paras(path: str) -> ParasRecord:
         if key not in raw:
             raise ToolError(f"missing key {key} in {path}")
     try:
-        hp = Hyperparams(**{f.name: _PARSE[f.type](raw[f.name]) for f in fields(Hyperparams)})
+        hp = Hyperparams(**{name: _PARSE[kind](raw[name])
+                            for name, kind in Hyperparams.__annotations__.items()})
     except ValueError as exc:
         raise ToolError(f"bad value in paras file {path}: {exc}") from exc
     return ParasRecord(hp, raw["corpus"], raw["corpus_abs"])

@@ -165,13 +165,15 @@ int64_t dmm_sweep(int64_t n_docs, const int64_t *offsets, const int64_t *words,
 static const double P10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
                              1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
 
-/* x * 10^k into *s with one rounding, or 0 when 10^|k| is not exact. */
-static int scale(double x, int k, double *s)
+/* x * 10^k, multiplied or divided by the exact 1e22 until the rest of the
+ * power is in P10: for |k| <= 329, at most 15 steps, each rounding once. */
+static double scale(double x, int k)
 {
-    if (k < -22 || k > 22)
-        return 0;
-    *s = k >= 0 ? x * P10[k] : x / P10[-k];
-    return 1;
+    for (; k > 22; k -= 22)
+        x *= 1e22;
+    for (; k < -22; k += 22)
+        x /= 1e22;
+    return k >= 0 ? x * P10[k] : x / P10[-k];
 }
 
 /* Write x to the 16 bytes at out as printf("%.6g") does and return its
@@ -179,25 +181,22 @@ static int scale(double x, int k, double *s)
  *
  * For positive x in decade e (10^e <= x < 10^(e+1)) the six significant
  * digits are the scaled value s = x * 10^(5-e), in [1e5, 1e6), rounded to
- * an integer. One multiplication or division by an exact power of ten puts
- * s within 2^-33 of the exact product, so the rounding is exact unless s
- * lies within 1e-6 of a tie. Those values go to snprintf, as do zero,
- * values that need a power of ten past 1e22 (below about 1e-17 or above
- * about 1e28), and non-finite or negative ones. */
+ * an integer. Every finite positive double has -324 <= e <= 308, so scale
+ * takes at most 15 steps, and each rounding is within a relative 2^-53:
+ * s stays within about 2e-9 of the exact product, and the rounding is exact
+ * unless s lies within 1e-6 of a tie. Those values go to snprintf, as do
+ * zero and non-finite or negative values. */
 static int format_g6(double x, char *out)
 {
     int b, e, n = 0;
-    double s;
     if (!(x > 0 && x < INFINITY))
         goto fallback;
     frexp(x, &b);  /* 2^(b-1) <= x < 2^b, so e is e0 or e0 + 1 */
     e = (int)floor((b - 1) * 0.30102999566398120);
-    if (!scale(x, 5 - e, &s))
-        goto fallback;
+    double s = scale(x, 5 - e);
     if (s >= 1e6) {
         e++;
-        if (!scale(x, 5 - e, &s))
-            goto fallback;
+        s = scale(x, 5 - e);
     }
     /* At a decade's edge s may come out a rounding error below 1e5, or at
      * exactly 1e6; both give 100000 in the upper decade (after the carry
@@ -233,11 +232,13 @@ static int format_g6(double x, char *out)
         memcpy(out + n, d + from, nd - from);
         n += nd - from;
     }
-    if (sci) {  /* |e| <= 28 here: two exponent digits */
+    if (sci) {  /* at least two exponent digits, three from 100 */
         out[n++] = 'e';
         out[n++] = e < 0 ? '-' : '+';
         e = e < 0 ? -e : e;
-        out[n++] = (char)('0' + e / 10);
+        if (e >= 100)
+            out[n++] = (char)('0' + e / 100);
+        out[n++] = (char)('0' + e / 10 % 10);
         out[n++] = (char)('0' + e % 10);
     }
     return n;

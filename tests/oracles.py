@@ -3,7 +3,8 @@ invariant every state must keep. The kernels are the only implementation in
 src/; these are the references the tests hold them to, bit for bit. Both
 samplers end in draw, which totals the weights by their last cumulative sum.
 Also the whitespace the tokenize kernel must split on, as str.split() does,
-and the total-variation distance the exact-posterior tests bound."""
+the total-variation distance the exact-posterior tests bound, and a copy of
+a record with some fields replaced."""
 
 import numpy as np
 
@@ -60,3 +61,11 @@ def check_state(state, corpus, kind):
     for table in ("mk", "nkw", "nk") if dmm else ("nkw", "nk"):
         assert np.array_equal(getattr(state, table), getattr(ref, table)), \
             f"count invariant violated: {table} does not match assignments"
+
+
+def replace(record, **changes):
+    """A new record of record's class with the given fields changed, built
+    through the class's constructor as dataclasses.replace builds one: no
+    attribute outside the fields, such as a Corpus's cached docs, is copied."""
+    fields = {name: getattr(record, name) for name in type(record).__annotations__}
+    return type(record)(**{**fields, **changes})

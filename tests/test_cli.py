@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -87,11 +86,11 @@ class TestParse:
         out = capsys.readouterr().out
         helps = {line.split()[0]: line for line in out.splitlines() if line.startswith("  -")}
         hp = Hyperparams()
-        for f in fields(Hyperparams):
-            if f.name not in ("model", "seed"):  # -model is required; -seed defaults to entropy
-                value = getattr(hp, f.name)
-                assert f"(default {value!r}" in helps[f"-{f.name}"]
-                assert f"-{f.name} {value}" in out.split("defaults:")[1]
+        for name in Hyperparams.__annotations__:
+            if name not in ("model", "seed"):  # -model is required; -seed defaults to entropy
+                value = getattr(hp, name)
+                assert f"(default {value!r}" in helps[f"-{name}"]
+                assert f"-{name} {value}" in out.split("defaults:")[1]
 
 
 class TestDispatch:
@@ -134,13 +133,15 @@ class TestDispatch:
     def test_import_and_eval_load_no_hashing_modules(self, tmp_path):
         # secrets (with hmac and _hashlib) costs ~3 ms of start-up that
         # neither Eval nor loading a corpus uses; NumPy (~78 ms) and the
-        # compiled library serve only the sampling modes. Eval reads its
-        # labels and matrices through persistence alone.
+        # compiled library serve only the sampling modes; dataclasses, with
+        # the inspect it loads, ~8 ms that the package's records do without.
+        # Eval reads its labels and matrices through persistence alone.
         (tmp_path / "corpus.LABEL").write_text("X\nY\n")
         (tmp_path / "m.theta").write_text("0.9 0.1\n0.2 0.8\n")
         code = ("import sys, gibbstopics.cli; "
                 "assert gibbstopics.cli.main(sys.argv[1:]) == 0; "
-                "loaded = {'secrets', 'hmac', '_hashlib', 'numpy', 'gibbstopics.native'}"
+                "loaded = {'secrets', 'hmac', '_hashlib', 'numpy', 'gibbstopics.native', "
+                "'dataclasses', 'inspect'}"
                 " & set(sys.modules); "
                 "assert not loaded, loaded; "
                 "ours = {m for m in sys.modules if m.startswith('gibbstopics')}; "
@@ -154,11 +155,13 @@ class TestDispatch:
     @pytest.mark.parametrize("model", ["LDA", "DMM"])
     def test_sampling_runs_load_no_evaluation(self, tmp_path, model):
         # Only Eval computes purity and NMI: a sampling run does not import
-        # (or, without bytecode, compile) gibbstopics.evaluation.
+        # (or, without bytecode, compile) gibbstopics.evaluation. Nor does it
+        # import dataclasses, which builds each class's methods from source.
         corpus = write_corpus(tmp_path)
         code = ("import sys, gibbstopics.cli; "
                 "assert gibbstopics.cli.main(sys.argv[1:]) == 0; "
-                "assert 'gibbstopics.evaluation' not in sys.modules")
+                "assert 'gibbstopics.evaluation' not in sys.modules; "
+                "assert 'dataclasses' not in sys.modules")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code, "-model", model, "-corpus", str(corpus),
                         "-ntopics", "2", "-niters", "1", "-seed", "1"],

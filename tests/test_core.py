@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gibbstopics.core import (
+    CountState,
     Hyperparams,
     ToolError,
     estimate_phi,
@@ -186,6 +187,39 @@ class TestHyperparams:
         with pytest.raises(ToolError, match="^twords must be an integer, got 1.5"):
             train_lda(load_corpus(path), Hyperparams(ntopics=2, niters=1, twords=1.5, name="run"))
         assert not list(tmp_path.glob("run.*"))
+
+
+class TestRecords:
+    """The records keep what their callers saw of them as dataclasses."""
+
+    def test_fields_in_order_by_position_or_keyword(self):
+        hp = Hyperparams("DMM", 5, seed=3)
+        assert list(vars(hp).items())[:3] == [("model", "DMM"), ("ntopics", 5), ("alpha", 0.1)]
+        assert hp == Hyperparams(model="DMM", ntopics=5, seed=3) != Hyperparams()
+        assert repr(hp).startswith("Hyperparams(model='DMM', ntopics=5, alpha=0.1,")
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((), {"topics": 5}),                      # unknown
+        (("LDA",), {"model": "DMM"}),             # given twice
+        (tuple(range(10)), {}),                   # too many
+    ])
+    def test_bad_fields_are_type_errors(self, args, kwargs):
+        with pytest.raises(TypeError, match=r"^Hyperparams\(\) takes model, ntopics,"):
+            Hyperparams(*args, **kwargs)
+
+    def test_array_records_equal_only_themselves(self):
+        z = np.zeros(2, np.int64)
+        state = CountState(nkw=z, nk=z, z=z)
+        assert state == state and state != CountState(nkw=z, nk=z, z=z)
+        assert {state: 1}[state] == 1 and state.mk is None
+        # ndk is a class attribute, not a field
+        assert CountState.ndk is None and state.ndk is None and "ndk" not in vars(state)
+        with pytest.raises(TypeError, match="only a field with a default may be left out"):
+            CountState(nkw=z, nk=z)
+
+    def test_corpus_docs_is_cached(self):
+        corpus = make_corpus([[0, 1], [1]], 2)
+        assert corpus.docs is corpus.docs and len(corpus.docs) == 2
 
 
 def test_make_rng_records_entropy_seed():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from gibbstopics.lda import init_lda, lda_sweep
 from gibbstopics.persistence import load_corpus, load_labels
 
 from conftest import make_corpus
+from oracles import replace
 
 
 def write(tmp_path, text, name="corpus.txt"):

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from gibbstopics.dmm import (_chain_tables, dmm_chain, dmm_sweep, doc_word_count
 from gibbstopics.persistence import load_corpus
 
 from conftest import make_corpus
-from oracles import check_state, draw, loop_conditional
+from oracles import check_state, draw, loop_conditional, replace
 
 
 def linear_conditional(state, hp, uwords, ucounts, n_vocab, n_docs):

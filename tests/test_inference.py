@@ -3,7 +3,6 @@ import math
 import re
 import shutil
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from gibbstopics.lda import lda_sweep
 from gibbstopics.persistence import load_corpus, read_assignments
 
 from conftest import two_topic_lines
-from oracles import tv_distance
+from oracles import replace, tv_distance
 
 
 def train_small_lda(tmp_path, lines, name="m", ntopics=2, niters=30, seed=7):

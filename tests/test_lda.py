@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -17,7 +16,7 @@ from gibbstopics.lda import init_lda, lda_sweep
 from gibbstopics.persistence import load_corpus
 
 from conftest import make_corpus
-from oracles import check_state, draw, lda_conditional
+from oracles import check_state, draw, lda_conditional, replace
 
 
 def loop_sweep(corpus, state, hp, rng):

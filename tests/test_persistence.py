@@ -65,10 +65,14 @@ def savetxt_bytes(matrix) -> bytes:
     ([1e-5, 1234567.0, 2.5e-10, 1e-16], "1e-05 1.23457e+06 2.5e-10 1e-16"),
     # rounding carries into the next decade, across the style switches too
     ([999999.7, 0.09999996, 9.9999996e-5], "1e+06 0.1 0.0001"),
-    # fallback: ties round half to even, near-ties by their exact value;
-    # zeros, tiny and huge values
+    # snprintf: ties round half to even, near-ties by their exact value;
+    # zeros. Then the smallest subnormal and a huge value, scaled in steps
     ([123457.5, 1234565.0, 0.1000005, 0.0, -0.0, 5e-324, 1e300],
      "123458 1.23456e+06 0.100001 0 -0 4.94066e-324 1e+300"),
+    # three exponent digits from 100, the extremes of the normal doubles
+    # included, and a carry from 99 to 100
+    ([1e-100, 1.234567e100, 2.2250738585072014e-308, 1.7976931348623157e308, 9.9999996e99],
+     "1e-100 1.23457e+100 2.22507e-308 1.79769e+308 1e+100"),
 ])
 def test_matrix_format_branches(tmp_path, values, text):
     path = tmp_path / "m.theta"
@@ -83,7 +87,7 @@ def _near(x: float):
 
 matrix_values = st.one_of(
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),  # subnormals included
-    st.integers(-30, 30).flatmap(lambda e: _near(10.0 ** e)),  # powers of ten
+    st.integers(-323, 308).flatmap(lambda e: _near(10.0 ** e)),  # powers of ten
     # decimal near-ties at the seventh digit, such as 0.1234565
     st.tuples(st.integers(10**5, 10**6 - 1), st.integers(-20, 20)).flatmap(
         lambda t: _near(float(f"{t[0]}5e{t[1] - 7}"))),
@@ -133,6 +137,15 @@ def test_read_matrix_errors(tmp_path):
     # rounding to 6 significant digits stays within the 1e-4 tolerance
     bad.write_text("0.333333 0.333333 0.333333\n0.49995 0.50004 0\n")
     assert [len(r) for r in read_matrix(str(bad))] == [3, 3]
+
+
+def test_read_matrix_splits_values_as_str_split(tmp_path):
+    # \x1c-\x1f separate values in str.split() but not in bytes.split(), so
+    # a file that holds one must not take the bytes parse.
+    path = tmp_path / "m.theta"
+    for space in INLINE_WHITESPACE:
+        path.write_text(f"0.5{space}0.5\n0.25{space * 2}0.75{space}\n")
+        assert read_matrix(str(path)) == [[0.5, 0.5], [0.25, 0.75]], repr(space)
 
 
 def test_top_words_block(tmp_path):
