@@ -13,8 +13,9 @@ The library of native.py tokenizes corpora and .topicAssignments, writes
 .theta and .phi as the bytes np.savetxt(fmt="%.6g") would, writes the ids of
 .topicAssignments and ranks .topWords; native.check_corpus is the rule the
 kernels hold a corpus to. NumPy and native.py are imported by
-the functions that use them: labels and matrices are read with the standard
-library only, so Eval needs neither NumPy nor a compiler.
+the functions that use them: labels and matrices (ASCII decimals split at
+ASCII whitespace) are read with the standard library only, so Eval needs
+neither NumPy nor a compiler.
 """
 
 from __future__ import annotations
@@ -193,22 +194,18 @@ def write_matrix(matrix, path: str):
 def read_matrix(path: str) -> list:
     """Read a .theta or .phi file as one list of floats per row: rectangular,
     finite, non-negative rows that each sum to 1 within 1e-4, the precision of
-    the 6-digit format. Values are split on whitespace and parsed as ASCII
-    decimals (no "_"), bit for bit as float() parses them. The first value
-    that breaks this rule is reported, else the first line whose value count
-    differs from line 1's, else the first row that is not a distribution."""
-    data, text = read_text(path, "matrix file")
-    # Bytes end lines where read_lines does and values where str.split() does,
-    # but for \x1c-\x1f, and float() of ASCII bytes is float() of their text:
-    # an ASCII file with neither those nor "_" is parsed as bytes, accepting and
-    # refusing what its text would, without a str made of every line and value.
-    plain = data.isascii() and not any(c in data for c in b"_\x1c\x1d\x1e\x1f")
+    the 6-digit format. Lines end at LF, CR LF or CR; values are ASCII
+    decimals without "_" separated by ASCII whitespace (space, tab, VT, FF),
+    parsed by float(). The first line that breaks this rule is reported, else
+    the first line whose value count differs from line 1's, else the first
+    row that is not a distribution."""
+    data, _ = read_text(path, "matrix file")
     rows = []
-    for lineno, line in enumerate(data.splitlines() if plain else _split_lines(text), start=1):
-        # On an ASCII line with no "_", float() alone holds every value to the rule.
-        parse = float if plain or line.isascii() and "_" not in line else _parse_float
-        try:
-            rows.append(list(map(parse, line.split())))
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        try:  # float() of bytes refuses a non-ASCII byte, but reads "_" as a digit separator
+            if b"_" in line:
+                raise ValueError(f"{line!r} holds _")
+            rows.append(list(map(float, line.split())))
         except ValueError as exc:
             raise ToolError(f"bad numeric row at line {lineno} in {path}") from exc
     if not rows:

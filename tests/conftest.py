@@ -39,6 +39,26 @@ def two_topic_lines(rng, n_docs, doc_len, words_per_topic=10):
     return lines, topics
 
 
+def planted_short_lines(rng, n_docs=2000, mean_len=8, min_len=3, n_topics=20, n_words=2000):
+    """Short documents with one planted topic each, over a w0..w{V-1}
+    vocabulary: each topic a Dirichlet(0.05) draw over n_words words, each
+    document at least min_len tokens, all from its topic, with lengths that sum
+    to n_docs * mean_len. Returns (lines, planted topic per document)."""
+    gam = rng.standard_gamma(0.05, size=(n_topics, n_words))
+    cdf = np.cumsum(gam, axis=1)
+    # topic t's CDF shifted to (t, t+1], so one search draws every token's word
+    cdf = cdf / cdf[:, -1:] + np.arange(n_topics)[:, None]
+    lengths = min_len + rng.multinomial(n_docs * (mean_len - min_len), np.full(n_docs, 1 / n_docs))
+    topics = rng.integers(0, n_topics, size=n_docs)
+    row = np.repeat(topics, lengths)
+    words = np.minimum(np.searchsorted(cdf.ravel(), row + rng.random(row.size), "right")
+                       - row * n_words, n_words - 1)
+    tokens = [f"w{w}" for w in words.tolist()]
+    bounds = np.cumsum([0, *lengths.tolist()]).tolist()
+    lines = [" ".join(tokens[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+    return lines, topics.tolist()
+
+
 @pytest.fixture(scope="session", autouse=True)
 def compiled_kernels():
     """Build or load the compiled library before any test, so that a first

@@ -129,8 +129,8 @@ def test_read_matrix_errors(tmp_path):
                        ("0.5 0.5\n\n", 2),
                        ("0.5 0.5\n \n", 2),
                        ("0.5 0.5\n\x1d\n", 2),
-                       ("0.5 0.5\n0.2_5 0.75\n", 2),  # float() reads "_" and other digits
-                       ("0.5 0.5\n\u0660.5 0.5\n", 2)]:
+                       ("0.5 0.5\n0.2_5 0.75\n", 2),  # float() reads "_" as a digit separator
+                       ("0.5 0.5\n\u0660.5 0.5\n", 2)]:  # and float() of str other digits
         bad.write_text(text)
         with pytest.raises(ToolError, match=f"line {line} in .*bad"):
             read_matrix(str(bad))
@@ -139,13 +139,32 @@ def test_read_matrix_errors(tmp_path):
     assert [len(r) for r in read_matrix(str(bad))] == [3, 3]
 
 
-def test_read_matrix_splits_values_as_str_split(tmp_path):
-    # \x1c-\x1f separate values in str.split() but not in bytes.split(), so
-    # a file that holds one must not take the bytes parse.
+def test_read_matrix_splits_values_at_ascii_whitespace(tmp_path):
+    # Space, tab, VT and FF separate values; str.split()'s other in-line
+    # whitespace (\x1c-\x1f, NBSP, U+3000, ...) is no separator np.savetxt
+    # writes, so it is refused.
     path = tmp_path / "m.theta"
     for space in INLINE_WHITESPACE:
-        path.write_text(f"0.5{space}0.5\n0.25{space * 2}0.75{space}\n")
-        assert read_matrix(str(path)) == [[0.5, 0.5], [0.25, 0.75]], repr(space)
+        path.write_text(f"0.5{space}0.5\n0.25{space * 2}0.75{space}\n", encoding="utf-8")
+        if space in " \t\x0b\x0c":
+            assert read_matrix(str(path)) == [[0.5, 0.5], [0.25, 0.75]], repr(space)
+        else:
+            message = re.escape(f"bad numeric row at line 1 in {path}") + "$"
+            with pytest.raises(ToolError, match=message):
+                read_matrix(str(path))
+
+
+def test_read_matrix_reports_parse_then_ragged_then_distribution(tmp_path):
+    # Line 2 is not a distribution, line 3 is ragged, line 4 is unparsable:
+    # each check runs over every line before the next check starts.
+    path = tmp_path / "m.theta"
+    lines = ["0.5 0.5", "0.5 0.6", "0.2 0.3 0.5", "0.5 x"]
+    for n_lines, message in [(4, "bad numeric row at line 4 in {}"),
+                             (3, "line 3 in {} has 3 values, line 1 has 2"),
+                             (2, "row at line 2 in {} is not a distribution")]:
+        path.write_text("\n".join(lines[:n_lines]) + "\n")
+        with pytest.raises(ToolError, match="^" + re.escape(message.format(path))):
+            read_matrix(str(path))
 
 
 def test_top_words_block(tmp_path):
@@ -285,7 +304,8 @@ def test_read_assignments_errors(tmp_path):
 
 @pytest.mark.parametrize("bad", ["1_0", "+1", "\u0663", "1-2", "--1", "x", "99999999999999999999",
                                  "9223372036854775808", "-9223372036854775809", "1\t0", "1  0",
-                                 "-", "1-", "- 1"]
+                                 "-", "1-", "- 1",
+                                 pytest.param("0" * 4300 + "1", id="4301-digits")]
                          + [pytest.param(f"{c}2", id=f"U+{ord(c):04X}") for c in INLINE_WHITESPACE]
                          + [pytest.param(None, id="spaces-only-line")])
 def test_read_assignments_accepts_only_written_ids(tmp_path, bad):
@@ -293,7 +313,8 @@ def test_read_assignments_accepts_only_written_ids(tmp_path, bad):
     # the writer never writes those, nor any of str.split()'s other in-line
     # whitespace (put before id 2 in "1 2 0"), nor a run of spaces or a line
     # of spaces only, so they are errors naming their line. An id past int64
-    # is refused too.
+    # is refused too, as is one of more digits than int() reads (4300 by
+    # default), whatever its value.
     path = tmp_path / "m.topicAssignments"
     line = "   " if bad is None else f"1 {bad} 0"
     path.write_text(f"0 1\n{line}\n", encoding="utf-8")
