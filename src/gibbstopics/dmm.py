@@ -50,10 +50,12 @@ def _chain_tables(corpus, state: CountState, hp: Hyperparams):
     lnum[m] = log(m + beta), lden[m] = log(m + V*beta) and
     lpri[m] = log(m + alpha) - log(D - 1 + K*alpha). They are sized to what
     the counts, frozen training counts included, can reach: a word's total
-    count, all tokens, all documents. Sweeps only move counts between
+    count; a topic's total, never above its frozen part plus the chain's own
+    tokens, so never above the largest total plus those tokens, nor above
+    all tokens; all documents. Sweeps only move the chain's counts between
     topics, so these sizes, and the tables, hold for the whole chain."""
     n_num = int(state.nkw.sum(axis=0).max(initial=0)) + 1
-    n_den = int(state.nk.sum()) + 1
+    n_den = int(min(state.nk.sum(), state.nk.max() + corpus.n_tokens)) + 1
     n_docs, n_vocab = corpus.n_docs, len(corpus.vocab)
     return (np.log(np.arange(n_num) + hp.beta), np.log(np.arange(n_den) + n_vocab * hp.beta),
             np.log(np.arange(n_docs) + hp.alpha) - np.log(n_docs - 1 + hp.ntopics * hp.alpha))

@@ -61,32 +61,28 @@ class ParasRecord(Record):
     corpus_abs: str
 
 
-def read_text(path, what: str) -> tuple[bytes, str]:
-    """The bytes of a UTF-8 input file and their text. Every input format is
-    read here, so an unreadable or undecodable file is a ToolError naming it,
-    and invalid UTF-8 names its line as read_lines counts lines."""
+def read_text(path, what: str) -> bytes:
+    """The bytes of a UTF-8 input file. Every input format is read here, so
+    an unreadable or undecodable file is a ToolError naming it, and invalid
+    UTF-8 names its line. Every reader splits lines as bytes.splitlines()
+    does, at LF, CR LF or CR only, as the tokenize kernel does."""
     try:
         with open(path, "rb") as f:
             data = f.read()
-        return data, data.decode("utf-8")
+        data.decode("utf-8")
+        return data
     except OSError as exc:
         raise ToolError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        head = exc.object[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    except UnicodeDecodeError as exc:  # the bad byte is not ASCII, so no line end
+        line = len(data[:exc.start + 1].splitlines())
         raise ToolError(f"invalid UTF-8 at line {line} in {what} {path}") from exc
 
 
 def read_lines(path, what: str) -> list[str]:
-    """The lines of a UTF-8 input file, each ended by LF, CR LF or CR only:
-    the other breaks of str.splitlines (form feed, U+2028, ...) stay inside
-    their line, so corpus and label lines stay aligned."""
-    return _split_lines(read_text(path, what)[1])
-
-
-def _split_lines(text: str) -> list[str]:
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
+    """The lines of a UTF-8 input file: the other breaks of str.splitlines
+    (form feed, U+2028, ...) stay inside their line, so corpus and label
+    lines stay aligned."""
+    return [line.decode() for line in read_text(path, what).splitlines()]
 
 
 def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
@@ -96,7 +92,7 @@ def read_tokens(path, what: str) -> tuple[bytes, np.ndarray, np.ndarray, list]:
     where each line's tokens start, and the distinct tokens."""
     import numpy as np
     from gibbstopics import native
-    data, _ = read_text(path, what)  # decoded once: invalid UTF-8 names its line
+    data = read_text(path, what)
     text = np.frombuffer(data, np.uint8)
     n = text.size
     # Worst-case capacities, allocated but touched only as far as written.
@@ -194,12 +190,11 @@ def write_matrix(matrix, path: str):
 def read_matrix(path: str) -> list:
     """Read a .theta or .phi file as one list of floats per row: rectangular,
     finite, non-negative rows that each sum to 1 within 1e-4, the precision of
-    the 6-digit format. Lines end at LF, CR LF or CR; values are ASCII
-    decimals without "_" separated by ASCII whitespace (space, tab, VT, FF),
-    parsed by float(). The first line that breaks this rule is reported, else
-    the first line whose value count differs from line 1's, else the first
-    row that is not a distribution."""
-    data, _ = read_text(path, "matrix file")
+    the 6-digit format. Values are ASCII decimals without "_" separated by
+    ASCII whitespace (space, tab, VT, FF), parsed by float(). The first line
+    that breaks this rule is reported, else the first line whose value count
+    differs from line 1's, else the first row that is not a distribution."""
+    data = read_text(path, "matrix file")
     rows = []
     for lineno, line in enumerate(data.splitlines(), start=1):
         try:  # float() of bytes refuses a non-ASCII byte, but reads "_" as a digit separator
@@ -268,17 +263,17 @@ def read_assignments(path: str) -> tuple[np.ndarray, np.ndarray]:
                 spaces != ids.size - np.count_nonzero(np.diff(offsets))):
             raise ValueError("a separator other than one space")
     except (ValueError, OverflowError):  # also int()'s limit on the number of digits
-        _refuse_id_lines(_split_lines(data.decode()), path)
+        _refuse_id_lines(data.splitlines(), path)
     return topics, offsets
 
 
 def _refuse_id_lines(lines, path):
-    """Raise the ToolError naming the first line that is not empty or int64
-    ids -?[0-9]+ separated by single spaces."""
+    """Raise the ToolError naming the first of the lines (bytes of valid
+    UTF-8) that is not empty or int64 ids -?[0-9]+ separated by single spaces."""
     import numpy as np
     for lineno, line in enumerate(lines, start=1):
         try:  # the parse and the int64 conversion of read_assignments
-            np.array([_parse_int(v) for v in line.split(" ")] if line else [], np.int64)
+            np.array([_parse_int(v) for v in line.decode().split(" ")] if line else [], np.int64)
         except (ValueError, OverflowError) as exc:
             raise ToolError(f"bad topic assignment at line {lineno} in {path}") from exc
     raise AssertionError(f"read_assignments refused {path}, whose every line is valid")

@@ -226,3 +226,33 @@ def test_make_rng_records_entropy_seed():
     rng, seed = make_rng(None)
     replay, _ = make_rng(seed)
     assert [rng.random() for _ in range(5)] == [replay.random() for _ in range(5)]
+
+
+# Every seeded artifact rests on two NumPy streams: init's
+# Generator.integers(0, K, n), then the sweeps' Generator.random(n). NumPy
+# gives Generator no compatibility guarantee between releases, so both are
+# pinned here. An odd n of topics leaves half of a raw draw buffered, and the
+# uniforms after it skip that half.
+@pytest.mark.parametrize("seed, ntopics, topics, after, uniforms", [
+    (0, 2, [1, 1, 1, 0, 0],
+     [0.016527635528529094, 0.8132702392002724, 0.9127555772777217],
+     [0.6369616873214543, 0.2697867137638703, 0.04097352393619469, 0.016527635528529094,
+      0.8132702392002724]),
+    (101, 20, [6, 18, 13, 7, 2],
+     [0.5912781852294118, 0.2943285611969282, 0.9227256864229143],
+     [0.9435325056105539, 0.35942103334157316, 0.7848054119699771, 0.5912781852294118,
+      0.2943285611969282]),
+    (2**40 + 3, 100, [73, 77, 44, 99, 38],
+     [0.0648506920171974, 0.19565188972890957, 0.5657456226457933],
+     [0.7736560850714245, 0.9958573802012665, 0.47317891460392636, 0.0648506920171974,
+      0.19565188972890957]),
+])
+def test_numpy_generator_streams_are_pinned(seed, ntopics, topics, after, uniforms):
+    def rng():
+        return np.random.Generator(np.random.PCG64(seed))
+    first = rng()
+    drawn = (first.integers(0, ntopics, 5).tolist(), first.random(3).tolist(),
+             rng().random(5).tolist())
+    assert drawn == (topics, after, uniforms), (
+        "NumPy's Generator stream changed for a fixed seed, so every seeded artifact may change "
+        "with it: see ROADMAP item 19 (uniforms and topics from PCG64's raw stream)")

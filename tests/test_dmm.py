@@ -408,6 +408,36 @@ def test_kernel_detects_negative_counts(table, run):
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
+def test_lden_stops_at_a_topics_frozen_part_plus_the_chains_tokens():
+    # A folding chain moves only its own 6 tokens, so no topic's count passes
+    # its frozen part plus 6: lden holds 50 + 6 + 1 entries, not the 55 + 6 + 1
+    # of every token, and a training chain's holds its tokens + 1. The chain's
+    # extreme, every document in the largest frozen topic, is read; so is a
+    # planted count whose length term reads lden's last entry, and one count
+    # more is refused.
+    corpus = make_corpus([[0, 1], [1], [0, 0, 1]], 2)
+    hp = Hyperparams(model="DMMinf", ntopics=3, beta=0.1)
+    frozen = np.array([[30, 20], [4, 1], [0, 0]])
+
+    def state_of(z):
+        state = recount_dmm(corpus, z, hp.ntopics)
+        state.nkw += frozen
+        state.nk += frozen.sum(axis=1)
+        return state
+    assert _chain_tables(corpus, recount_dmm(corpus, [1, 2, 1], 3), hp)[1].size == 6 + 1
+    tables = _chain_tables(corpus, state_of([1, 2, 1]), hp)
+    assert tables[1].size == 50 + 6 + 1
+    words = doc_word_counts(corpus)
+    state = state_of([0, 0, 0])
+    assert state.nk.tolist() == [56, 5, 0]
+    estimate_theta_dmm(state, corpus, hp, words, tables)
+    state.nk[2] = 54  # document 2's 3 tokens read lden[54:57], the last entry included
+    estimate_theta_dmm(state, corpus, hp, words, tables)
+    state.nk[2] += 1
+    with pytest.raises(ToolError, match="count outside the log tables .* at document 2,"):
+        estimate_theta_dmm(state, corpus, hp, words, tables)
+
+
 def test_build_without_compiler_is_tool_error(empty_kernel_cache, monkeypatch, tmp_path):
     # Built in memory: loading a corpus file would build the library first.
     corpus = make_corpus([[0, 1], [2, 0]], 3, source_path=str(tmp_path / "c.txt"))
