@@ -109,9 +109,16 @@ class Hyperparams(Record):
         # Outputs are <corpus dir>/<name>.*, so a path would escape that directory;
         # .paras holds the name on one line.
         if (self.name in ("", ".", "..") or os.path.basename(self.name) != self.name
-                or "\0" in self.name or self.name.splitlines() != [self.name]):
+                or "\0" in self.name or not one_utf8_line(self.name)):
             raise ToolError(f"name must be a plain file name, got {self.name!r}")
         return self
+
+
+def one_utf8_line(text: str) -> bool:
+    """Whether .paras can store text on one line: str.splitlines() finds no
+    break in it and UTF-8 can encode it. A lone surrogate, which os.fsdecode
+    makes of a byte that is not UTF-8, cannot be: errors="replace" makes a "?"."""
+    return text.splitlines() == [text] and text.encode(errors="replace").decode() == text
 
 
 class CountState(ArrayRecord):

@@ -108,8 +108,12 @@ def estimate_theta_dmm(state: CountState, corpus, hp: Hyperparams, words, tables
 
 def dmm_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
     """The sweep and theta callables of a chain from state, whose counts
-    (frozen training counts included) must be complete. This is the one place
-    that sorts a chain's words and builds its log tables, once per chain."""
+    (frozen training counts included) must be complete, built once per chain
+    from its sorted words and log tables. Priors that leave a table entry not
+    finite (K*alpha or V*beta overflowing) are refused."""
     words, tables = doc_word_counts(corpus), _chain_tables(corpus, state, hp)
+    if not all(np.isfinite(table).all() for table in tables):
+        raise ToolError(f"alpha {hp.alpha} and beta {hp.beta} give model {hp.model} a weight "
+                        "that is not finite and positive")
     return (partial(dmm_sweep, corpus, state, hp, rng, words=words, tables=tables),
             partial(estimate_theta_dmm, state, corpus, hp, words=words, tables=tables))

@@ -11,16 +11,18 @@ Each draw builds the K weights' cumulative sums left to right as it computes
 them, then searches for the first topic whose sum exceeds the uniform times
 the last (the total).
 
-This module is the sampler only: init and sweep. chain.run_chain seeds,
-runs and saves an LDA or LDAinf chain with them.
+This module is the sampler only: init, sweep and the chain's callables.
+chain.run_chain seeds, runs and saves an LDA or LDAinf chain with them.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from gibbstopics import native
-from gibbstopics.core import CountState, Hyperparams, ToolError, recount_lda
+from gibbstopics.core import CountState, Hyperparams, ToolError, estimate_theta_lda, recount_lda
 
 
 def init_lda(corpus, hp: Hyperparams, rng: np.random.Generator) -> CountState:
@@ -45,3 +47,21 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     if bad >= 0:
         raise ToolError(f"lda_sweep: nonpositive weight at token {bad}, count bookkeeping corrupt")
     return state
+
+
+def lda_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
+    """The sweep and theta callables of a chain from state, as dmm_chain's. Priors are
+    refused if K*alpha, V*beta, the least weight (no counts, N tokens) or K weights at the
+    longest document and largest word total leave the finite, positive doubles."""
+    alpha, beta, vbeta = float(hp.alpha), float(hp.beta), len(corpus.vocab) * float(hp.beta)
+    ok = hp.ntopics * alpha < np.inf and vbeta < np.inf
+    if ok:
+        n, longest = int(state.nk.sum()), int((corpus.offsets[1:] - corpus.offsets[:-1]).max())
+        most = int(state.nkw.sum(axis=0).max())
+        ok = alpha * beta / (n + vbeta) > 0 and (
+            hp.ntopics * ((longest + alpha) * (most + beta) / vbeta) < np.inf)
+    if not ok:
+        raise ToolError(f"alpha {hp.alpha} and beta {hp.beta} give model {hp.model} a weight "
+                        "that is not finite and positive")
+    return (partial(lda_sweep, corpus, state, hp, rng),
+            partial(estimate_theta_lda, corpus, state, hp))

@@ -314,10 +314,12 @@ def output_base(corpus_path: str, name: str) -> str:
 
 
 def save_outputs(base, theta, phi, corpus, z, hp, iteration=None):
-    """Write the five artifacts; iteration, when given, suffixes each name."""
+    """Write the five artifacts; iteration, when given, suffixes each name. z is
+    the chain's: LDA's is split here, as .topicAssignments has a line per document."""
     sfx = f".{iteration}" if iteration is not None else ""
     write_matrix(theta, f"{base}.theta{sfx}")
     write_matrix(phi, f"{base}.phi{sfx}")
     write_top_words(phi, corpus.vocab, hp.twords, f"{base}.topWords{sfx}")
+    z = z if hp.model in ("DMM", "DMMinf") else split_docs(z, corpus.offsets)
     write_assignments(z, f"{base}.topicAssignments{sfx}", hp.model)
     write_paras(hp, corpus.source_path, f"{base}.paras{sfx}")

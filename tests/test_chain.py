@@ -6,12 +6,16 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gibbstopics import Hyperparams, ToolError, infer, load_corpus, load_pretrained
 from gibbstopics import train_dmm, train_lda
 from gibbstopics.chain import run_chain
 from gibbstopics.cli import main
+from gibbstopics.core import make_rng
+from gibbstopics.dmm import dmm_chain, init_dmm
+from gibbstopics.lda import init_lda, lda_chain
 
 
 def write_corpus(tmp_path):
@@ -114,3 +118,33 @@ def test_priors_whose_weights_leave_the_doubles_refused_before_any_write(tmp_pat
         assert re.fullmatch(rf"error: alpha \S+ and beta \S+ give model {model} a weight "
                             r"that is not finite and positive\n", capsys.readouterr().err)
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
+
+
+BUILDER_PRIORS = {  # -model, alpha and beta that leave a kernel weight outside the doubles
+    "LDA K*alpha overflows": ("LDA", 1e308, 0.01),
+    "DMM K*alpha overflows": ("DMM", 1e308, 0.1),
+    "LDA V*beta overflows": ("LDA", 0.1, 1e308),
+    "DMM V*beta overflows": ("DMM", 0.1, 1e308),
+    "LDA least weight is 0": ("LDA", 1e-170, 1e-170),
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_PRIORS)
+def test_chain_builders_refuse_priors_before_touching_state_or_rng(tmp_path, case):
+    # lda_chain and dmm_chain refuse the priors themselves, so a library chain
+    # built without run_chain cannot reach the kernel with them either.
+    model, alpha, beta = BUILDER_PRIORS[case]
+    corpus = load_corpus(write_corpus(tmp_path))
+    hp = Hyperparams(model=model, ntopics=3, alpha=alpha, beta=beta)
+    rng, _ = make_rng(1)
+    init, chain = (init_lda, lda_chain) if model == "LDA" else (init_dmm, dmm_chain)
+    state = init(corpus, hp, rng)
+    tables = {name: getattr(state, name).copy() for name in ("z", "nkw", "nk", "mk")
+              if getattr(state, name) is not None}
+    generator = rng.bit_generator.state
+    message = f"alpha {alpha} and beta {beta} give model {model} a weight that is not finite"
+    with pytest.raises(ToolError, match=f"^{re.escape(message)} and positive$"):
+        chain(corpus, state, hp, rng)
+    assert rng.bit_generator.state == generator
+    for name, table in tables.items():
+        assert np.array_equal(getattr(state, name), table), name

@@ -210,21 +210,29 @@ class TestDispatch:
         assert "model.paras" in err and "-name" in err
         assert {p.name: p.read_bytes() for p in tmp_path.glob("model.*")} == trained
 
-    @pytest.mark.parametrize("model", ["LDA", "DMM", "LDAinf", "DMMinf"])
-    def test_corpus_path_with_line_break_refused(self, tmp_path, capsys, model):
-        # .paras stores the corpus path on one line, so it could not be replayed
+    def _corpus_path_refused(self, tmp_path, capsys, model, name):
+        # .paras stores the corpus path on one UTF-8 line, so it could not be replayed
         args = ["-model", model, "-niters", "1", "-name", "out"]
         if model.endswith("inf"):
             assert main(["-model", model[:3], "-corpus", str(write_corpus(tmp_path)),
                          "-ntopics", "2", "-niters", "1", "-seed", "1"]) == 0
             args += ["-paras", str(tmp_path / "model.paras")]
         before = set(tmp_path.iterdir())
-        corpus = tmp_path / "c\nx.txt"
+        corpus = tmp_path / name
         corpus.write_text("a b\nc a\n")
         capsys.readouterr()
         assert main([*args, "-corpus", str(corpus)]) == 1
         assert f"corpus path {str(corpus)!r} holds a line break" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == before | {corpus}
+
+    @pytest.mark.parametrize("model", ["LDA", "DMM", "LDAinf", "DMMinf"])
+    def test_corpus_path_with_line_break_refused(self, tmp_path, capsys, model):
+        self._corpus_path_refused(tmp_path, capsys, model, "c\nx.txt")
+
+    @pytest.mark.parametrize("model", ["LDA", "DMM", "LDAinf", "DMMinf"])
+    def test_corpus_path_not_utf8_refused(self, tmp_path, capsys, model):
+        # os.fsdecode keeps the byte 0xff as a lone surrogate, which UTF-8 cannot encode
+        self._corpus_path_refused(tmp_path, capsys, model, os.fsdecode(b"c\xff.txt"))
 
     @pytest.mark.parametrize("model", ["LDA", "DMM", "LDAinf", "DMMinf"])
     @pytest.mark.parametrize("ntopics", [4 * 10**18, 10**11], ids=["size-past-int64", "out-of-memory"])

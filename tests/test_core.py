@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,6 +171,8 @@ class TestHyperparams:
         # Real, but NumPy holds a Fraction as an object: DMM's log tables fail.
         {"alpha": Fraction(1, 10)},
         {"beta": Fraction(1, 10)},
+        # A byte that is not UTF-8, as os.fsdecode keeps it: .paras could not store it.
+        {"name": os.fsdecode(b"a\xff")},
     ])
     def test_validation(self, kwargs):
         field = next(iter(kwargs))

@@ -165,6 +165,22 @@ def test_load_pretrained_names_the_paras_file_of_a_bad_value(tmp_path, capsys, k
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_paras_with_a_blank_line_replays_the_same(tmp_path):
+    # read_paras skips blank lines: a .paras with one inserted is the same model
+    _, paras = train_small_lda(tmp_path, ["a b a", "c b", "a c c b"])
+    unseen = tmp_path / "unseen.txt"
+    unseen.write_text("a c\nb b a\n")
+    args = ["-model", "LDAinf", "-paras", str(paras), "-corpus", str(unseen), "-niters", "3",
+            "-seed", "4", "-name", "inf"]
+    assert main(args) == 0
+    outputs = {p.name: p.read_bytes() for p in tmp_path.glob("inf.*")}
+    lines = paras.read_text().splitlines(keepends=True)
+    paras.write_text("".join(lines[:3] + ["\n"] + lines[3:]))
+    assert main(args) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("inf.*")} == outputs
+    assert len(outputs) == 5
+
+
 def test_oov_tokens_dropped(tmp_path):
     _, paras = train_small_lda(tmp_path, ["a b a", "c b"])
     model = load_pretrained(paras)

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from gibbstopics import native, train_dmm, train_lda
 from gibbstopics.core import CountState, Hyperparams, ToolError, make_rng, recount_dmm, recount_lda
 from gibbstopics.dmm import dmm_chain, init_dmm
-from gibbstopics.lda import init_lda, lda_sweep
+from gibbstopics.lda import init_lda, lda_chain, lda_sweep
 from gibbstopics.persistence import load_corpus
 
 from conftest import make_corpus
@@ -313,6 +312,19 @@ def test_samplers_import_no_chain_runner():
         assert imported & banned == set(), name
 
 
+def test_chain_runner_names_no_sampler_step():
+    # chain.run_chain only picks a kind's (init, chain builder) pair: the
+    # sweeps, the theta estimators and LDA's per-document split of z belong to
+    # lda.py, dmm.py and persistence.py.
+    tree = ast.parse((Path(native.__file__).parent / "chain.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    banned = {"lda_sweep", "dmm_sweep", "estimate_theta_lda", "estimate_theta_dmm", "split_docs"}
+    assert named & banned == set()
+
+
 def test_sweep_detects_corrupt_counts():
     corpus = make_corpus([[0, 1], [1]], 2)
     hp = Hyperparams(ntopics=2)
@@ -332,10 +344,10 @@ def test_refused_sweep_restores_its_unit(model):
     corpus = make_corpus([[0, 0], [0], [1, 1]], 2)
     hp = Hyperparams(model=model.upper(), ntopics=2, beta=0.1)
     rng, _ = make_rng(6)
-    init, recount = (init_lda, recount_lda) if model == "lda" else (init_dmm, recount_dmm)
+    init, chain, recount = ((init_lda, lda_chain, recount_lda) if model == "lda"
+                            else (init_dmm, dmm_chain, recount_dmm))
     state = init(corpus, hp, rng)
-    sweep = (partial(lda_sweep, corpus, state, hp, rng) if model == "lda"
-             else dmm_chain(corpus, state, hp, rng)[0])
+    sweep, _ = chain(corpus, state, hp, rng)
     state.nkw[:, 1] -= 5
     with pytest.raises(ToolError, match="at (token 3|document 2), count bookkeeping corrupt"):
         sweep()
