@@ -5,6 +5,7 @@ functions that call it, so Eval, which needs only ToolError, never loads it."""
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 import os
 from types import SimpleNamespace
@@ -75,7 +76,6 @@ class Hyperparams(Record):
     seed: int | None = None
 
     def validate(self):
-        import numpy as np
         if self.model not in MODEL_KINDS:
             raise ToolError(f"unknown model kind {self.model!r}")
         # Refused before any range check: 2.5 topics, or a bool, would pass those.
@@ -87,17 +87,17 @@ class Hyperparams(Record):
             if (isinstance(value, bool) or not isinstance(value, kind)) and not (
                     field == "seed" and value is None):
                 raise ToolError(f"{field} must be {what}, got {value!r}")
-        for field in ("alpha", "beta"):  # a Fraction, or an int past int64, is an object to NumPy
-            value = getattr(self, field)
-            if np.asarray(value).dtype.kind not in "iuf":
-                raise ToolError(f"{field} must be a number NumPy holds as a float or integer, "
-                                f"got {value!r}")
         if not 1 <= self.ntopics < 2**63:  # topic ids are int64
             raise ToolError(f"ntopics must be in [1, 2**63), got {self.ntopics}")
-        if not 0 < self.alpha < np.inf:
-            raise ToolError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0 < self.beta < np.inf:
-            raise ToolError(f"beta must be finite and > 0, got {self.beta}")
+        for field in ("alpha", "beta"):  # every layer computes with the prior as this float
+            value = getattr(self, field)
+            try:
+                value = float(value)
+            except OverflowError:  # an int past the doubles, which str() may not even format
+                value = math.inf if value > 0 else -math.inf
+            if not 0 < value < math.inf:
+                raise ToolError(f"{field} must be finite and > 0, got {value}")
+            setattr(self, field, value)
         if self.niters < 1:
             raise ToolError(f"niters must be >= 1, got {self.niters}")
         if self.twords < 0:
@@ -115,10 +115,11 @@ class Hyperparams(Record):
 
 
 def one_utf8_line(text: str) -> bool:
-    """Whether .paras can store text on one line: str.splitlines() finds no
-    break in it and UTF-8 can encode it. A lone surrogate, which os.fsdecode
-    makes of a byte that is not UTF-8, cannot be: errors="replace" makes a "?"."""
-    return text.splitlines() == [text] and text.encode(errors="replace").decode() == text
+    """Whether .paras can store text on one line: it holds no LF or CR, where the
+    readers' bytes.splitlines() breaks, and UTF-8 can encode it. A lone surrogate,
+    which os.fsdecode makes of a byte that is not UTF-8, cannot be: errors="replace"
+    makes a "?"."""
+    return "\n" not in text and "\r" not in text and text.encode(errors="replace").decode() == text
 
 
 class CountState(ArrayRecord):
@@ -152,10 +153,11 @@ def estimate_theta_lda(corpus, state: CountState, hp: Hyperparams) -> np.ndarray
     """theta[d,k] = (n_dk + alpha) / (N_d + K*alpha), row-stochastic D x K,
     with n_dk counted from the topic of every token."""
     import numpy as np
-    doc_of = np.repeat(np.arange(corpus.n_docs), np.diff(corpus.offsets))
+    lengths = np.diff(corpus.offsets)
+    doc_of = np.repeat(np.arange(corpus.n_docs), lengths)
     counts = _count_table(doc_of, state.z, corpus.n_docs, hp.ntopics)
     theta = np.add(counts, hp.alpha, order="C", dtype=np.float64)
-    theta /= counts.sum(axis=1, keepdims=True) + hp.ntopics * hp.alpha
+    theta /= lengths[:, None] + hp.ntopics * hp.alpha
     return theta
 
 

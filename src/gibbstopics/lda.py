@@ -43,24 +43,21 @@ def lda_sweep(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generat
     uniforms = rng.random(corpus.n_tokens)
     bad = native.call("lda_sweep", n_docs, corpus.offsets, corpus.words, state.z,
                       np.empty(n_topics, np.int64), state.nkw.T, state.nk, n_topics, n_vocab,
-                      float(hp.alpha), float(hp.beta), uniforms, np.empty(n_topics))
+                      hp.alpha, hp.beta, uniforms, np.empty(n_topics))
     if bad >= 0:
         raise ToolError(f"lda_sweep: nonpositive weight at token {bad}, count bookkeeping corrupt")
     return state
 
 
 def lda_chain(corpus, state: CountState, hp: Hyperparams, rng: np.random.Generator):
-    """The sweep and theta callables of a chain from state, as dmm_chain's. Priors are
-    refused if K*alpha, V*beta, the least weight (no counts, N tokens) or K weights at the
-    longest document and largest word total leave the finite, positive doubles."""
-    alpha, beta, vbeta = float(hp.alpha), float(hp.beta), len(corpus.vocab) * float(hp.beta)
-    ok = hp.ntopics * alpha < np.inf and vbeta < np.inf
-    if ok:
-        n, longest = int(state.nk.sum()), int((corpus.offsets[1:] - corpus.offsets[:-1]).max())
-        most = int(state.nkw.sum(axis=0).max())
-        ok = alpha * beta / (n + vbeta) > 0 and (
-            hp.ntopics * ((longest + alpha) * (most + beta) / vbeta) < np.inf)
-    if not ok:
+    """The sweep and theta callables of a chain from state, as dmm_chain's, built once the
+    priors pass one test: K*alpha, V*beta, the least weight (no counts, N tokens) and K weights
+    at the longest document and largest word total must be finite, positive doubles."""
+    alpha, beta, vbeta = hp.alpha, hp.beta, len(corpus.vocab) * hp.beta
+    n, longest = int(state.nk.sum()), int((corpus.offsets[1:] - corpus.offsets[:-1]).max())
+    most = int(state.nkw.sum(axis=0).max())
+    if not (hp.ntopics * alpha < np.inf and vbeta < np.inf and alpha * beta / (n + vbeta) > 0
+            and hp.ntopics * ((longest + alpha) * (most + beta) / vbeta) < np.inf):
         raise ToolError(f"alpha {hp.alpha} and beta {hp.beta} give model {hp.model} a weight "
                         "that is not finite and positive")
     return (partial(lda_sweep, corpus, state, hp, rng),

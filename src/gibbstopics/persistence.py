@@ -280,8 +280,7 @@ def _refuse_id_lines(lines, path):
 
 
 def write_paras(hp: Hyperparams, corpus_path: str, path: str):
-    values = {**vars(hp), "corpus": corpus_path, "corpus_abs": os.path.abspath(corpus_path),
-              "alpha": float(hp.alpha), "beta": float(hp.beta)}
+    values = {**vars(hp), "corpus": corpus_path, "corpus_abs": os.path.abspath(corpus_path)}
     _atomic_write(path, "".join(f"{key}={values[key]}\n" for key in PARAS_KEYS).encode())
 
 

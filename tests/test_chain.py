@@ -16,6 +16,7 @@ from gibbstopics.cli import main
 from gibbstopics.core import make_rng
 from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.lda import init_lda, lda_chain
+from gibbstopics.persistence import read_paras
 
 
 def write_corpus(tmp_path):
@@ -85,6 +86,24 @@ def test_drawn_seed_is_recorded_and_replays(tmp_path, model, capsys):
     assert f"{model} done: 5 iterations" in capsys.readouterr().out
     assert main([*args, "-seed", str(hp.seed)]) == 0
     assert {p.name: p.read_bytes() for p in tmp_path.glob("t.*")} == artifacts
+
+
+@pytest.mark.parametrize("train,prior", [
+    (train_lda, {"beta": 2**63 - 1}), (train_lda, {"alpha": 2**62}),
+    (train_dmm, {"alpha": 2**63 - 1}), (train_dmm, {"beta": 2**63 - 1}),
+], ids=["LDA beta 2**63-1", "LDA alpha 2**62", "DMM alpha 2**63-1", "DMM beta 2**63-1"])
+def test_integer_priors_run_as_floats(tmp_path, train, prior):
+    # An int prior at int64's limit, where NumPy's integer arithmetic fails, runs
+    # as its float: the value every layer computes with and .paras stores.
+    model = "LDA" if train is train_lda else "DMM"
+    hp = Hyperparams(model=model, ntopics=3, niters=2, seed=1, name="run", **prior)
+    train(load_corpus(write_corpus(tmp_path)), hp)
+    assert len(list(tmp_path.glob("run.*"))) == 5
+    paras = read_paras(tmp_path / "run.paras").hp
+    for field in ("alpha", "beta"):
+        value = float(prior.get(field, getattr(Hyperparams, field)))
+        assert getattr(hp, field) == getattr(paras, field) == value
+        assert f"{field}={value!r}\n" in (tmp_path / "run.paras").read_text()
 
 
 PRIORS = {  # -model, the prior flags, and whether every weight stays finite and positive

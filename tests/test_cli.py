@@ -229,6 +229,23 @@ class TestDispatch:
     def test_corpus_path_with_line_break_refused(self, tmp_path, capsys, model):
         self._corpus_path_refused(tmp_path, capsys, model, "c\nx.txt")
 
+    @pytest.mark.parametrize("name_sep,path_sep", [("\x0c", "\x1c"), ("\x0b", "\x85"),
+                                                   ("\x1d", "\u2028"), ("\x1e", "\u2029")])
+    def test_name_and_corpus_path_with_other_separators_replay(self, tmp_path, name_sep,
+                                                                path_sep):
+        # .paras is split by bytes.splitlines(), at LF and CR only, so it stores
+        # these separators and LDAinf replays the model they name.
+        corpus, name = tmp_path / f"c{path_sep}x.txt", f"m{name_sep}n"
+        corpus.write_text("a b a\nc b\nb c a\na a\n")
+        assert main(["-model", "LDA", "-corpus", str(corpus), "-ntopics", "2", "-niters", "2",
+                     "-seed", "1", "-name", name]) == 0
+        paras = tmp_path / f"{name}.paras"
+        lines = paras.read_bytes().split(b"\n")
+        assert f"name={name}".encode() in lines and f"corpus={corpus}".encode() in lines
+        assert main(["-model", "LDAinf", "-paras", str(paras), "-corpus", str(corpus),
+                     "-niters", "2", "-name", "inf"]) == 0
+        assert len(list(tmp_path.glob("inf.*"))) == 5
+
     @pytest.mark.parametrize("model", ["LDA", "DMM", "LDAinf", "DMMinf"])
     def test_corpus_path_not_utf8_refused(self, tmp_path, capsys, model):
         # os.fsdecode keeps the byte 0xff as a lone surrogate, which UTF-8 cannot encode

@@ -168,9 +168,9 @@ class TestHyperparams:
         {"beta": None},
         {"beta": False},
         {"name": 5},
-        # Real, but NumPy holds a Fraction as an object: DMM's log tables fail.
-        {"alpha": Fraction(1, 10)},
-        {"beta": Fraction(1, 10)},
+        # Ints past the doubles: the first has too many digits for str() to format.
+        {"alpha": 10**5000},
+        {"beta": -2**1100},
         # A byte that is not UTF-8, as os.fsdecode keeps it: .paras could not store it.
         {"name": os.fsdecode(b"a\xff")},
     ])
@@ -178,6 +178,25 @@ class TestHyperparams:
         field = next(iter(kwargs))
         with pytest.raises(ToolError, match=f"^{field}|model kind"):
             Hyperparams(**kwargs).validate()
+
+    def test_priors_held_as_floats(self):
+        # Every layer computes with this float: a float32 beta gives the kernel
+        # and estimate_phi the same V*beta.
+        hp = Hyperparams(alpha=Fraction(1, 10), beta=np.float32(0.5)).validate()
+        assert (type(hp.alpha), type(hp.beta), hp.alpha, hp.beta) == (float, float, 0.1, 0.5)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_integer_prior_past_the_doubles_refused(self, field):
+        with pytest.raises(ToolError, match=f"^{field} must be finite and > 0, got inf$"):
+            Hyperparams(**{field: 10**5000}).validate()
+
+    def test_name_breaks_only_at_lf_and_cr(self):
+        # .paras is split by bytes.splitlines(), so only LF and CR end its lines
+        for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+            assert Hyperparams(name=f"a{sep}b").validate().name == f"a{sep}b"
+        for name in ("a\rb", "a\r\nb"):
+            with pytest.raises(ToolError, match="^name must be a plain file name"):
+                Hyperparams(name=name).validate()
 
     def test_numpy_scalars_accepted(self):
         hp = Hyperparams(ntopics=np.int64(3), alpha=np.float64(0.5), niters=np.int32(2),

@@ -13,10 +13,10 @@ The corpora are the benchmark's, generated through perfbench/workloads.py at
 SEED with PARENT_TREE's package. A case KERNEL:WORKLOAD:K (K an integer >= 1;
 every case is checked before the first runs) starts both trees' chains from
 SEED, then runs one sweep per tree in each pair, the order alternating from
-pair to pair: lda_sweep for lda, dmm.dmm_chain's sweep for dmm. Each worker
-times its sweep and answers with the seconds and a digest of each part of its
-state. After every pair the tool asserts that the two trees' z, count tables,
-random generators and DMM's theta are identical. It prints each tree's median
+pair to pair: the sweep that lda.lda_chain or dmm.dmm_chain builds. Each
+worker times its sweep and answers with the seconds and a digest of each part
+of its state. After every pair the tool asserts that the two trees' z, count
+tables, random generators and theta are identical. It prints each tree's median
 sweep time and the pairs the change tree won.
 """
 
@@ -63,18 +63,14 @@ def worker(kernel, corpus_path, beta, k):
     hp = core.Hyperparams(model=kernel.upper(), ntopics=int(k), alpha=same_bytes.workloads.ALPHA,
                           beta=float(beta))
     rng = core.make_rng(SEED)[0]
-    if kernel == "lda":
-        state = lda.init_lda(data, hp, rng)
-        sweep, theta = (lambda: lda.lda_sweep(data, state, hp, rng)), None
-    else:
-        state = dmm.init_dmm(data, hp, rng)
-        sweep, theta = dmm.dmm_chain(data, state, hp, rng)
+    init, chain = (lda.init_lda, lda.lda_chain) if kernel == "lda" else (dmm.init_dmm, dmm.dmm_chain)
+    state = init(data, hp, rng)
+    sweep, theta = chain(data, state, hp, rng)
     seconds = 0.0
     while True:
         digests = {name: digest(getattr(state, name)) for name in TABLES[kernel]}
         digests["rng"] = hashlib.sha256(json.dumps(rng.bit_generator.state).encode()).hexdigest()
-        if theta is not None:
-            digests["theta"] = digest(theta(), "float64")
+        digests["theta"] = digest(theta(), "float64")
         print(json.dumps({"seconds": seconds, "state": digests}), flush=True)
         if not sys.stdin.readline():
             return
