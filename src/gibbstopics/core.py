@@ -77,7 +77,7 @@ class Hyperparams(Record):
 
     def validate(self):
         if self.model not in MODEL_KINDS:
-            raise ToolError(f"unknown model kind {self.model!r}")
+            raise ToolError(f"unknown model kind {_shown(self.model)}")
         # Refused before any range check: 2.5 topics, or a bool, would pass those.
         kinds = {"alpha": (numbers.Real, "a number"), "beta": (numbers.Real, "a number"),
                  "name": (str, "a string")}
@@ -86,9 +86,16 @@ class Hyperparams(Record):
             kind, what = kinds.get(field, (numbers.Integral, "an integer"))
             if (isinstance(value, bool) or not isinstance(value, kind)) and not (
                     field == "seed" and value is None):
-                raise ToolError(f"{field} must be {what}, got {value!r}")
-        if not 1 <= self.ntopics < 2**63:  # topic ids are int64
-            raise ToolError(f"ntopics must be in [1, 2**63), got {self.ntopics}")
+                raise ToolError(f"{field} must be {what}, got {_shown(value)}")
+        # Counts and topic ids are int64, and a seed below 10**4300 has digits few
+        # enough for str() to write it to .paras and int() to read it back.
+        int64, seeds = (2**63, "2**63"), (10**4300, "10**4300")
+        for field, low, (high, shown) in (("ntopics", 1, int64), ("niters", 1, int64),
+                                          ("twords", 0, int64), ("sstep", 0, int64),
+                                          ("seed", 0, seeds)):
+            value = getattr(self, field)
+            if value is not None and not low <= value < high:
+                raise ToolError(f"{field} must be in [{low}, {shown}), got {_shown(int(value))}")
         for field in ("alpha", "beta"):  # every layer computes with the prior as this float
             value = getattr(self, field)
             try:
@@ -98,20 +105,20 @@ class Hyperparams(Record):
             if not 0 < value < math.inf:
                 raise ToolError(f"{field} must be finite and > 0, got {value}")
             setattr(self, field, value)
-        if self.niters < 1:
-            raise ToolError(f"niters must be >= 1, got {self.niters}")
-        if self.twords < 0:
-            raise ToolError(f"twords must be >= 0, got {self.twords}")
-        if self.sstep < 0:
-            raise ToolError(f"sstep must be >= 0, got {self.sstep}")
-        if self.seed is not None and self.seed < 0:
-            raise ToolError(f"seed must be >= 0, got {self.seed}")
         # Outputs are <corpus dir>/<name>.*, so a path would escape that directory;
         # .paras holds the name on one line.
         if (self.name in ("", ".", "..") or os.path.basename(self.name) != self.name
                 or "\0" in self.name or not one_utf8_line(self.name)):
             raise ToolError(f"name must be a plain file name, got {self.name!r}")
         return self
+
+
+def _shown(value) -> str:
+    """repr(value) for a message, with no digits of an int past 2**64: repr()
+    refuses one of more than 4300 digits."""
+    if isinstance(value, numbers.Integral) and not -2**64 < value < 2**64:
+        return "an integer outside (-2**64, 2**64)"
+    return repr(value)
 
 
 def one_utf8_line(text: str) -> bool:

@@ -31,12 +31,9 @@ def load_pretrained(paras_path) -> PretrainedModel:
     and for a save point's <name>.paras.<it>, <name>.topicAssignments.<it>."""
     paras_path = str(paras_path)
     rec = persistence.read_paras(paras_path)
-    if rec.hp.model not in ("LDA", "DMM"):
-        raise ToolError(f"paras file {paras_path} is from model {rec.hp.model}, expected LDA or DMM")
-    try:
-        hp = rec.hp.validate()
-    except ToolError as exc:
-        raise ToolError(f"bad value in paras file {paras_path}: {exc}") from exc
+    hp = rec.hp
+    if hp.model not in ("LDA", "DMM"):
+        raise ToolError(f"paras file {paras_path} is from model {hp.model}, expected LDA or DMM")
 
     # Outputs land in the corpus's folder, so the corpus sits next to the .paras.
     beside = persistence.output_base(paras_path, os.path.basename(rec.corpus_abs))
@@ -87,8 +84,8 @@ def infer(model: PretrainedModel, new_corpus_path, hp: Hyperparams) -> CountStat
     """Sample topic assignments for the unseen corpus with the training counts
     frozen, writing the usual five artifacts next to the unseen corpus.
     hp.model must be the model's kind plus "inf"; K, alpha and beta are set
-    from the model. A name whose outputs would replace the model's own files
-    is refused up front."""
+    from the model. A name whose outputs would replace the model's own files,
+    and counts that are not a nonnegative integer K x V table, are refused up front."""
     if hp.model != model.hp.model + "inf":
         raise ToolError(f"paras file {model.paras_path} is from a {model.hp.model} model, "
                         f"but -model {hp.model} was requested")
@@ -98,4 +95,8 @@ def infer(model: PretrainedModel, new_corpus_path, hp: Hyperparams) -> CountStat
     if os.path.realpath(persistence.output_base(new_corpus_path, hp.name)) == os.path.realpath(trained):
         raise ToolError(f"-name {hp.name} would overwrite the model of {model.paras_path} "
                         f"({trained}.*); choose another -name")
-    return run_chain(fold_corpus(model, new_corpus_path), hp, model)
+    nkw, shape = model.nkw, (hp.ntopics, len(model.vocab))  # a wrong shape would broadcast
+    if (nkw.dtype.kind, nkw.shape) != ("i", shape) or nkw.min(initial=0) < 0:
+        raise ToolError(f"trained counts of {model.paras_path} are not a nonnegative integer "
+                        f"{shape[0]} x {shape[1]} table")
+    return run_chain(fold_corpus(model, new_corpus_path), hp, nkw)

@@ -56,7 +56,7 @@ _PARSE = {"str": str, "int": _parse_int, "float": _parse_float,
 
 
 class ParasRecord(Record):
-    hp: Hyperparams   # as read, not yet validated
+    hp: Hyperparams   # as read, validated
     corpus: str
     corpus_abs: str
 
@@ -285,6 +285,7 @@ def write_paras(hp: Hyperparams, corpus_path: str, path: str):
 
 
 def read_paras(path: str) -> ParasRecord:
+    """A .paras file's record with validated Hyperparams; a bad value is a ToolError naming it."""
     raw: dict[str, str] = {}
     for line in read_lines(path, "paras file"):
         if not line.strip():
@@ -302,8 +303,8 @@ def read_paras(path: str) -> ParasRecord:
             raise ToolError(f"missing key {key} in {path}")
     try:
         hp = Hyperparams(**{name: _PARSE[kind](raw[name])
-                            for name, kind in Hyperparams.__annotations__.items()})
-    except ValueError as exc:
+                            for name, kind in Hyperparams.__annotations__.items()}).validate()
+    except (ValueError, ToolError) as exc:
         raise ToolError(f"bad value in paras file {path}: {exc}") from exc
     return ParasRecord(hp, raw["corpus"], raw["corpus_abs"])
 

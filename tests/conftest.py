@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gibbstopics import native
 from gibbstopics.persistence import Corpus
+
+# Any value a library caller may set a Hyperparams field to: ints of any size
+# (with the bounds of validate and of str()), floats with NaN and +-inf, bools
+# and text of any code points, lone surrogates included.
+ANY_VALUE = (st.integers() | st.sampled_from([2**63 - 1, 2**63, 2**64, 10**4300 - 1, 10**4300,
+                                              10**5000, -10**5000])
+             | st.floats() | st.booleans() | st.text(st.characters(exclude_categories=())))
 
 
 def make_corpus(docs, n_vocab, source_path="<memory>"):

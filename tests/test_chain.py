@@ -4,19 +4,25 @@ or seed while sampling another."""
 
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gibbstopics import Hyperparams, ToolError, infer, load_corpus, load_pretrained
 from gibbstopics import train_dmm, train_lda
-from gibbstopics.chain import run_chain
 from gibbstopics.cli import main
 from gibbstopics.core import make_rng
 from gibbstopics.dmm import dmm_chain, init_dmm
 from gibbstopics.lda import init_lda, lda_chain
 from gibbstopics.persistence import read_paras
+
+from conftest import ANY_VALUE
+
+SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "sample_data" / "corpus.txt"
 
 
 def write_corpus(tmp_path):
@@ -34,20 +40,6 @@ def test_trainer_refuses_another_model_kind(tmp_path, train, kind):
     with pytest.raises(ToolError, match=f"hp.model is '{kind}'"):
         train(corpus, Hyperparams(model=kind, ntopics=2, niters=1, seed=1))
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
-
-
-def test_run_chain_takes_trained_counts_only_when_folding_in(tmp_path):
-    corpus_path = write_corpus(tmp_path)
-    assert main(["-model", "LDA", "-corpus", str(corpus_path), "-ntopics", "2",
-                 "-niters", "1", "-seed", "1"]) == 0
-    model = load_pretrained(tmp_path / "model.paras")
-    before = set(tmp_path.iterdir())
-    corpus = load_corpus(corpus_path)
-    with pytest.raises(ToolError, match="model LDA takes no trained model counts"):
-        run_chain(corpus, Hyperparams(model="LDA", ntopics=2, niters=1, name="x"), model)
-    with pytest.raises(ToolError, match="model LDAinf needs trained model counts"):
-        run_chain(corpus, Hyperparams(model="LDAinf", ntopics=2, niters=1, name="x"))
-    assert set(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("kind", ["DMMinf", "LDA", "DMM"])
@@ -128,7 +120,7 @@ def test_priors_whose_weights_leave_the_doubles_refused_before_any_write(tmp_pat
     # underflows: that is refused up front, not reported by the kernel as
     # corrupt count bookkeeping, and priors short of that still run.
     model, flags, runs = PRIORS[case]
-    shutil.copy(Path(__file__).resolve().parent.parent / "sample_data" / "corpus.txt", tmp_path)
+    shutil.copy(SAMPLE_CORPUS, tmp_path)
     assert main(["-model", model, "-corpus", str(tmp_path / "corpus.txt"), "-ntopics", "3",
                  "-niters", "3", "-seed", "1", *flags]) == (0 if runs else 1)
     if runs:
@@ -167,3 +159,74 @@ def test_chain_builders_refuse_priors_before_touching_state_or_rng(tmp_path, cas
     assert rng.bit_generator.state == generator
     for name, table in tables.items():
         assert np.array_equal(getattr(state, name), table), name
+
+
+@pytest.mark.parametrize("train", [train_lda, train_dmm])
+@pytest.mark.parametrize("field", ["seed", "twords", "sstep"])
+def test_field_paras_cannot_store_refused_before_any_write(tmp_path, train, field):
+    model = "LDA" if train is train_lda else "DMM"
+    hp = Hyperparams(model=model, ntopics=2, niters=1, name="run", **{field: 10**5000})
+    with pytest.raises(ToolError, match=rf"^{field} must be in \[0, (2|10)\*\*"):
+        train(load_corpus(write_corpus(tmp_path)), hp)
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
+
+
+@pytest.mark.parametrize("train", [train_lda, train_dmm])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(ntopics=st.integers(1, 8) | st.integers(min_value=2**63),
+       fields=st.dictionaries(st.sampled_from(["alpha", "beta", "twords", "sstep", "seed"]),
+                              ANY_VALUE, max_size=3))
+def test_training_completes_or_refuses_before_any_write(tmp_path, train, ntopics, fields):
+    # ntopics of 9 to 2**63 - 1 is left out: such a count table may be too
+    # large to allocate, or take a while.
+    model = "LDA" if train is train_lda else "DMM"
+    hp = Hyperparams(model=model, ntopics=ntopics, niters=1, name="run", **fields)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as folder:
+        corpus = load_corpus(write_corpus(Path(folder)))
+        try:
+            train(corpus, hp)
+        except ToolError:
+            assert [p.name for p in Path(folder).iterdir()] == ["corpus.txt"]
+        else:
+            assert len(list(Path(folder).glob("run.*"))) == 5
+
+
+CLOBBERS = {  # the corpus's file name, the -name and flags of a run that would replace it
+    "LDA run.theta": ("run.theta", "run", ["-model", "LDA", "-ntopics", "2"]),
+    "DMM run.phi.2": ("run.phi.2", "run", ["-model", "DMM", "-ntopics", "2", "-niters", "4",
+                                           "-sstep", "2"]),
+    "LDAinf inf.topicAssignments": ("inf.topicAssignments", "inf",
+                                    ["-model", "LDAinf", "-paras", "{dir}/model.paras"]),
+}
+
+
+@pytest.mark.parametrize("case", CLOBBERS)
+@pytest.mark.parametrize("link", [False, True], ids=["given", "through a link"])
+def test_run_that_would_replace_its_corpus_refused(tmp_path, capsys, case, link):
+    file_name, name, flags = CLOBBERS[case]
+    shutil.copy(SAMPLE_CORPUS, tmp_path)
+    assert main(["-model", "LDA", "-corpus", str(tmp_path / "corpus.txt"), "-ntopics", "2",
+                 "-niters", "1", "-seed", "1"]) == 0
+    shutil.copy(SAMPLE_CORPUS, tmp_path / file_name)
+    corpus = tmp_path / file_name
+    if link:
+        corpus = tmp_path / "link.txt"
+        corpus.symlink_to(file_name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    args = [a.replace("{dir}", str(tmp_path)) for a in flags]
+    assert main([*args, "-corpus", str(corpus), "-name", name, "-seed", "1"]) == 1
+    assert capsys.readouterr().err == (f"error: -name {name} would overwrite the corpus "
+                                       f"{corpus}; choose another -name\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("file_name", ["run.phi.3", "run.phi.4", "run.phi.02", "run2.phi"])
+def test_corpus_named_like_a_file_the_run_does_not_write_runs(tmp_path, file_name):
+    # Save points are written at 2 only: at 4, the last iteration, the names
+    # carry no number.
+    shutil.copy(SAMPLE_CORPUS, tmp_path / file_name)
+    assert main(["-model", "DMM", "-corpus", str(tmp_path / file_name), "-name", "run",
+                 "-ntopics", "2", "-niters", "4", "-sstep", "2", "-seed", "1"]) == 0
+    assert (tmp_path / file_name).read_bytes() == SAMPLE_CORPUS.read_bytes()
+    assert len(list(tmp_path.glob("run.*"))) == 10 + (file_name.startswith("run."))

@@ -1,4 +1,5 @@
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from gibbstopics.core import (
     recount_lda,
 )
 from gibbstopics.chain import train_lda
-from gibbstopics.persistence import load_corpus, write_top_words
+from gibbstopics.persistence import load_corpus, read_paras, write_paras, write_top_words
 
 from conftest import make_corpus
 from oracles import draw
@@ -171,6 +172,11 @@ class TestHyperparams:
         # Ints past the doubles: the first has too many digits for str() to format.
         {"alpha": 10**5000},
         {"beta": -2**1100},
+        # Ints that .paras cannot store, of too many digits for str() to format.
+        {"ntopics": 10**5000},
+        {"seed": -10**5000},
+        {"twords": -10**5000},
+        {"name": 10**5000},
         # A byte that is not UTF-8, as os.fsdecode keeps it: .paras could not store it.
         {"name": os.fsdecode(b"a\xff")},
     ])
@@ -178,6 +184,26 @@ class TestHyperparams:
         field = next(iter(kwargs))
         with pytest.raises(ToolError, match=f"^{field}|model kind"):
             Hyperparams(**kwargs).validate()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("niters", 0, "niters must be in [1, 2**63), got 0"),
+        ("niters", 2**63, "niters must be in [1, 2**63), got 9223372036854775808"),
+        ("twords", -1, "twords must be in [0, 2**63), got -1"),
+        ("sstep", 2**64, "sstep must be in [0, 2**63), got an integer outside (-2**64, 2**64)"),
+        ("seed", -1, "seed must be in [0, 10**4300), got -1"),
+        ("seed", 10**4300, "seed must be in [0, 10**4300), got an integer outside (-2**64, 2**64)"),
+        ("ntopics", np.int64(-5), "ntopics must be in [1, 2**63), got -5"),
+    ], ids=["niters 0", "niters 2**63", "twords -1", "sstep 2**64", "seed -1", "seed 10**4300",
+            "ntopics int64 -5"])
+    def test_integer_field_bounds(self, field, value, message):
+        # The message shows a value only below 2**64, where str() formats it.
+        with pytest.raises(ToolError, match=f"^{re.escape(message)}$"):
+            Hyperparams(**{field: value}).validate()
+
+    def test_largest_seed_stored_and_read_back(self, tmp_path):
+        hp = Hyperparams(seed=10**4300 - 1).validate()
+        write_paras(hp, "c.txt", str(tmp_path / "m.paras"))
+        assert read_paras(str(tmp_path / "m.paras")).hp == hp
 
     def test_priors_held_as_floats(self):
         # Every layer computes with this float: a float32 beta gives the kernel

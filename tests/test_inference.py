@@ -148,7 +148,7 @@ def test_load_pretrained_lda_topic_out_of_range(tmp_path, topic):
     ("ntopics", "0", r"ntopics must be in \[1, 2\*\*63\), got 0"),
     ("alpha", "-1.0", r"alpha must be finite and > 0, got -1.0"),
     ("name", "../x", r"name must be a plain file name, got '\.\./x'"),
-    ("seed", "-1", r"seed must be >= 0, got -1"),
+    ("seed", "-1", r"seed must be in \[0, 10\*\*4300\), got -1"),
 ], ids=["ntopics", "alpha", "name", "seed"])
 def test_load_pretrained_names_the_paras_file_of_a_bad_value(tmp_path, capsys, key, value,
                                                               error):

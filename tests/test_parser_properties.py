@@ -30,6 +30,7 @@ from gibbstopics.persistence import (
     write_paras,
 )
 
+from conftest import ANY_VALUE
 from oracles import INLINE_WHITESPACE, WHITESPACE
 
 # tmp_path is shared by a test's examples; each example rewrites its one file
@@ -59,6 +60,21 @@ def test_paras_round_trip_exact(tmp_path, hp):
         hp.validate()
     except ToolError:
         assume(False)
+    path = str(tmp_path / "m.paras")
+    write_paras(hp, "c.txt", path)
+    assert read_paras(path) == ParasRecord(hp, "c.txt", os.path.abspath("c.txt"))
+
+
+@tmp_path_ok
+@given(hp=hyperparams, changes=st.dictionaries(
+    st.sampled_from(list(Hyperparams.__annotations__)), ANY_VALUE, max_size=3))
+def test_validate_returns_or_refuses_any_value(tmp_path, hp, changes):
+    # validate ends in a ToolError or in fields .paras stores and reads back.
+    hp = Hyperparams(**{**vars(hp), **changes})
+    try:
+        hp.validate()
+    except ToolError:
+        return
     path = str(tmp_path / "m.paras")
     write_paras(hp, "c.txt", path)
     assert read_paras(path) == ParasRecord(hp, "c.txt", os.path.abspath("c.txt"))

@@ -398,12 +398,13 @@ def test_paras_numbers_are_ascii(tmp_path, key, value):
 
 def test_paras_numbers_keep_their_written_forms(tmp_path):
     path = tmp_path / "m.paras"
-    hp = Hyperparams(model="LDA", ntopics=3, alpha=1e-300, beta=5e-324, niters=10**30,
+    hp = Hyperparams(model="LDA", ntopics=3, alpha=1e-300, beta=5e-324, niters=2**63 - 1,
                      seed=None)
     write_paras(hp, "c.txt", str(path))
     assert read_paras(str(path)).hp == hp
     path.write_text(path.read_text().replace("alpha=1e-300", "alpha=-0.5E+3"))
-    assert read_paras(str(path)).hp.alpha == -500.0  # read; validate() refuses it
+    with pytest.raises(ToolError, match=r"alpha must be finite and > 0, got -500\.0$"):
+        read_paras(str(path))  # read as -500.0, which validate() refuses
 
 
 def test_write_failure_names_path(tmp_path):

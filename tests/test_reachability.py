@@ -23,6 +23,7 @@ UNREACHED = {
     "__init__.__getattr__": "library callers and perfbench/tracer.py resolve names through it, "
                             "while the CLI imports modules directly",
     "persistence._refuse_id_lines": "error path: names a malformed assignment line",
+    "core._shown": "error path: shows a refused Hyperparams value in its message",
 }
 
 RUNS = (
